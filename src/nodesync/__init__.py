@@ -24,9 +24,7 @@ from .queue_model import (
     estimate_tail,
     fit_decay_slope,
     poisson_counts,
-    sample_poisson,
     simulate_walk,
-    step_queue,
 )
 from .seeding import derive_seed, make_rng, splitmix64
 from .sim_harness import (
@@ -51,10 +49,7 @@ from .sync_game import (
     build_ns_lp,
     cautious_failure,
     is_correlated_equilibrium,
-    profit,
     solve_ns,
-    total_utility,
-    utility,
 )
 
 __all__ = [
@@ -95,15 +90,10 @@ __all__ = [
     "is_correlated_equilibrium",
     "make_rng",
     "poisson_counts",
-    "profit",
     "rate_function",
     "run_network_sim",
-    "sample_poisson",
     "simulate_detail",
     "simulate_walk",
     "solve_ns",
     "splitmix64",
-    "step_queue",
-    "total_utility",
-    "utility",
 ]

@@ -151,6 +151,13 @@ def _decide_row(spec: GameSpec, eps1: float, writer) -> None:
 
 def _cmd_decide(args: argparse.Namespace, writer) -> None:
     m = args.m
+    alpha = tuple(_broadcast(args.alpha, m, "alpha"))
+    cost = tuple(_broadcast(args.cost, m, "cost"))
+    if args.epsilon is not None:
+        sweep = [tuple(_broadcast(args.epsilon, m, "epsilon"))]
+    else:
+        sweep = [(eps1,) + (args.eps_rest,) * (m - 1) for eps1 in args.eps1]
+    specs = [GameSpec(m=m, epsilon=epsilon, alpha=alpha, cost=cost) for epsilon in sweep]
     header = (
         ["eps1"]
         + [f"p_{i + 1}" for i in range(m)]
@@ -158,29 +165,22 @@ def _cmd_decide(args: argparse.Namespace, writer) -> None:
         + [f"marginal_{i + 1}" for i in range(m)]
     )
     writer.writerow(header)
-    alpha = tuple(_broadcast(args.alpha, m, "alpha"))
-    cost = tuple(_broadcast(args.cost, m, "cost"))
-    if args.epsilon is not None:
-        epsilon = tuple(_broadcast(args.epsilon, m, "epsilon"))
-        spec = GameSpec(m=m, epsilon=epsilon, alpha=alpha, cost=cost)
-        _decide_row(spec, epsilon[0], writer)
-        return
-    for eps1 in args.eps1:
-        spec = GameSpec(
-            m=m, epsilon=(eps1,) + (args.eps_rest,) * (m - 1), alpha=alpha, cost=cost
-        )
-        _decide_row(spec, eps1, writer)
+    for spec in specs:
+        _decide_row(spec, spec.epsilon[0], writer)
 
 
 def _cmd_sweep(args: argparse.Namespace, writer) -> None:
     m = args.m
     epsilon = tuple(_broadcast(args.eps, m, "eps"))
-    writer.writerow(["param_value", "max_total_utility"])
+    specs = []
     for value in args.values:
         if args.param == "alpha":
             spec = GameSpec(m=m, epsilon=epsilon, alpha=(value,) * m, cost=(args.cost,) * m)
         else:
             spec = GameSpec(m=m, epsilon=epsilon, alpha=(args.alpha,) * m, cost=(value,) * m)
+        specs.append((value, spec))
+    writer.writerow(["param_value", "max_total_utility"])
+    for value, spec in specs:
         writer.writerow([_fmt(value), _fmt(solve_ns(spec).objective)])
 
 
@@ -240,6 +240,10 @@ def _netsim_footers(label: str, rows: list[list]) -> list[list]:
 def _cmd_netsim(args: argparse.Namespace, writer) -> None:
     if args.reps < 1:
         raise ValueError(f"reps must be at least 1, got {args.reps}")
+    configs = [
+        _netsim_config(args, args.seed if args.reps == 1 else derive_seed(args.seed, rep))
+        for rep in range(args.reps)
+    ]
     header = (
         ["rep", "strategy", "sync_success_rate", "predicted_success", "rounds"]
         + ["total_requests", "redundant_responses"]
@@ -247,9 +251,7 @@ def _cmd_netsim(args: argparse.Namespace, writer) -> None:
     )
     writer.writerow(header)
     by_label: dict[str, list[list]] = {}
-    for rep in range(args.reps):
-        seed = args.seed if args.reps == 1 else derive_seed(args.seed, rep)
-        config, spec = _netsim_config(args, seed)
+    for rep, (config, spec) in enumerate(configs):
         if args.strategy == "compare":
             assert spec is not None
             result = compare_strategies(config, spec)

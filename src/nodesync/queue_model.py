@@ -18,10 +18,10 @@ import numpy as np
 
 from .seeding import derive_seed, make_rng
 
-# The plain sequential-search inversion is exact and fast for small rates;
-# beyond this the CDF start point underflows and the windowed table is used.
+# Up to this rate the CDF table is built by the p_{k+1} = p_k * rate/(k+1)
+# recurrence; beyond it exp(-rate) underflows and log-space terms are used.
 MAX_SCALAR_RATE = 30.0
-# Table-size guard for the windowed CDF (table length grows linearly in rate).
+# Table-size guard for the CDF (table length grows linearly in rate).
 MAX_VECTOR_RATE = 50_000.0
 
 # Number of walks vectorized together inside estimate_tail.  Results are
@@ -106,69 +106,48 @@ def _poisson_cdf(rate: float) -> np.ndarray:
     return np.cumsum(np.exp(log_pmf))
 
 
-@lru_cache(maxsize=None)
-def _poisson_cdf_scalar(rate: float) -> tuple[float, ...]:
-    return tuple(_poisson_cdf(rate))
-
-
-def sample_poisson(rate: float, rng: np.random.Generator) -> int:
-    """One Poisson(rate) draw by inversion with sequential search.
-
-    A single uniform is taken from `rng` and the CDF partial sums are
-    scanned for the smallest k with u <= F_k, so the result is a pure
-    function of the stream state.
-    """
-    if not 0 < rate <= MAX_SCALAR_RATE:
-        raise ValueError(
-            f"rate must be in (0, {MAX_SCALAR_RATE}] for scalar sampling, got {rate}"
-        )
-    cdf = _poisson_cdf_scalar(rate)
-    u = float(rng.random())
-    k = 0
-    last = len(cdf) - 1
-    while u > cdf[k] and k < last:
-        k += 1
-    return k
-
-
-def poisson_counts(rate: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n Poisson(rate) draws: same inversion as sample_poisson, vectorized.
-
-    Consumes n uniforms from `rng` in stream order, so for rates within the
-    scalar regime the result matches n successive sample_poisson calls.
-    """
+def _poisson_inverse(rate: float, u: np.ndarray) -> np.ndarray:
+    """Poisson(rate) draws from uniforms by inversion: the smallest k with
+    u <= F_k, found by binary search of the CDF partial sums."""
     if not 0 < rate <= MAX_VECTOR_RATE:
         raise ValueError(
             f"rate must be in (0, {MAX_VECTOR_RATE}] for walk sampling, got {rate}"
         )
     cdf = _poisson_cdf(rate)
-    u = rng.random(n)
     return np.minimum(np.searchsorted(cdf, u, side="left"), len(cdf) - 1)
 
 
-def step_queue(q_prev: int, arrivals: int, responses: int) -> int:
-    """Lindley update: (q_prev + arrivals - responses) floored at zero."""
-    if q_prev < 0 or arrivals < 0 or responses < 0:
-        raise ValueError(
-            f"backlog and counts must be nonnegative, got {(q_prev, arrivals, responses)}"
-        )
-    return max(q_prev + arrivals - responses, 0)
+def poisson_counts(rate: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n Poisson(rate) draws by inversion of n uniforms taken from `rng` in
+    stream order, so the result is a pure function of the stream state."""
+    return _poisson_inverse(rate, rng.random(n))
+
+
+def _walk_sups(params: RateParams, uniforms: np.ndarray) -> np.ndarray:
+    """Supremum, floored at zero, of one backlog walk per row of uniforms.
+
+    A row holds 2 * horizon uniforms: the slot arrival counts are inverted
+    from the first half, the slot response counts from the second.  The
+    walk is the running sum of arrivals minus responses; unlike the
+    reflected backlog it is not floored slot by slot, only its supremum is
+    (the walk starts at zero).
+    """
+    horizon = uniforms.shape[1] // 2
+    arrivals = _poisson_inverse(params.lam, uniforms[:, :horizon])
+    responses = _poisson_inverse(params.mu, uniforms[:, horizon:])
+    walks = np.cumsum(arrivals - responses, axis=1)
+    return np.maximum(walks.max(axis=1), 0)
 
 
 def simulate_walk(params: RateParams, horizon: int, rng: np.random.Generator) -> WalkResult:
     """Supremum of the unreflected cumulative backlog over `horizon` slots.
 
-    The walk is the running sum of per-slot arrivals minus responses; unlike
-    step_queue it is not floored at zero slot by slot, only its supremum is
-    (the walk starts at zero).  Per walk, all arrival counts are drawn first,
-    then all response counts.
+    Per walk, all arrival counts are drawn first, then all response counts.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1 slot, got {horizon}")
-    arrivals = poisson_counts(params.lam, horizon, rng)
-    responses = poisson_counts(params.mu, horizon, rng)
-    walk = np.cumsum(arrivals - responses)
-    return WalkResult(sup_backlog=int(max(int(walk.max()), 0)), horizon=horizon)
+    sup = _walk_sups(params, rng.random((1, 2 * horizon)))[0]
+    return WalkResult(sup_backlog=int(sup), horizon=horizon)
 
 
 def estimate_tail(
@@ -204,17 +183,7 @@ def estimate_tail(
         for j in range(nb):
             rng = make_rng(derive_seed(master_seed, done + j))
             uniforms[j] = rng.random(2 * horizon)
-        batch = uniforms[:nb]
-        a_cdf = _poisson_cdf(params.lam)
-        r_cdf = _poisson_cdf(params.mu)
-        arrivals = np.minimum(
-            np.searchsorted(a_cdf, batch[:, :horizon], side="left"), len(a_cdf) - 1
-        )
-        responses = np.minimum(
-            np.searchsorted(r_cdf, batch[:, horizon:], side="left"), len(r_cdf) - 1
-        )
-        walks = np.cumsum(arrivals - responses, axis=1)
-        sups = np.maximum(walks.max(axis=1), 0)
+        sups = _walk_sups(params, uniforms[:nb])
         hits += (sups[:, None] > g[None, :]).sum(axis=0)
         done += nb
 

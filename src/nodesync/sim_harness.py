@@ -64,6 +64,9 @@ class NetSimConfig:
     def __post_init__(self) -> None:
         if len(self.full_nodes) == 0:
             raise ValueError("need at least one full node")
+        if len(self.full_nodes) > 63:
+            # Request profiles are stored as int64 bit masks, one bit per node.
+            raise ValueError(f"at most 63 full nodes are supported, got {len(self.full_nodes)}")
         if self.n_partial < 1:
             raise ValueError(f"need at least one partial node, got {self.n_partial}")
         if self.rounds < 1:
@@ -133,16 +136,18 @@ def _routing_matrix(config: NetSimConfig) -> np.ndarray:
 def _fail_series(
     backlog_inflow: np.ndarray, responses: np.ndarray, capacity: int
 ) -> np.ndarray:
-    """Per-round overflow flags of one reflected queue, starting empty."""
-    fails = np.empty(len(backlog_inflow), dtype=bool)
-    q = 0
-    for t, (inflow, served) in enumerate(zip(backlog_inflow.tolist(), responses.tolist())):
-        post = q + inflow
-        fails[t] = post > capacity
-        q = post - served
-        if q < 0:
-            q = 0
-    return fails
+    """Per-round overflow flags of one reflected queue, starting empty.
+
+    Round t's requests overflow when the carried backlog plus the round's
+    inflow exceeds the capacity.  The carried backlog follows Lindley's
+    recursion q_t = max(q_{t-1} + x_t, 0) with x_t = inflow_t - responses_t,
+    whose closed form is q_t = S_t - min(0, min_{s<=t} S_s) for the partial
+    sums S_t of x (Lindley 1952).
+    """
+    walk = np.cumsum(backlog_inflow - responses)
+    backlog = walk - np.minimum(np.minimum.accumulate(walk), 0)
+    carried = np.concatenate(([0], backlog[:-1]))
+    return carried + backlog_inflow > capacity
 
 
 def simulate_detail(config: NetSimConfig) -> NetRunDetail:

@@ -116,58 +116,52 @@ class CeCheck(NamedTuple):
     max_violation: float
 
 
-def _bit(index: int, i: int) -> int:
-    return (index >> i) & 1
+class _Tables(NamedTuple):
+    """Everything the game needs about its 2^m profiles, row k = profile k."""
+
+    bits: np.ndarray  # B[k, i]: profile k sends to node i
+    utility: np.ndarray  # U[k, i]: utility of decision i under profile k
+    total: np.ndarray  # T[k]: sum of the m utilities under profile k
 
 
-def _utility_at(index: int, i: int, spec: GameSpec) -> float:
-    """Utility of decision i under the profile with the given encoding."""
-    if not _bit(index, i):
-        return 0.0
-    weight_sum = 0.0
-    for j in range(spec.m):
-        if _bit(index, j):
-            weight_sum += 1.0 - spec.epsilon[j]
-    share = (1.0 - spec.epsilon[i]) / weight_sum
-    return spec.alpha[i] * share - spec.cost[i]
+def _tables(spec: GameSpec) -> _Tables:
+    """Bit matrix, utility table and totals for all 2^m profiles.
 
-
-def _total_utility_at(index: int, spec: GameSpec) -> float:
-    return sum(_utility_at(index, i, spec) for i in range(spec.m))
-
-
-def profit(p: Profile, i: int, epsilon: Sequence[float]) -> float:
-    """Reliability-weighted share of the unit profit earned by decision i.
-
-    Sending nodes split the unit in proportion to their success weights
-    1 - epsilon; a non-sender earns nothing, and the all-zero profile earns
-    zero for everyone by convention.
+    A sender's share is its success weight 1 - epsilon_i over the weight sum
+    of all senders; a non-sender earns nothing.  Weight sums and totals are
+    accumulated node by node in ascending order, so every entry carries the
+    same rounding as a scalar left-to-right loop over the nodes.
     """
-    m = len(p.bits)
-    if len(epsilon) != m:
-        raise ValueError(f"epsilon must have length {m}, got {len(epsilon)}")
-    if not 0 <= i < m:
-        raise ValueError(f"node index must be in [0, {m}), got {i}")
-    if p.bits[i] == 0:
-        return 0.0
-    weight_sum = sum((1.0 - epsilon[j]) * p.bits[j] for j in range(m))
-    if weight_sum == 0.0:
-        return 0.0
-    return (1.0 - epsilon[i]) / weight_sum
+    m = spec.m
+    index = np.arange(1 << m)
+    bits = ((index[:, None] >> np.arange(m)) & 1).astype(bool)
+    weight_sum = np.zeros(1)
+    for eps in spec.epsilon:
+        weight_sum = np.concatenate([weight_sum, weight_sum + (1.0 - eps)])
+    utility = np.zeros((1 << m, m))
+    total = np.zeros(1 << m)
+    for i in range(m):
+        send = bits[:, i]
+        share = (1.0 - spec.epsilon[i]) / weight_sum[send]
+        utility[send, i] = spec.alpha[i] * share - spec.cost[i]
+        total += utility[:, i]
+    return _Tables(bits=bits, utility=utility, total=total)
 
 
-def utility(p: Profile, i: int, spec: GameSpec) -> float:
-    """Profit scaled by alpha_i minus the request cost when sending."""
-    if len(p.bits) != spec.m:
-        raise ValueError(f"profile has {len(p.bits)} decisions for m={spec.m}")
-    return spec.alpha[i] * profit(p, i, spec.epsilon) - p.bits[i] * spec.cost[i]
+def _keep_gains(tables: _Tables) -> np.ndarray:
+    """G[k, i] = U[k, i] - U[k ^ (1 << i), i]: what decision i gains under
+    profile k by keeping its action instead of switching."""
+    n, m = tables.utility.shape
+    flipped = np.arange(n)[:, None] ^ (1 << np.arange(m))
+    return tables.utility - np.take_along_axis(tables.utility, flipped, axis=0)
 
 
-def total_utility(p: Profile, spec: GameSpec) -> float:
-    """Sum of the m per-decision utilities under one profile."""
-    if len(p.bits) != spec.m:
-        raise ValueError(f"profile has {len(p.bits)} decisions for m={spec.m}")
-    return _total_utility_at(p.index, spec)
+def _deviation_rows(tables: _Tables) -> np.ndarray:
+    """(2m, 2^m) equilibrium rows: row 2i + held carries decision i's keep
+    gain on the profiles where it plays `held`, and 0 elsewhere."""
+    gains, sends = _keep_gains(tables).T, tables.bits.T
+    rows = np.stack([np.where(sends, 0.0, gains), np.where(sends, gains, 0.0)], axis=1)
+    return rows.reshape(-1, gains.shape[1])
 
 
 def cautious_failure(epsilon: Sequence[float]) -> float:
@@ -188,17 +182,14 @@ def build_ns_lp(spec: GameSpec) -> LpProblem:
     rows, one per ordered pair of actions (held, alt): conditional on being
     told to play `held`, switching to `alt` must not pay in expectation.
     """
+    tables = _tables(spec)
     n = 1 << spec.m
-    objective = tuple(_total_utility_at(k, spec) for k in range(n))
     rows = [Constraint(coeffs=(1.0,) * n, relation=Relation.EQ, rhs=1.0)]
-    for i in range(spec.m):
-        for held in (0, 1):
-            coeffs = [0.0] * n
-            for k in range(n):
-                if _bit(k, i) == held:
-                    coeffs[k] = _utility_at(k, i, spec) - _utility_at(k ^ (1 << i), i, spec)
-            rows.append(Constraint(coeffs=tuple(coeffs), relation=Relation.GE, rhs=0.0))
-    return LpProblem(n=n, objective=objective, constraints=tuple(rows))
+    rows += [
+        Constraint(coeffs=tuple(coeffs), relation=Relation.GE, rhs=0.0)
+        for coeffs in _deviation_rows(tables).tolist()
+    ]
+    return LpProblem(n=n, objective=tuple(tables.total.tolist()), constraints=tuple(rows))
 
 
 def is_correlated_equilibrium(
@@ -207,15 +198,9 @@ def is_correlated_equilibrium(
     """Check all 2m deviation constraints; reports the worst violation."""
     if dist.m != spec.m:
         raise ValueError(f"distribution is over m={dist.m} nodes, spec has m={spec.m}")
-    worst = 0.0
-    for i in range(spec.m):
-        for held in (0, 1):
-            lhs = 0.0
-            for k in range(1 << spec.m):
-                if _bit(k, i) == held and dist.g[k] > 0.0:
-                    gain_keep = _utility_at(k, i, spec) - _utility_at(k ^ (1 << i), i, spec)
-                    lhs += dist.g[k] * gain_keep
-            worst = max(worst, -lhs)
+    # Each row's expectation is summed in profile order (cumsum is sequential).
+    lhs = np.cumsum(_deviation_rows(_tables(spec)) * dist.g, axis=1)[:, -1]
+    worst = max(0.0, float(-lhs.min()))
     return CeCheck(ok=worst <= tol, max_violation=worst)
 
 
@@ -241,45 +226,39 @@ def solve_ns(spec: GameSpec) -> DecisionReport:
         raise RuntimeError(
             f"solver output fails the equilibrium check by {check.max_violation}"
         )
-    marginals = tuple(
-        float(g[[k for k in range(1 << spec.m) if _bit(k, i)]].sum()) for i in range(spec.m)
-    )
-    objective = float(sum(g[k] * _total_utility_at(k, spec) for k in range(1 << spec.m)))
+    tables = _tables(spec)
+    marginals = tuple(float(g[tables.bits[:, i]].sum()) for i in range(spec.m))
+    # Iterating the array keeps a plain left-to-right sum in profile order.
+    objective = float(sum(g * tables.total))
     return DecisionReport(
         distribution=dist,
         objective=objective,
         marginals=marginals,
-        chosen_profile=_extract_profile(g, spec),
+        chosen_profile=_extract_profile(g, tables),
         cautious_failure=cautious_failure(spec.epsilon),
     )
 
 
-def _extract_profile(g: np.ndarray, spec: GameSpec) -> Profile:
+def _extract_profile(g: np.ndarray, tables: _Tables) -> Profile:
     """Single decision vector for a distribution: among support profiles of
     maximum conditional total utility, take the most probable one, then the
     lowest encoding."""
-    support = [k for k in range(1 << spec.m) if g[k] > SUPPORT_MASS]
-    best_utility = max(_total_utility_at(k, spec) for k in support)
-    candidates = [k for k in support if _total_utility_at(k, spec) >= best_utility - 1e-9]
-    top_mass = max(g[k] for k in candidates)
-    chosen = min(k for k in candidates if g[k] >= top_mass - 1e-12)
-    return Profile.from_index(chosen, spec.m)
+    support = g > SUPPORT_MASS
+    candidates = support & (tables.total >= tables.total[support].max() - 1e-9)
+    top_mass = g[candidates].max()
+    chosen = int(np.flatnonzero(candidates & (g >= top_mass - 1e-12))[0])
+    return Profile.from_index(chosen, tables.bits.shape[1])
 
 
 def best_pure_profile(spec: GameSpec) -> tuple[Profile, float]:
     """Brute-force baseline: the best single profile whose point mass is a
     correlated equilibrium.  The optimum of the LP is at least this good."""
-    best: tuple[Profile, float] | None = None
-    for k in range(1 << spec.m):
-        profile = Profile.from_index(k, spec.m)
-        check = is_correlated_equilibrium(
-            CorrelatedDistribution.point_mass(profile), spec, tol=1e-9
-        )
-        if not check.ok:
-            continue
-        value = _total_utility_at(k, spec)
-        if best is None or value > best[1]:
-            best = (profile, value)
-    if best is None:
+    tables = _tables(spec)
+    # A point mass on k passes the equilibrium check (at tolerance 1e-9)
+    # iff no decision gains more than that by switching away from k.
+    stable = np.all(-_keep_gains(tables) <= 1e-9, axis=1)
+    if not stable.any():
         raise LookupError("no pure-profile correlated equilibrium exists for this spec")
-    return best
+    values = np.where(stable, tables.total, -np.inf)
+    best = int(np.argmax(values))
+    return Profile.from_index(best, spec.m), float(tables.total[best])

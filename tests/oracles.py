@@ -1,0 +1,140 @@
+"""Scalar reference implementations of the vectorised model kernels.
+
+Each function here is the plain one-value-at-a-time form of a quantity the
+package computes in bulk: a Poisson draw by sequential search of the CDF,
+a request profile's per-decision utility and total, and the reflected
+queue's per-round overflow flags by Lindley's recursion.  The arithmetic is
+the same operation for operation, so the tests demand exact equality with
+the fast paths, not a tolerance.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Sequence
+
+import numpy as np
+
+from nodesync.queue_model import MAX_SCALAR_RATE
+from nodesync.sync_game import GameSpec, Profile
+
+
+def sample_poisson(rate: float, rng: np.random.Generator) -> int:
+    """One Poisson(rate) draw by inversion with sequential search.
+
+    Takes a single uniform u from `rng` and walks the CDF partial sums
+    F_k (built by p_{k+1} = p_k * rate/(k+1) from exp(-rate)) to the
+    smallest k with u <= F_k.  The search stops at the last k whose partial
+    sum still grew, which is where the package's CDF table ends.
+    """
+    if not 0 < rate <= MAX_SCALAR_RATE:
+        raise ValueError(
+            f"rate must be in (0, {MAX_SCALAR_RATE}] for scalar sampling, got {rate}"
+        )
+    u = float(rng.random())
+    p = math.exp(-rate)
+    total = p
+    k = 0
+    while u > total:
+        p *= rate / (k + 1)
+        new_total = total + p
+        if new_total == total and k + 1 > rate:
+            break
+        k += 1
+        total = new_total
+    return k
+
+
+def profit(p: Profile, i: int, epsilon: Sequence[float]) -> float:
+    """Reliability-weighted share of the unit profit earned by decision i.
+
+    Sending nodes split the unit in proportion to their success weights
+    1 - epsilon; a non-sender earns nothing, and the all-zero profile earns
+    zero for everyone by convention.
+    """
+    m = len(p.bits)
+    if len(epsilon) != m:
+        raise ValueError(f"epsilon must have length {m}, got {len(epsilon)}")
+    if not 0 <= i < m:
+        raise ValueError(f"node index must be in [0, {m}), got {i}")
+    if p.bits[i] == 0:
+        return 0.0
+    # Explicit left-to-right loops: sum() over floats is compensated from
+    # Python 3.12 on, which the package's node-by-node sums are not.
+    weight_sum = 0.0
+    for j in range(m):
+        if p.bits[j]:
+            weight_sum += 1.0 - epsilon[j]
+    if weight_sum == 0.0:
+        return 0.0
+    return (1.0 - epsilon[i]) / weight_sum
+
+
+def utility(p: Profile, i: int, spec: GameSpec) -> float:
+    """Profit scaled by alpha_i minus the request cost when sending."""
+    if len(p.bits) != spec.m:
+        raise ValueError(f"profile has {len(p.bits)} decisions for m={spec.m}")
+    return spec.alpha[i] * profit(p, i, spec.epsilon) - p.bits[i] * spec.cost[i]
+
+
+def total_utility(p: Profile, spec: GameSpec) -> float:
+    """Sum of the m per-decision utilities under one profile."""
+    total = 0.0
+    for i in range(spec.m):
+        total += utility(p, i, spec)
+    return total
+
+
+def ns_lp_tables(spec: GameSpec) -> tuple[list[float], list[list[float]]]:
+    """Objective and the 2m deviation rows of the equilibrium LP, entry by
+    entry: row 2i + held is U_i(k) - U_i(k ^ (1 << i)) on the profiles k
+    where decision i plays `held`, and 0 elsewhere."""
+    n = 1 << spec.m
+    profiles = [Profile.from_index(k, spec.m) for k in range(n)]
+    u = [[utility(p, i, spec) for i in range(spec.m)] for p in profiles]
+    objective = [total_utility(p, spec) for p in profiles]
+    rows = []
+    for i in range(spec.m):
+        for held in (0, 1):
+            rows.append(
+                [
+                    u[k][i] - u[k ^ (1 << i)][i] if (k >> i) & 1 == held else 0.0
+                    for k in range(n)
+                ]
+            )
+    return objective, rows
+
+
+def ce_violation(g: Sequence[float], spec: GameSpec) -> float:
+    """Worst shortfall over the deviation rows, each expectation summed in
+    profile order over the profiles with positive probability."""
+    _, rows = ns_lp_tables(spec)
+    worst = 0.0
+    for row in rows:
+        lhs = 0.0
+        for k, coeff in enumerate(row):
+            if g[k] > 0.0:
+                lhs += g[k] * coeff
+        worst = max(worst, -lhs)
+    return worst
+
+
+def step_queue(q_prev: int, arrivals: int, responses: int) -> int:
+    """Lindley update: (q_prev + arrivals - responses) floored at zero."""
+    if q_prev < 0 or arrivals < 0 or responses < 0:
+        raise ValueError(
+            f"backlog and counts must be nonnegative, got {(q_prev, arrivals, responses)}"
+        )
+    return max(q_prev + arrivals - responses, 0)
+
+
+def fail_series(inflow: Sequence[int], responses: Sequence[int], capacity: int) -> list[bool]:
+    """Per-round overflow flags of one reflected queue, starting empty: the
+    round overflows when the carried backlog plus its inflow exceeds the
+    capacity."""
+    fails = []
+    q = 0
+    for arrived, served in zip(inflow, responses):
+        fails.append(q + arrived > capacity)
+        q = step_queue(q, arrived, served)
+    return fails

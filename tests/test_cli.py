@@ -150,6 +150,28 @@ def test_netsim_rejects_fractional_capacity():
     assert run_cli(["netsim", "--gamma", "4.5", "--rounds", "10"])[0] == 1
 
 
+def test_netsim_full_node_limit():
+    # Profiles are int64 bit masks, so 64 nodes is invalid input, not a crash.
+    assert run_cli(["netsim", "--m", "64", "--rounds", "10", "--reps", "1"]) == (1, "")
+    code, out = run_cli(["netsim", "--m", "63", "--rounds", "20", "--reps", "1"])
+    assert code == 0
+    assert out.split("\n")[1].startswith("0,cautious,")
+
+
+def test_invalid_input_writes_no_rows(tmp_path):
+    for args in (
+        ["decide", "--m", "13"],
+        ["decide", "--eps1", "0.5,1.5"],
+        ["sweep", "--m", "13"],
+        ["netsim", "--m", "13", "--strategy", "compare", "--rounds", "10"],
+        ["tail", "--lam", "60000", "--mu", "70000", "--runs", "2", "--horizon", "3", "--reps", "1"],
+    ):
+        assert run_cli(args) == (1, ""), args
+    target = tmp_path / "decide.csv"
+    assert run_cli(["decide", "--m", "13", "--out", str(target)]) == (1, "")
+    assert target.read_bytes() == b""
+
+
 def test_byte_identical_reruns():
     for args in (
         ["tail", "--runs", "150", "--horizon", "80", "--reps", "2"],

@@ -7,16 +7,16 @@ import pytest
 
 import nodesync.queue_model as qm
 from nodesync.queue_model import (
+    MAX_VECTOR_RATE,
     RateParams,
     TailEstimate,
     estimate_tail,
     fit_decay_slope,
     poisson_counts,
-    sample_poisson,
     simulate_walk,
-    step_queue,
 )
 from nodesync.seeding import derive_seed, make_rng
+from oracles import sample_poisson, step_queue
 
 
 def test_rate_params_require_stability():
@@ -31,17 +31,15 @@ def test_rate_params_require_stability():
 
 def test_sample_poisson_rejects_unsupported_rates():
     rng = make_rng(1)
-    with pytest.raises(ValueError):
-        sample_poisson(0.0, rng)
-    with pytest.raises(ValueError):
-        sample_poisson(-2.0, rng)
+    for rate in (0.0, -2.0, MAX_VECTOR_RATE * 1.01, float("nan")):
+        with pytest.raises(ValueError):
+            poisson_counts(rate, 10, rng)
     with pytest.raises(ValueError):
         sample_poisson(30.5, rng)
 
 
 def test_sample_poisson_tiny_rate_is_almost_surely_zero():
-    rng = make_rng(7)
-    assert all(sample_poisson(1e-9, rng) == 0 for _ in range(1000))
+    assert not poisson_counts(1e-9, 1000, make_rng(7)).any()
 
 
 def test_sample_poisson_matches_poisson_moments():
@@ -63,10 +61,20 @@ def test_sample_poisson_deterministic_given_stream():
 
 
 def test_poisson_counts_matches_scalar_inversion():
-    block = poisson_counts(3.0, 300, make_rng(11))
-    rng = make_rng(11)
-    scalar = [sample_poisson(3.0, rng) for _ in range(300)]
-    assert block.tolist() == scalar
+    for rate in (1e-9, 0.5, 3.0, 6.0, 17.25, 30.0):
+        block = poisson_counts(rate, 300, make_rng(11))
+        rng = make_rng(11)
+        scalar = [sample_poisson(rate, rng) for _ in range(300)]
+        assert block.tolist() == scalar
+
+
+def test_estimate_tail_rejects_rates_beyond_table_guard():
+    # The CDF table grows with the rate; above the guard the rate is refused,
+    # as it is in netsim, instead of building a table of that size.
+    with pytest.raises(ValueError):
+        estimate_tail(RateParams(lam=60_000.0, mu=70_000.0), [1], runs=2, horizon=3, master_seed=0)
+    with pytest.raises(ValueError):
+        simulate_walk(RateParams(lam=3.0, mu=1e9), 3, make_rng(0))
 
 
 def test_poisson_counts_large_rate_moments():

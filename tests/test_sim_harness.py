@@ -2,19 +2,23 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from nodesync.queue_model import RateParams
+from nodesync.seeding import make_rng
 from nodesync.sim_harness import (
     CautiousAll,
     Equilibrium,
     FullNode,
     NetSimConfig,
+    _fail_series,
     compare_strategies,
     run_network_sim,
     simulate_detail,
 )
 from nodesync.sync_game import GameSpec
+from oracles import fail_series
 
 
 def _config(m=3, lam=3.0, mu=6.0, capacity=4, n_partial=1, rounds=5000, strategy=None, seed=42):
@@ -127,6 +131,23 @@ def test_config_validation():
     spec = GameSpec.uniform(2, 0.2, 10.0, 5.0)
     with pytest.raises(ValueError):
         _config(m=3, strategy=Equilibrium(spec=spec))
+
+
+def test_fail_series_closed_form_matches_lindley_loop():
+    rng = make_rng(1952)
+    for _ in range(300):
+        rounds = int(rng.integers(1, 400))
+        lam, mu = rng.uniform(0.0, 12.0, size=2)
+        inflow = rng.poisson(lam, rounds) + rng.integers(0, 3) * rng.integers(0, 2, rounds)
+        served = rng.poisson(mu, rounds)
+        capacity = int(rng.choice([0, 1, 4, 25, 10**9]))
+        got = _fail_series(inflow, served, capacity)
+        assert got.tolist() == fail_series(inflow.tolist(), served.tolist(), capacity)
+    # Saturated: every round brings more than capacity and is never drained.
+    inflow = np.full(50, 7)
+    assert _fail_series(inflow, np.full(50, 2), 6).all()
+    # Capacity 0 with nothing routed never overflows.
+    assert not _fail_series(np.zeros(20, dtype=np.int64), np.full(20, 3), 0).any()
 
 
 def test_saturated_nodes_fail_every_round():

@@ -14,11 +14,9 @@ from nodesync.sync_game import (
     build_ns_lp,
     cautious_failure,
     is_correlated_equilibrium,
-    profit,
     solve_ns,
-    total_utility,
-    utility,
 )
+from oracles import ce_violation, ns_lp_tables, profit, total_utility, utility
 
 
 def _uniform(m, eps=0.2, alpha=10.0, cost=5.0):
@@ -97,12 +95,35 @@ def test_utility_examples():
 
 
 def test_total_utility_under_uniform_parameters():
-    spec = _uniform(4)
-    assert total_utility(Profile(bits=(0, 0, 0, 0)), spec) == 0.0
+    # The LP objective is the table of profile totals.
+    total = build_ns_lp(_uniform(4)).objective
+    assert total[Profile(bits=(0, 0, 0, 0)).index] == 0.0
     for k in (1, 2, 8):
-        assert total_utility(Profile.from_index(k, 4), spec) == pytest.approx(5.0)
-    assert total_utility(Profile(bits=(1, 1, 0, 0)), spec) == pytest.approx(0.0)
-    assert total_utility(Profile(bits=(1, 1, 1, 0)), spec) == pytest.approx(-5.0)
+        assert total[k] == pytest.approx(5.0)
+    assert total[Profile(bits=(1, 1, 0, 0)).index] == pytest.approx(0.0)
+    assert total[Profile(bits=(1, 1, 1, 0)).index] == pytest.approx(-5.0)
+
+
+def test_utility_table_matches_scalar_oracle_exactly():
+    rng = np.random.default_rng(2206)
+    for m in range(1, 13):
+        spec = _random_spec(rng, m=m)
+        lp = build_ns_lp(spec)
+        objective, rows = ns_lp_tables(spec)
+        assert np.array(lp.objective).tobytes() == np.array(objective).tobytes()
+        assert len(lp.constraints) == 1 + len(rows)
+        for got, expected in zip(lp.constraints[1:], rows):
+            assert np.array(got.coeffs).tobytes() == np.array(expected).tobytes()
+        if m <= 8:
+            for _ in range(3):
+                g = rng.dirichlet(np.full(1 << m, 0.3))
+                dropped = rng.random(1 << m) < 0.3
+                dropped[np.argmax(g)] = False
+                g[dropped] = 0.0
+                g /= g.sum()
+                dist = CorrelatedDistribution(m=m, g=g)
+                check = is_correlated_equilibrium(dist, spec)
+                assert check.max_violation == ce_violation(g, spec)
 
 
 def test_cautious_failure_values():
