@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import sys
+from dataclasses import replace
 from typing import Sequence
 
 from .ldp_analytics import (
@@ -74,8 +76,9 @@ def _grid(lo: float, hi: float, steps: int) -> list[float]:
 def _cmd_decay(args: argparse.Namespace, writer) -> None:
     xs = _grid(args.x_min, args.x_max, args.x_steps)
     gaps = _grid(args.gap_min, args.gap_max, args.gap_steps)
+    surface = decay_surface(xs, gaps, args.lam)
     writer.writerow(["x", "mu_minus_lambda", "i_value"])
-    for row in decay_surface(xs, gaps, args.lam):
+    for row in surface:
         for point in row:
             writer.writerow([_fmt(point.x), _fmt(point.rate_gap), _fmt(point.i_value)])
 
@@ -127,17 +130,17 @@ def _cmd_tail(args: argparse.Namespace, writer) -> None:
 
 def _cmd_capacity(args: argparse.Namespace, writer) -> None:
     params = RateParams(lam=args.lam, mu=args.mu)
+    values = [effective_capacity(ToleranceSpec(eps), params) for eps in args.epsilons]
     writer.writerow(["epsilon", "gamma_star"])
-    for eps in args.epsilons:
-        writer.writerow([_fmt(eps), _fmt(effective_capacity(ToleranceSpec(eps), params))])
+    for eps, value in zip(args.epsilons, values):
+        writer.writerow([_fmt(eps), _fmt(value)])
 
 
 def _cmd_rate(args: argparse.Namespace, writer) -> None:
+    values = [effective_rate(ToleranceSpec(eps), args.gamma, args.lam) for eps in args.epsilons]
     writer.writerow(["epsilon", "mu_star"])
-    for eps in args.epsilons:
-        writer.writerow(
-            [_fmt(eps), _fmt(effective_rate(ToleranceSpec(eps), args.gamma, args.lam))]
-        )
+    for eps, value in zip(args.epsilons, values):
+        writer.writerow([_fmt(eps), _fmt(value)])
 
 
 def _decide_row(spec: GameSpec, eps1: float, writer) -> None:
@@ -184,7 +187,10 @@ def _cmd_sweep(args: argparse.Namespace, writer) -> None:
         writer.writerow([_fmt(value), _fmt(solve_ns(spec).objective)])
 
 
-def _netsim_config(args: argparse.Namespace, seed: int) -> tuple[NetSimConfig, GameSpec | None]:
+def _netsim_config(args: argparse.Namespace) -> tuple[NetSimConfig, Equilibrium | None]:
+    """The configuration at --seed, and the equilibrium strategy that
+    --strategy equilibrium or compare runs (one object per call, so every
+    rep shares its solve)."""
     m = args.m
     lams = _broadcast(args.lam, m, "lam")
     mus = _broadcast(args.mu, m, "mu")
@@ -195,7 +201,7 @@ def _netsim_config(args: argparse.Namespace, seed: int) -> tuple[NetSimConfig, G
         FullNode(params=RateParams(lam=lam, mu=mu), capacity=int(cap))
         for lam, mu, cap in zip(lams, mus, gammas)
     )
-    spec = None
+    equilibrium = None
     if args.strategy in ("equilibrium", "compare"):
         spec = GameSpec(
             m=m,
@@ -203,15 +209,15 @@ def _netsim_config(args: argparse.Namespace, seed: int) -> tuple[NetSimConfig, G
             alpha=tuple(_broadcast(args.alpha, m, "alpha")),
             cost=tuple(_broadcast(args.cost, m, "cost")),
         )
-    strategy = Equilibrium(spec=spec) if args.strategy == "equilibrium" else CautiousAll()
+        equilibrium = Equilibrium(spec=spec)
     config = NetSimConfig(
         full_nodes=nodes,
         n_partial=args.n_partial,
-        strategy=strategy,
+        strategy=equilibrium if args.strategy == "equilibrium" else CautiousAll(),
         rounds=args.rounds,
-        master_seed=seed,
+        master_seed=args.seed,
     )
-    return config, spec
+    return config, equilibrium
 
 
 def _netsim_row(rep: object, label: str, report: SyncReport, requests: int, redundant: int) -> list:
@@ -240,10 +246,7 @@ def _netsim_footers(label: str, rows: list[list]) -> list[list]:
 def _cmd_netsim(args: argparse.Namespace, writer) -> None:
     if args.reps < 1:
         raise ValueError(f"reps must be at least 1, got {args.reps}")
-    configs = [
-        _netsim_config(args, args.seed if args.reps == 1 else derive_seed(args.seed, rep))
-        for rep in range(args.reps)
-    ]
+    base, equilibrium = _netsim_config(args)
     header = (
         ["rep", "strategy", "sync_success_rate", "predicted_success", "rounds"]
         + ["total_requests", "redundant_responses"]
@@ -251,10 +254,12 @@ def _cmd_netsim(args: argparse.Namespace, writer) -> None:
     )
     writer.writerow(header)
     by_label: dict[str, list[list]] = {}
-    for rep, (config, spec) in enumerate(configs):
+    for rep in range(args.reps):
+        seed = args.seed if args.reps == 1 else derive_seed(args.seed, rep)
+        config = replace(base, master_seed=seed)
         if args.strategy == "compare":
-            assert spec is not None
-            result = compare_strategies(config, spec)
+            assert equilibrium is not None
+            result = compare_strategies(config, equilibrium)
             rows = [
                 _netsim_row(rep, "cautious", result.cautious, result.cautious_requests, result.cautious_redundant),
                 _netsim_row(rep, "equilibrium", result.equilibrium, result.equilibrium_requests, result.equilibrium_redundant),
@@ -424,8 +429,11 @@ def _dispatch(args: argparse.Namespace) -> None:
     if args.out == _STDOUT:
         args.func(args, csv.writer(sys.stdout, lineterminator="\n"))
         return
+    # Rows are collected first, so a failed call leaves --out untouched.
+    rows = io.StringIO()
+    args.func(args, csv.writer(rows, lineterminator="\n"))
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
-        args.func(args, csv.writer(handle, lineterminator="\n"))
+        handle.write(rows.getvalue())
 
 
 if __name__ == "__main__":

@@ -11,12 +11,13 @@ independent by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Union
 
 import numpy as np
 
 from .seeding import derive_seed, make_rng
-from .queue_model import RateParams, poisson_counts
+from .queue_model import RateParams, check_sampling_rate, poisson_counts
 from .sync_game import GameSpec, solve_ns
 
 # Stream purposes under the master seed; each node or partial then gets its
@@ -37,6 +38,17 @@ class Equilibrium:
 
     spec: GameSpec
 
+    @cached_property
+    def cumulative(self) -> np.ndarray:
+        """Cumulative profile probabilities of the solved equilibrium.
+
+        Solved on first use, so every run that shares this strategy object
+        shares one solve; the array is read-only for the same reason.
+        """
+        cumulative = np.cumsum(solve_ns(self.spec).distribution.g)
+        cumulative.flags.writeable = False
+        return cumulative
+
 
 Strategy = Union[CautiousAll, Equilibrium]
 
@@ -51,6 +63,9 @@ class FullNode:
     def __post_init__(self) -> None:
         if self.capacity < 0:
             raise ValueError(f"capacity must be nonnegative, got {self.capacity}")
+        # Both rates are sampled every round.
+        check_sampling_rate(self.params.lam)
+        check_sampling_rate(self.params.mu)
 
 
 @dataclass(frozen=True)
@@ -120,8 +135,7 @@ def _routing_matrix(config: NetSimConfig) -> np.ndarray:
     m = len(config.full_nodes)
     if isinstance(config.strategy, CautiousAll):
         return np.full((config.n_partial, config.rounds), (1 << m) - 1, dtype=np.int64)
-    report = solve_ns(config.strategy.spec)
-    cumulative = np.cumsum(report.distribution.g)
+    cumulative = config.strategy.cumulative
     profiles = np.empty((config.n_partial, config.rounds), dtype=np.int64)
     routing_root = derive_seed(config.master_seed, _ROUTING_STREAMS)
     for j in range(config.n_partial):
@@ -205,14 +219,16 @@ def run_network_sim(config: NetSimConfig) -> SyncReport:
     return simulate_detail(config).report
 
 
-def compare_strategies(config: NetSimConfig, spec: GameSpec) -> StrategyComparison:
-    """Run the cautious and equilibrium strategies on identical seeds."""
-    if spec.m != len(config.full_nodes):
+def compare_strategies(config: NetSimConfig, strategy: Equilibrium) -> StrategyComparison:
+    """Run the cautious and the given equilibrium strategy on identical
+    seeds.  Passing one strategy object to several calls solves its
+    equilibrium once."""
+    if strategy.spec.m != len(config.full_nodes):
         raise ValueError(
-            f"game spec is for m={spec.m} nodes, config has {len(config.full_nodes)}"
+            f"game spec is for m={strategy.spec.m} nodes, config has {len(config.full_nodes)}"
         )
     cautious = simulate_detail(replace(config, strategy=CautiousAll()))
-    equilibrium = simulate_detail(replace(config, strategy=Equilibrium(spec=spec)))
+    equilibrium = simulate_detail(replace(config, strategy=strategy))
     return StrategyComparison(
         cautious=cautious.report,
         equilibrium=equilibrium.report,

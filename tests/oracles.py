@@ -1,11 +1,12 @@
 """Scalar reference implementations of the vectorised model kernels.
 
-Each function here is the plain one-value-at-a-time form of a quantity the
-package computes in bulk: a Poisson draw by sequential search of the CDF,
-a request profile's per-decision utility and total, and the reflected
-queue's per-round overflow flags by Lindley's recursion.  The arithmetic is
-the same operation for operation, so the tests demand exact equality with
-the fast paths, not a tolerance.
+Each function here is the plain form of a quantity the package computes by
+a faster path: a Poisson draw by sequential search of the CDF, a block of
+draws by one binary search per uniform, the backlog walk's supremum in
+int64, a request profile's per-decision utility and total, and the
+reflected queue's per-round overflow flags by Lindley's recursion.  The
+arithmetic is the same operation for operation, so the tests demand exact
+equality with the fast paths, not a tolerance.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from nodesync.queue_model import MAX_SCALAR_RATE
+from nodesync.queue_model import MAX_SCALAR_RATE, RateParams, _poisson_cdf
 from nodesync.sync_game import GameSpec, Profile
 
 
@@ -43,6 +44,24 @@ def sample_poisson(rate: float, rng: np.random.Generator) -> int:
         k += 1
         total = new_total
     return k
+
+
+def poisson_inverse(rate: float, u: np.ndarray) -> np.ndarray:
+    """Poisson(rate) draws from uniforms: the smallest k with u <= F_k of the
+    package's CDF table, by binary search, clipped to the table's last
+    entry."""
+    cdf = _poisson_cdf(rate)
+    return np.minimum(np.searchsorted(cdf, u, side="left"), len(cdf) - 1)
+
+
+def walk_sups(params: RateParams, uniforms: np.ndarray) -> np.ndarray:
+    """Supremum, floored at zero, of the int64 walk of arrivals (inverted
+    from the first half of each row of uniforms) minus responses (the
+    second half)."""
+    horizon = uniforms.shape[1] // 2
+    arrivals = poisson_inverse(params.lam, uniforms[:, :horizon]).astype(np.int64)
+    responses = poisson_inverse(params.mu, uniforms[:, horizon:]).astype(np.int64)
+    return np.maximum(np.cumsum(arrivals - responses, axis=1).max(axis=1), 0)
 
 
 def profit(p: Profile, i: int, epsilon: Sequence[float]) -> float:

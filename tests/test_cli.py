@@ -6,9 +6,10 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from nodesync import sim_harness
 from nodesync.cli import main
 from nodesync.queue_model import RateParams, estimate_tail
-from nodesync.sync_game import GameSpec, best_pure_profile
+from nodesync.sync_game import GameSpec, best_pure_profile, solve_ns
 
 
 def run_cli(args):
@@ -165,11 +166,38 @@ def test_invalid_input_writes_no_rows(tmp_path):
         ["sweep", "--m", "13"],
         ["netsim", "--m", "13", "--strategy", "compare", "--rounds", "10"],
         ["tail", "--lam", "60000", "--mu", "70000", "--runs", "2", "--horizon", "3", "--reps", "1"],
+        ["netsim", "--mu", "60000", "--rounds", "10", "--reps", "1"],
+        ["decay", "--lam", "-1"],
+        ["capacity", "--epsilons", "0.1,-1"],
+        ["rate", "--epsilons", "0.1,2"],
+        ["rate", "--gamma", "-1"],
     ):
         assert run_cli(args) == (1, ""), args
-    target = tmp_path / "decide.csv"
-    assert run_cli(["decide", "--m", "13", "--out", str(target)]) == (1, "")
-    assert target.read_bytes() == b""
+        # The --out file is written only by a call that succeeds: an existing
+        # file keeps its bytes and a missing one is not created.
+        kept = tmp_path / "kept.csv"
+        kept.write_bytes(b"earlier,rows\n")
+        assert run_cli(args + ["--out", str(kept)]) == (1, ""), args
+        assert kept.read_bytes() == b"earlier,rows\n"
+        missing = tmp_path / "missing.csv"
+        assert run_cli(args + ["--out", str(missing)]) == (1, ""), args
+        assert not missing.exists()
+
+
+def test_netsim_solves_each_spec_once(monkeypatch):
+    calls = []
+
+    def counting_solve_ns(spec):
+        calls.append(spec)
+        return solve_ns(spec)
+
+    monkeypatch.setattr(sim_harness, "solve_ns", counting_solve_ns)
+    args = ["netsim", "--rounds", "50", "--reps", "4", "--strategy", "compare"]
+    assert run_cli(args)[0] == 0
+    assert len(calls) == 1
+    # The solve is shared within one call only: a second call solves again.
+    assert run_cli(args)[0] == 0
+    assert len(calls) == 2
 
 
 def test_byte_identical_reruns():

@@ -16,7 +16,7 @@ from nodesync.queue_model import (
     simulate_walk,
 )
 from nodesync.seeding import derive_seed, make_rng
-from oracles import sample_poisson, step_queue
+from oracles import poisson_inverse, sample_poisson, step_queue, walk_sups
 
 
 def test_rate_params_require_stability():
@@ -75,6 +75,71 @@ def test_estimate_tail_rejects_rates_beyond_table_guard():
         estimate_tail(RateParams(lam=60_000.0, mu=70_000.0), [1], runs=2, horizon=3, master_seed=0)
     with pytest.raises(ValueError):
         simulate_walk(RateParams(lam=3.0, mu=1e9), 3, make_rng(0))
+
+
+@pytest.mark.parametrize(
+    "rate", [1e-9, 0.5, 3.0, 6.0, 29.9, 30.5, 90.0, 200.0, 3000.0, 50_000.0]
+)
+def test_poisson_inverse_equals_binary_search_oracle(rate):
+    # Seeded uniforms plus every point where a comparison could go the other
+    # way: each table entry, its neighbours in both directions, and the ends
+    # of the uniform range.
+    cdf = qm._poisson_cdf(rate)
+    u = np.concatenate(
+        [
+            make_rng(17).random(200_000),
+            cdf,
+            np.nextafter(cdf, 0.0),
+            np.nextafter(cdf[cdf < 1.0], 1.0),
+            [0.0, np.nextafter(1.0, 0.0)],
+        ]
+    )
+    draws = qm._poisson_inverse(rate, u)
+    assert np.array_equal(draws, poisson_inverse(rate, u))
+    assert draws.dtype == qm._count_dtype(len(cdf))
+    # Two-dimensional blocks, as the walk passes them, invert alike.
+    grid = make_rng(18).random((300, 900))[:, 100:800]
+    assert np.array_equal(qm._poisson_inverse(rate, grid), poisson_inverse(rate, grid))
+
+
+def test_head_length_cutoff():
+    # The exactness rates above cover both sides of the cut-off: 90 is
+    # counted over its whole head, 200 goes to the binary search alone.
+    assert 0 < qm._head_length(90.0) <= qm._MAX_HEAD
+    assert qm._head_length(200.0) == 0
+
+
+def test_count_dtype_holds_table_range():
+    for table_len in (2, 27, 36, 117, 128, 129, 146, 3678, 52_704, 40_000):
+        info = np.iinfo(qm._count_dtype(table_len))
+        assert info.min <= -(table_len - 1) and table_len - 1 <= info.max
+    assert qm._count_dtype(27) == np.int8
+    assert qm._count_dtype(146) == np.int16
+
+
+def test_walk_dtype_width_rule():
+    # |S_t| <= horizon * (table_len - 1), so int32 suffices below 2**31.
+    assert qm._walk_dtype(5000, 36) == np.int32
+    assert qm._walk_dtype(2**31 // 35, 36) == np.int32
+    assert qm._walk_dtype(2**31 // 35 + 1, 36) == np.int64
+    assert qm._walk_dtype(1, 2**31) == np.int32
+    assert qm._walk_dtype(1, 2**31 + 1) == np.int64
+    assert qm._walk_dtype(50_000, 52_704) == np.int64
+
+
+@pytest.mark.parametrize(
+    "lam, mu", [(3.0, 6.0), (0.5, 0.9), (20.0, 25.0), (29.0, 45.0), (400.0, 420.0)]
+)
+def test_walk_sups_equals_int64_oracle_walk(lam, mu):
+    params = RateParams(lam=lam, mu=mu)
+    for seed in range(3):
+        uniforms = make_rng(seed).random((40, 2 * 700))
+        assert np.array_equal(qm._walk_sups(params, uniforms), walk_sups(params, uniforms))
+
+
+def test_poisson_counts_are_int64():
+    for rate in (0.5, 6.0, 3000.0):
+        assert poisson_counts(rate, 50, make_rng(4)).dtype == np.int64
 
 
 def test_poisson_counts_large_rate_moments():

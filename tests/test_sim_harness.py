@@ -94,14 +94,14 @@ def test_equilibrium_single_sender_requests():
 def test_equilibrium_sends_everywhere_when_costs_vanish():
     spec = GameSpec.uniform(3, 0.2, 100.0, 1.0)
     config = _config(n_partial=2, rounds=500)
-    result = compare_strategies(config, spec)
+    result = compare_strategies(config, Equilibrium(spec=spec))
     assert result.equilibrium_requests == result.cautious_requests
 
 
 def test_strategy_dominance_on_shared_seeds():
     spec = GameSpec.uniform(3, 0.2, 10.0, 5.0)
     config = _config(n_partial=2, rounds=20_000)
-    result = compare_strategies(config, spec)
+    result = compare_strategies(config, Equilibrium(spec=spec))
     assert result.cautious.sync_success_rate >= result.equilibrium.sync_success_rate
     assert result.equilibrium_requests <= result.cautious_requests
     assert result.equilibrium_redundant <= result.cautious_redundant
@@ -110,7 +110,7 @@ def test_strategy_dominance_on_shared_seeds():
 def test_compare_requires_matching_dimensions():
     spec = GameSpec.uniform(2, 0.2, 10.0, 5.0)
     with pytest.raises(ValueError):
-        compare_strategies(_config(m=3), spec)
+        compare_strategies(_config(m=3), Equilibrium(spec=spec))
 
 
 def test_config_validation():
