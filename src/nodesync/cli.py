@@ -106,6 +106,8 @@ def _cmd_tail(args: argparse.Namespace, writer) -> None:
     gammas = args.gammas
     if args.reps < 1:
         raise ValueError(f"reps must be at least 1, got {args.reps}")
+    if len(gammas) < 2:
+        raise ValueError(f"the decay slope needs at least 2 thresholds, got {len(gammas)}")
     if args.reps == 1:
         estimates = estimate_tail(params, gammas, args.runs, args.horizon, args.seed)
     else:
@@ -115,16 +117,17 @@ def _cmd_tail(args: argparse.Namespace, writer) -> None:
                 for rep in range(args.reps)
             ]
         )
-    writer.writerow(["gamma", "hits", "runs", "p_hat", "std_err"])
-    for est in estimates:
-        writer.writerow(
-            [_fmt(est.gamma), est.hits, est.runs, _fmt(est.p_hat), _fmt(est.std_err)]
-        )
+    # Fit before the header, so a call that cannot fit writes no rows.
     if all(est.hits == 0 for est in estimates):
         raise RuntimeError("every threshold had zero hits; nothing to fit")
     fit = fit_decay_slope(estimates)
     if fit.n_excluded:
         print(f"note: {fit.n_excluded} zero-hit thresholds excluded from the fit", file=sys.stderr)
+    writer.writerow(["gamma", "hits", "runs", "p_hat", "std_err"])
+    for est in estimates:
+        writer.writerow(
+            [_fmt(est.gamma), est.hits, est.runs, _fmt(est.p_hat), _fmt(est.std_err)]
+        )
     writer.writerow(["slope", "", "", _fmt(fit.slope), _fmt(math.log(args.mu / args.lam))])
 
 

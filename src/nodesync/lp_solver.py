@@ -7,12 +7,21 @@ the lowest index, which also guarantees termination.  The tableau is
 refactorized from the original data at regular intervals and the final
 solution is recomputed from the terminal basis, so elimination round-off
 cannot accumulate into the reported answer.
+
+A caller that already knows a feasible vertex may pass its basis as
+`start`.  A start that is a nonsingular, primal-feasible basis of real
+(structural or slack/surplus) columns skips phase 1 and the artificial
+columns; phase 2 then pivots from it under the same Bland rule.  Any other
+start is ignored and phase 1 runs from the artificial basis.  On a
+degenerate polytope this matters: the cold start can spend thousands of
+stalled pivots finding a vertex that the caller hands over for free.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -85,22 +94,31 @@ class LpSolution:
 class _Tableau:
     """Simplex state over an immutable extended system [a_ext | b]."""
 
-    def __init__(self, a_ext: np.ndarray, b: np.ndarray, costs: np.ndarray, basis: list[int]):
+    def __init__(
+        self, a_ext: np.ndarray, b: np.ndarray, costs: np.ndarray, basis: list[int], phase: int
+    ):
         self.a_ext = a_ext
         self.b = b
         self.costs = costs
         self.basis = basis
+        self.phase = phase
+        self.pivots = 0
         self.rows: np.ndarray = np.empty(0)
         self.z_row: np.ndarray = np.empty(0)
         self.refactor()
 
+    def _solve_basis(self, rhs: np.ndarray) -> np.ndarray:
+        try:
+            return np.linalg.solve(self.a_ext[:, self.basis], rhs)
+        except np.linalg.LinAlgError as exc:
+            raise ArithmeticError(
+                f"basis matrix became singular in phase {self.phase} after "
+                f"{self.pivots} pivots ({len(self.basis)} rows)"
+            ) from exc
+
     def refactor(self) -> None:
         """Rebuild rows = B^-1 [a_ext | b] and the z-row from scratch."""
-        base = self.a_ext[:, self.basis]
-        try:
-            fresh = np.linalg.solve(base, np.column_stack([self.a_ext, self.b]))
-        except np.linalg.LinAlgError as exc:
-            raise ArithmeticError("basis matrix became singular") from exc
+        fresh = self._solve_basis(np.column_stack([self.a_ext, self.b]))
         rhs = fresh[:, -1]
         rhs[np.abs(rhs) < _RHS_SNAP] = 0.0
         self.rows = fresh
@@ -108,11 +126,7 @@ class _Tableau:
         self.z_row[:-1] -= self.costs
 
     def basic_values(self) -> np.ndarray:
-        base = self.a_ext[:, self.basis]
-        try:
-            return np.linalg.solve(base, self.b)
-        except np.linalg.LinAlgError as exc:
-            raise ArithmeticError("basis matrix became singular") from exc
+        return self._solve_basis(self.b)
 
     def pivot(self, row: int, col: int) -> None:
         self.rows[row] /= self.rows[row, col]
@@ -121,6 +135,7 @@ class _Tableau:
         self.rows -= np.outer(factors, self.rows[row])
         self.z_row -= self.z_row[col] * self.rows[row]
         self.basis[row] = col
+        self.pivots += 1
 
     def run(self) -> str:
         """Pivot until optimal or unbounded.  Bland's rule on both choices."""
@@ -146,30 +161,57 @@ class _Tableau:
                 since_refactor = 0
 
 
-def solve(problem: LpProblem) -> LpSolution:
-    """Two-phase simplex; classifies the problem or returns a maximizer."""
+def _feasible_start(a_real: np.ndarray, b: np.ndarray, start: Sequence[int]) -> list[int] | None:
+    """`start` as a basis of the real columns when it is a nonsingular,
+    primal-feasible one, else None.  Singular and degenerate mean what they
+    mean to the tableau: the LU factorization fails, and basic levels below
+    the refactorization's snap count as zero."""
+    basis = [int(col) for col in start]
+    rows, cols = a_real.shape
+    if len(basis) != rows or any(not 0 <= col < cols for col in basis):
+        return None
+    try:
+        levels = np.linalg.solve(a_real[:, basis], b)
+    except np.linalg.LinAlgError:
+        return None
+    levels[np.abs(levels) < _RHS_SNAP] = 0.0
+    return basis if levels.min(initial=0.0) >= 0.0 else None
+
+
+def solve(problem: LpProblem, start: Sequence[int] | None = None) -> LpSolution:
+    """Two-phase simplex; classifies the problem or returns a maximizer.
+
+    `start` optionally names a starting basis, one column per constraint
+    row: columns 0..n-1 are the structural variables and n, n+1, ... the
+    slack/surplus columns of the non-equality rows, in row order.  A start
+    naming an artificial column, a singular basis, or a negative basic
+    level is ignored and phase 1 runs as without it.
+    """
     m = len(problem.constraints)
     n = problem.n
     a = np.array([row.coeffs for row in problem.constraints], dtype=float).reshape(m, n)
     b = np.array([row.rhs for row in problem.constraints], dtype=float)
     relations = [row.relation for row in problem.constraints]
 
+    # Rows with a negative right-hand side are negated, and their relation
+    # swapped, so every basic level starts nonnegative.  A slack column keeps
+    # its value under the negation, so `start` numbers the same columns.
     flip = b < 0
-    a[flip] *= -1.0
-    b[flip] *= -1.0
+    sign = np.where(flip, -1.0, 1.0)
+    b_std = b * sign
     swap = {Relation.LE: Relation.GE, Relation.GE: Relation.LE, Relation.EQ: Relation.EQ}
-    relations = [swap[rel] if f else rel for rel, f in zip(relations, flip)]
+    std_relations = [swap[rel] if f else rel for rel, f in zip(relations, flip)]
 
-    n_slack = sum(rel is not Relation.EQ for rel in relations)
-    n_art = sum(rel is not Relation.LE for rel in relations)
+    n_slack = sum(rel is not Relation.EQ for rel in std_relations)
+    n_art = sum(rel is not Relation.LE for rel in std_relations)
     n_real = n + n_slack
 
     a_ext = np.zeros((m, n_real + n_art))
-    a_ext[:, :n] = a
+    a_ext[:, :n] = a * sign[:, None]
     basis: list[int] = []
     slack_at = n
     art_at = n_real
-    for i, rel in enumerate(relations):
+    for i, rel in enumerate(std_relations):
         if rel is Relation.LE:
             a_ext[i, slack_at] = 1.0
             basis.append(slack_at)
@@ -185,10 +227,13 @@ def solve(problem: LpProblem) -> LpSolution:
             basis.append(art_at)
             art_at += 1
 
-    if n_art > 0:
+    warm = None if start is None else _feasible_start(a_ext[:, :n_real], b_std, start)
+    if warm is not None:
+        basis = warm
+    elif n_art > 0:
         phase1_costs = np.zeros(n_real + n_art)
         phase1_costs[n_real:] = -1.0
-        state = _Tableau(a_ext, b, phase1_costs, basis)
+        state = _Tableau(a_ext, b_std, phase1_costs, basis, phase=1)
         if state.run() != "optimal":
             raise ArithmeticError("phase 1 is bounded by construction")
         values = state.basic_values()
@@ -212,13 +257,13 @@ def solve(problem: LpProblem) -> LpSolution:
             else:
                 keep[i] = False
         a_ext = a_ext[keep]
-        b = b[keep]
+        b_std = b_std[keep]
         basis = [bv for bv, k in zip(basis, keep) if k]
 
     a_ext = a_ext[:, :n_real]
     phase2_costs = np.zeros(n_real)
     phase2_costs[:n] = problem.objective
-    state = _Tableau(a_ext, b, phase2_costs, basis)
+    state = _Tableau(a_ext, b_std, phase2_costs, basis, phase=2)
     if state.run() == "unbounded":
         return LpSolution(status=LpStatus.UNBOUNDED)
 
@@ -227,7 +272,7 @@ def solve(problem: LpProblem) -> LpSolution:
         if bv < n:
             x[bv] = value
     x[(x < 0) & (x > -PIVOT_TOL)] = 0.0
-    _check_feasible(problem, x)
+    _check_feasible(a, b, relations, x)
     return LpSolution(
         status=LpStatus.OPTIMAL,
         x=x,
@@ -235,18 +280,23 @@ def solve(problem: LpProblem) -> LpSolution:
     )
 
 
-def _check_feasible(problem: LpProblem, x: np.ndarray) -> None:
+def _check_feasible(
+    a: np.ndarray, b: np.ndarray, relations: Sequence[Relation], x: np.ndarray
+) -> None:
+    """Raise on the first row of `a x (relation) b` that x violates."""
     if x.min(initial=0.0) < -PIVOT_TOL:
         raise ArithmeticError(f"solution has a negative coordinate: {x.min()}")
-    for idx, row in enumerate(problem.constraints):
-        value = float(np.dot(row.coeffs, x))
-        if row.relation is Relation.LE:
-            bad = value > row.rhs + FEAS_TOL
-        elif row.relation is Relation.GE:
-            bad = value < row.rhs - FEAS_TOL
-        else:
-            bad = abs(value - row.rhs) > FEAS_TOL
-        if bad:
-            raise ArithmeticError(
-                f"solution violates constraint {idx}: {value} vs {row.relation.value} {row.rhs}"
-            )
+    values = a @ x
+    le = np.array([rel is Relation.LE for rel in relations], dtype=bool)
+    ge = np.array([rel is Relation.GE for rel in relations], dtype=bool)
+    bad = np.where(
+        le,
+        values > b + FEAS_TOL,
+        np.where(ge, values < b - FEAS_TOL, np.abs(values - b) > FEAS_TOL),
+    )
+    if bad.any():
+        idx = int(np.flatnonzero(bad)[0])
+        raise ArithmeticError(
+            f"solution violates constraint {idx}: {values[idx]} vs "
+            f"{relations[idx].value} {b[idx]}"
+        )

@@ -182,8 +182,11 @@ def build_ns_lp(spec: GameSpec) -> LpProblem:
     rows, one per ordered pair of actions (held, alt): conditional on being
     told to play `held`, switching to `alt` must not pay in expectation.
     """
-    tables = _tables(spec)
-    n = 1 << spec.m
+    return _ns_lp(_tables(spec))
+
+
+def _ns_lp(tables: _Tables) -> LpProblem:
+    n = tables.total.shape[0]
     rows = [Constraint(coeffs=(1.0,) * n, relation=Relation.EQ, rhs=1.0)]
     rows += [
         Constraint(coeffs=tuple(coeffs), relation=Relation.GE, rhs=0.0)
@@ -198,8 +201,12 @@ def is_correlated_equilibrium(
     """Check all 2m deviation constraints; reports the worst violation."""
     if dist.m != spec.m:
         raise ValueError(f"distribution is over m={dist.m} nodes, spec has m={spec.m}")
+    return _ce_check(dist.g, _tables(spec), tol)
+
+
+def _ce_check(g: np.ndarray, tables: _Tables, tol: float) -> CeCheck:
     # Each row's expectation is summed in profile order (cumsum is sequential).
-    lhs = np.cumsum(_deviation_rows(_tables(spec)) * dist.g, axis=1)[:, -1]
+    lhs = np.cumsum(_deviation_rows(tables) * g, axis=1)[:, -1]
     worst = max(0.0, float(-lhs.min()))
     return CeCheck(ok=worst <= tol, max_violation=worst)
 
@@ -211,8 +218,18 @@ def solve_ns(spec: GameSpec) -> DecisionReport:
     decision vector, and re-verifies the equilibrium constraints before
     reporting.  The equilibrium polytope of a finite game is never empty,
     so a non-optimal LP status is an internal failure.
+
+    The simplex starts at the best pure-profile equilibrium when one exists:
+    its point mass is a vertex of the polytope, with the profile's column
+    and the 2m surplus columns as basis, and the optimum is never below it.
     """
-    solution = lp_solver.solve(build_ns_lp(spec))
+    tables = _tables(spec)
+    n = tables.total.shape[0]
+    try:
+        start = [_best_pure_index(tables)] + list(range(n, n + 2 * spec.m))
+    except LookupError:
+        start = None
+    solution = lp_solver.solve(_ns_lp(tables), start=start)
     if solution.status is not LpStatus.OPTIMAL:
         raise RuntimeError(
             f"equilibrium program reported {solution.status.value}; "
@@ -221,12 +238,11 @@ def solve_ns(spec: GameSpec) -> DecisionReport:
     g = np.clip(np.asarray(solution.x, dtype=float), 0.0, None)
     g /= g.sum()
     dist = CorrelatedDistribution(m=spec.m, g=g)
-    check = is_correlated_equilibrium(dist, spec, tol=1e-8)
+    check = _ce_check(g, tables, tol=1e-8)
     if not check.ok:
         raise RuntimeError(
             f"solver output fails the equilibrium check by {check.max_violation}"
         )
-    tables = _tables(spec)
     marginals = tuple(float(g[tables.bits[:, i]].sum()) for i in range(spec.m))
     # Iterating the array keeps a plain left-to-right sum in profile order.
     objective = float(sum(g * tables.total))
@@ -254,11 +270,15 @@ def best_pure_profile(spec: GameSpec) -> tuple[Profile, float]:
     """Brute-force baseline: the best single profile whose point mass is a
     correlated equilibrium.  The optimum of the LP is at least this good."""
     tables = _tables(spec)
-    # A point mass on k passes the equilibrium check (at tolerance 1e-9)
-    # iff no decision gains more than that by switching away from k.
+    best = _best_pure_index(tables)
+    return Profile.from_index(best, spec.m), float(tables.total[best])
+
+
+def _best_pure_index(tables: _Tables) -> int:
+    """Lowest-encoding profile of maximum total among those whose point
+    mass passes the equilibrium check (at tolerance 1e-9), i.e. where no
+    decision gains more than that by switching away."""
     stable = np.all(-_keep_gains(tables) <= 1e-9, axis=1)
     if not stable.any():
         raise LookupError("no pure-profile correlated equilibrium exists for this spec")
-    values = np.where(stable, tables.total, -np.inf)
-    best = int(np.argmax(values))
-    return Profile.from_index(best, spec.m), float(tables.total[best])
+    return int(np.argmax(np.where(stable, tables.total, -np.inf)))

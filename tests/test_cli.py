@@ -2,10 +2,15 @@ from __future__ import annotations
 
 import io
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import nodesync
 from nodesync import sim_harness
 from nodesync.cli import main
 from nodesync.queue_model import RateParams, estimate_tail
@@ -166,6 +171,8 @@ def test_invalid_input_writes_no_rows(tmp_path):
         ["sweep", "--m", "13"],
         ["netsim", "--m", "13", "--strategy", "compare", "--rounds", "10"],
         ["tail", "--lam", "60000", "--mu", "70000", "--runs", "2", "--horizon", "3", "--reps", "1"],
+        ["tail", "--runs", "200", "--horizon", "100", "--reps", "1", "--gammas", "0"],
+        ["tail", "--runs", "200", "--horizon", "100", "--reps", "1", "--gammas", "0,500"],
         ["netsim", "--mu", "60000", "--rounds", "10", "--reps", "1"],
         ["decay", "--lam", "-1"],
         ["capacity", "--epsilons", "0.1,-1"],
@@ -242,3 +249,17 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     cfg.write_text("no equals sign\n")
     assert run_cli(["tail", "--config", str(cfg)])[0] == 1
     assert run_cli(["tail", "--config", str(tmp_path / "missing.cfg")])[0] == 1
+
+
+def test_program_imports_no_scipy():
+    # scipy is a test-only cross-check; the program depends on numpy alone.
+    src = Path(nodesync.__file__).resolve().parents[1]
+    code = "import sys, nodesync.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"

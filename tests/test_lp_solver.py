@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,10 @@ from nodesync.lp_solver import (
     LpProblem,
     LpStatus,
     Relation,
+    _Tableau,
     solve,
 )
+from nodesync.sync_game import GameSpec, best_pure_profile, build_ns_lp
 
 
 def _problem(n, objective, rows):
@@ -162,3 +166,91 @@ def test_matches_bruteforce_oracle_sample():
             assert got.objective_value == pytest.approx(want_value, abs=1e-9)
         agreements += 1
     assert agreements == 120
+
+
+def _real_columns(prob):
+    """[A | S] in the original row orientation: the structural columns, then
+    one slack (+1, <= row) or surplus (-1, >= row) column per inequality."""
+    a = np.array([row.coeffs for row in prob.constraints])
+    slacks = [
+        (i, 1.0 if row.relation is Relation.LE else -1.0)
+        for i, row in enumerate(prob.constraints)
+        if row.relation is not Relation.EQ
+    ]
+    s = np.zeros((len(prob.constraints), len(slacks)))
+    for j, (i, sign) in enumerate(slacks):
+        s[i, j] = sign
+    return np.hstack([a, s])
+
+
+def _bases(prob):
+    """Every nonsingular basis of the real columns, with its basic levels."""
+    a = _real_columns(prob)
+    b = np.array([row.rhs for row in prob.constraints])
+    for cols in combinations(range(a.shape[1]), a.shape[0]):
+        base = a[:, cols]
+        if np.linalg.matrix_rank(base) == a.shape[0]:
+            yield list(cols), np.linalg.solve(base, b)
+
+
+def test_feasible_start_reaches_the_cold_start_optimum():
+    rng = np.random.default_rng(31)
+    warm_solved = 0
+    for _ in range(150):
+        prob = random_problem(rng)
+        cold = solve(prob)
+        feasible = [cols for cols, levels in _bases(prob) if levels.min() >= 0.0]
+        for start in feasible[:3]:
+            warm = solve(prob, start=start)
+            assert warm.status is cold.status
+            if cold.status is LpStatus.OPTIMAL:
+                assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
+                warm_solved += 1
+    assert warm_solved > 50
+
+
+def test_unusable_start_runs_phase_1():
+    rng = np.random.default_rng(32)
+    checked = 0
+    for _ in range(80):
+        prob = random_problem(rng)
+        rows, n_real = len(prob.constraints), _real_columns(prob).shape[1]
+        cold = solve(prob)
+        infeasible = next((cols for cols, levels in _bases(prob) if levels.min() < -1e-6), None)
+        for start in (
+            [0] * rows,  # singular unless there is a single row
+            infeasible,
+            [n_real] + list(range(rows - 1)),  # names an artificial column
+            list(range(rows + 1)),  # wrong length
+        ):
+            if start is None or (rows == 1 and start == [0]):
+                continue
+            got = solve(prob, start=start)
+            assert got.status is cold.status
+            if cold.status is LpStatus.OPTIMAL:
+                assert np.array_equal(got.x, cold.x)
+            checked += 1
+    assert checked > 200
+
+
+def test_start_at_an_optimal_vertex_is_returned_exactly():
+    # maximize x + y on [0, 1] x [0, 2]: the vertex (1, 2) with x, y basic.
+    prob = _problem(2, [1, 1], [([1, 0], Relation.LE, 1), ([0, 1], Relation.LE, 2)])
+    sol = solve(prob, start=[0, 1])
+    assert np.array_equal(sol.x, [1.0, 2.0])
+    # A point mass on the best pure profile of the request game, with the
+    # 2m surplus columns basic beside it.
+    m = 8
+    spec = GameSpec.uniform(m, 0.2, 10.0, 5.0)
+    best, value = best_pure_profile(spec)
+    n = 1 << m
+    sol = solve(build_ns_lp(spec), start=[best.index] + list(range(n, n + 2 * m)))
+    assert np.array_equal(sol.x, np.eye(n)[best.index])
+    assert sol.objective_value == value
+
+
+def test_singular_basis_error_names_phase_and_pivots():
+    a_ext = np.array([[1.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(ArithmeticError, match=r"singular in phase 1 after 0 pivots"):
+        _Tableau(a_ext, np.ones(2), np.zeros(2), [0, 1], phase=1)
+

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
 
+from nodesync import sync_game
 from nodesync.lp_solver import Relation
 from nodesync.sync_game import (
+    MAX_NODES,
     CorrelatedDistribution,
     GameSpec,
     Profile,
@@ -296,3 +299,82 @@ def test_chosen_profile_is_minimal_tolerance_sender():
         assert sum(report.chosen_profile.bits) == 1
         sender = report.chosen_profile.bits.index(1)
         assert eps_vec[sender] == min(eps_vec)
+
+
+# Specs on which the cold-start simplex (phase 1 from the artificial basis,
+# Bland's rule) ended in "basis matrix became singular" after thousands of
+# degenerate pivots.  The first is spec 13 of the benchmark's game_hetero
+# catalogue (seed 2206); the others are linspace(0.1, 0.5, m).
+_SINGULAR_COLD_START = {
+    "catalogue13": (
+        0.13696185272000977, 0.23274700421690392, 0.2052927274439167, 0.19400631149760833,
+        0.24011745891715625, 0.1778969651186969, 0.08238863550718152, 0.19441458119669314,
+        0.5954820364125181, 0.39796303253609544,
+    ),
+    **{f"linspace{m}": tuple(np.linspace(0.1, 0.5, m).tolist()) for m in (10, 11, 12)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SINGULAR_COLD_START))
+def test_solve_ns_degenerate_regressions(name):
+    epsilon = _SINGULAR_COLD_START[name]
+    m = len(epsilon)
+    spec = GameSpec(m=m, epsilon=epsilon, alpha=(10.0,) * m, cost=(5.0,) * m)
+    start = time.perf_counter()
+    report = solve_ns(spec)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"took {elapsed:.2f}s"
+    assert is_correlated_equilibrium(report.distribution, spec, tol=1e-8).ok
+    assert report.objective >= best_pure_profile(spec)[1] - 1e-8
+
+
+def test_solve_ns_random_sweep_up_to_max_nodes():
+    rng = np.random.default_rng(2026)
+    sizes = []
+    for _ in range(240):
+        spec = _random_spec(rng, m=int(rng.integers(1, MAX_NODES + 1)))
+        sizes.append(spec.m)
+        report = solve_ns(spec)
+        check = is_correlated_equilibrium(report.distribution, spec, tol=1e-8)
+        assert check.ok, f"violation {check.max_violation} for {spec}"
+        assert report.objective >= best_pure_profile(spec)[1] - 1e-8, spec
+    assert set(sizes) == set(range(1, MAX_NODES + 1))
+
+
+def test_solve_ns_without_pure_equilibrium_runs_phase_1(monkeypatch):
+    # No spec without a pure equilibrium is known, so the lookup is made to
+    # fail: the LP then runs from the artificial basis and must agree.
+    def no_pure(tables):
+        raise LookupError("no pure-profile correlated equilibrium exists for this spec")
+
+    rng = np.random.default_rng(8)
+    specs = [_random_spec(rng) for _ in range(15)]
+    warm = [solve_ns(spec) for spec in specs]
+    monkeypatch.setattr(sync_game, "_best_pure_index", no_pure)
+    for spec, want in zip(specs, warm):
+        got = solve_ns(spec)
+        assert got.objective == pytest.approx(want.objective, abs=1e-8)
+        assert is_correlated_equilibrium(got.distribution, spec, tol=1e-8).ok
+
+
+def test_solve_ns_objective_matches_highs():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(404)
+    specs = [_random_spec(rng, m=int(rng.integers(1, MAX_NODES + 1))) for _ in range(40)]
+    specs += [
+        GameSpec(m=len(eps), epsilon=eps, alpha=(10.0,) * len(eps), cost=(5.0,) * len(eps))
+        for eps in _SINGULAR_COLD_START.values()
+    ]
+    for spec in specs:
+        lp = build_ns_lp(spec)
+        a = np.array([row.coeffs for row in lp.constraints])
+        res = optimize.linprog(
+            -np.array(lp.objective),
+            A_ub=-a[1:],
+            b_ub=np.zeros(len(a) - 1),
+            A_eq=a[:1],
+            b_eq=[1.0],
+            method="highs",
+        )
+        assert res.status == 0, res.message
+        assert solve_ns(spec).objective == pytest.approx(-res.fun, abs=1e-7), spec
