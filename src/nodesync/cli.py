@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import math
 import sys
@@ -46,14 +47,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _float_list(text: str) -> list[float]:
+def _float_list(text: str) -> tuple[float, ...]:
     try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
+        return tuple(float(part) for part in text.split(",") if part.strip() != "")
     except ValueError as exc:
         raise ValueError(f"expected comma-separated numbers, got {text!r}") from exc
 
 
-def _broadcast(values: list[float], m: int, name: str) -> list[float]:
+def _broadcast(values: tuple[float, ...], m: int, name: str) -> tuple[float, ...]:
     if len(values) == 1:
         return values * m
     if len(values) == m:
@@ -157,10 +158,10 @@ def _decide_row(spec: GameSpec, eps1: float, writer) -> None:
 
 def _cmd_decide(args: argparse.Namespace, writer) -> None:
     m = args.m
-    alpha = tuple(_broadcast(args.alpha, m, "alpha"))
-    cost = tuple(_broadcast(args.cost, m, "cost"))
+    alpha = _broadcast(args.alpha, m, "alpha")
+    cost = _broadcast(args.cost, m, "cost")
     if args.epsilon is not None:
-        sweep = [tuple(_broadcast(args.epsilon, m, "epsilon"))]
+        sweep = [_broadcast(args.epsilon, m, "epsilon")]
     else:
         sweep = [(eps1,) + (args.eps_rest,) * (m - 1) for eps1 in args.eps1]
     specs = [GameSpec(m=m, epsilon=epsilon, alpha=alpha, cost=cost) for epsilon in sweep]
@@ -177,7 +178,7 @@ def _cmd_decide(args: argparse.Namespace, writer) -> None:
 
 def _cmd_sweep(args: argparse.Namespace, writer) -> None:
     m = args.m
-    epsilon = tuple(_broadcast(args.eps, m, "eps"))
+    epsilon = _broadcast(args.eps, m, "eps")
     specs = []
     for value in args.values:
         if args.param == "alpha":
@@ -198,8 +199,8 @@ def _netsim_config(args: argparse.Namespace) -> tuple[NetSimConfig, Equilibrium 
     lams = _broadcast(args.lam, m, "lam")
     mus = _broadcast(args.mu, m, "mu")
     gammas = _broadcast(args.gamma, m, "gamma")
-    if any(cap != int(cap) for cap in gammas):
-        raise ValueError(f"capacities must be whole numbers of requests, got {gammas}")
+    if any(not (math.isfinite(cap) and cap == int(cap)) for cap in gammas):
+        raise ValueError(f"capacities must be finite whole numbers of requests, got {gammas}")
     nodes = tuple(
         FullNode(params=RateParams(lam=lam, mu=mu), capacity=int(cap))
         for lam, mu, cap in zip(lams, mus, gammas)
@@ -208,9 +209,9 @@ def _netsim_config(args: argparse.Namespace) -> tuple[NetSimConfig, Equilibrium 
     if args.strategy in ("equilibrium", "compare"):
         spec = GameSpec(
             m=m,
-            epsilon=tuple(_broadcast(args.eps, m, "eps")),
-            alpha=tuple(_broadcast(args.alpha, m, "alpha")),
-            cost=tuple(_broadcast(args.cost, m, "cost")),
+            epsilon=_broadcast(args.eps, m, "eps"),
+            alpha=_broadcast(args.alpha, m, "alpha"),
+            cost=_broadcast(args.cost, m, "cost"),
         )
         equilibrium = Equilibrium(spec=spec)
     config = NetSimConfig(
@@ -291,6 +292,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """A fresh parser tree: the top-level parser and each subcommand's parser.
+
+    Every default is immutable (list flags default to tuples), so parsing
+    never changes the tree and one tree can serve any number of calls.
+    """
     parser = _Parser(prog="nodesync", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
     registry: dict[str, argparse.ArgumentParser] = {}
@@ -310,7 +316,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = subs.add_parser("tail", help="Monte Carlo tail probabilities and the fitted decay slope")
     p.add_argument("--lam", type=float, default=3.0)
     p.add_argument("--mu", type=float, default=6.0)
-    p.add_argument("--gammas", type=_float_list, default=[3, 4, 5, 6, 7, 8, 9, 10])
+    p.add_argument("--gammas", type=_float_list, default=(3, 4, 5, 6, 7, 8, 9, 10))
     p.add_argument("--runs", type=int, default=5000, help="walks per repetition")
     p.add_argument("--horizon", type=int, default=5000)
     _add_common(p)
@@ -320,7 +326,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = subs.add_parser("capacity", help="minimum capacity meeting each failure tolerance")
     p.add_argument("--lam", type=float, default=3.0)
     p.add_argument("--mu", type=float, default=6.0)
-    p.add_argument("--epsilons", type=_float_list, default=[0.01, 0.05, 0.1, 0.2, 0.5, 1.0])
+    p.add_argument("--epsilons", type=_float_list, default=(0.01, 0.05, 0.1, 0.2, 0.5, 1.0))
     _add_common(p)
     p.set_defaults(func=_cmd_capacity)
     registry["capacity"] = p
@@ -328,27 +334,27 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = subs.add_parser("rate", help="minimum response rate meeting each failure tolerance")
     p.add_argument("--lam", type=float, default=3.0)
     p.add_argument("--gamma", type=float, default=10.0)
-    p.add_argument("--epsilons", type=_float_list, default=[0.01, 0.05, 0.1, 0.2, 0.5, 1.0])
+    p.add_argument("--epsilons", type=_float_list, default=(0.01, 0.05, 0.1, 0.2, 0.5, 1.0))
     _add_common(p)
     p.set_defaults(func=_cmd_rate)
     registry["rate"] = p
 
     p = subs.add_parser("decide", help="equilibrium request decisions over a tolerance sweep")
     p.add_argument("--m", type=int, default=8)
-    p.add_argument("--eps1", type=_float_list, default=[round(0.1 * i, 1) for i in range(1, 10)])
+    p.add_argument("--eps1", type=_float_list, default=tuple(round(0.1 * i, 1) for i in range(1, 10)))
     p.add_argument("--eps-rest", type=float, default=0.2)
     p.add_argument("--epsilon", type=_float_list, default=None, help="full tolerance vector; disables the eps1 sweep")
-    p.add_argument("--alpha", type=_float_list, default=[10.0])
-    p.add_argument("--cost", type=_float_list, default=[5.0])
+    p.add_argument("--alpha", type=_float_list, default=(10.0,))
+    p.add_argument("--cost", type=_float_list, default=(5.0,))
     _add_common(p)
     p.set_defaults(func=_cmd_decide)
     registry["decide"] = p
 
     p = subs.add_parser("sweep", help="maximized total utility over a parameter sweep")
     p.add_argument("--param", choices=("alpha", "cost"), default="alpha")
-    p.add_argument("--values", type=_float_list, default=[float(v) for v in range(1, 11)])
+    p.add_argument("--values", type=_float_list, default=tuple(float(v) for v in range(1, 11)))
     p.add_argument("--m", type=int, default=8)
-    p.add_argument("--eps", type=_float_list, default=[0.2])
+    p.add_argument("--eps", type=_float_list, default=(0.2,))
     p.add_argument("--alpha", type=float, default=10.0, help="fixed alpha when sweeping cost")
     p.add_argument("--cost", type=float, default=5.0, help="fixed cost when sweeping alpha")
     _add_common(p)
@@ -357,15 +363,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = subs.add_parser("netsim", help="round-based network simulation of request strategies")
     p.add_argument("--m", type=int, default=3)
-    p.add_argument("--lam", type=_float_list, default=[3.0])
-    p.add_argument("--mu", type=_float_list, default=[6.0])
-    p.add_argument("--gamma", type=_float_list, default=[4.0])
+    p.add_argument("--lam", type=_float_list, default=(3.0,))
+    p.add_argument("--mu", type=_float_list, default=(6.0,))
+    p.add_argument("--gamma", type=_float_list, default=(4.0,))
     p.add_argument("--n-partial", type=int, default=1)
     p.add_argument("--rounds", type=int, default=10000)
     p.add_argument("--strategy", choices=("cautious", "equilibrium", "compare"), default="cautious")
-    p.add_argument("--eps", type=_float_list, default=[0.2])
-    p.add_argument("--alpha", type=_float_list, default=[10.0])
-    p.add_argument("--cost", type=_float_list, default=[5.0])
+    p.add_argument("--eps", type=_float_list, default=(0.2,))
+    p.add_argument("--alpha", type=_float_list, default=(10.0,))
+    p.add_argument("--cost", type=_float_list, default=(5.0,))
     _add_common(p)
     p.set_defaults(func=_cmd_netsim)
     registry["netsim"] = p
@@ -407,9 +413,17 @@ def _config_tokens(sub: argparse.ArgumentParser, entries: dict[str, str], path: 
     return tokens
 
 
+@functools.cache
+def _shared_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser tree of every main() call in this process, built on the
+    first one.  Only the tree is shared: each call parses into its own
+    namespace and solves its own work."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     raw_argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser, registry = build_parser()
+    parser, registry = _shared_parser()
     try:
         args = parser.parse_args(raw_argv)
         if args.config is not None:

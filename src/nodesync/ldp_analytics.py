@@ -58,10 +58,10 @@ def effective_capacity(tol: ToleranceSpec, params: RateParams) -> float:
 def effective_rate(tol: ToleranceSpec, gamma: float, lam: float) -> float:
     """Minimum response rate keeping the failure rate at or below the
     tolerance for a given capacity; always at least lam."""
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    if lam <= 0:
-        raise ValueError(f"arrival rate must be positive, got {lam}")
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"arrival rate must be positive and finite, got {lam}")
     return lam * math.exp(-math.log(tol.epsilon) / gamma)
 
 
@@ -73,12 +73,12 @@ def decay_surface(
     Gap zero (mu equal to lam) is admitted here and yields a zero rate; the
     surface is what gets tabulated, not a stable operating point.
     """
-    if lam <= 0:
-        raise ValueError(f"arrival rate must be positive, got {lam}")
-    if any(x < 0 for x in x_grid):
-        raise ValueError("x grid entries must be nonnegative")
-    if any(gap < 0 for gap in gap_grid):
-        raise ValueError("rate gap grid entries must be nonnegative")
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"arrival rate must be positive and finite, got {lam}")
+    if any(not (math.isfinite(x) and x >= 0) for x in x_grid):
+        raise ValueError("x grid entries must be nonnegative and finite")
+    if any(not (math.isfinite(gap) and gap >= 0) for gap in gap_grid):
+        raise ValueError("rate gap grid entries must be nonnegative and finite")
     surface = []
     for x in x_grid:
         row = [

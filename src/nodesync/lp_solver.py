@@ -49,22 +49,46 @@ class LpStatus(enum.Enum):
     UNBOUNDED = "unbounded"
 
 
+def _frozen_row(values: Sequence[float] | np.ndarray) -> np.ndarray:
+    """`values` as a read-only 1-D float64 array.  A read-only float64 array
+    is kept as it is (a view stays a view); anything else is copied, so no
+    caller can change the coefficients afterwards."""
+    row = np.asarray(values, dtype=np.float64)
+    if row.ndim != 1:
+        raise ValueError(f"coefficients must be one-dimensional, got shape {row.shape}")
+    if row.flags.writeable:
+        row = row.copy()
+        row.flags.writeable = False
+    return row
+
+
 @dataclass(frozen=True)
 class Constraint:
-    coeffs: tuple[float, ...]
+    """coeffs . x (relation) rhs; coeffs is stored as a read-only float64
+    array whether it was given as a sequence or an array."""
+
+    coeffs: np.ndarray
     relation: Relation
     rhs: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "coeffs", _frozen_row(self.coeffs))
 
 
 @dataclass(frozen=True)
 class LpProblem:
-    """maximize objective . x  subject to constraints and x >= 0."""
+    """maximize objective . x  subject to constraints and x >= 0.
+
+    The objective is stored as a read-only float64 array, like every
+    constraint's coefficients.
+    """
 
     n: int
-    objective: tuple[float, ...]
+    objective: np.ndarray
     constraints: tuple[Constraint, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "objective", _frozen_row(self.objective))
         if self.n < 1:
             raise ValueError(f"need at least one variable, got n={self.n}")
         if self.n > MAX_VARS:

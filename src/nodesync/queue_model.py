@@ -43,17 +43,19 @@ _BLOCK = 1 << 17
 
 @dataclass(frozen=True)
 class RateParams:
-    """Mean request arrivals (lam) and responses (mu) per slot; mu > lam."""
+    """Mean request arrivals (lam) and responses (mu) per slot; both finite,
+    mu > lam."""
 
     lam: float
     mu: float
 
     def __post_init__(self) -> None:
-        if not self.lam > 0:
-            raise ValueError(f"arrival rate must be positive, got {self.lam}")
-        if not self.mu > self.lam:
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValueError(f"arrival rate must be positive and finite, got {self.lam}")
+        if not (math.isfinite(self.mu) and self.mu > self.lam):
             raise ValueError(
-                f"response rate must exceed arrival rate, got mu={self.mu} lam={self.lam}"
+                "response rate must be finite and exceed arrival rate, "
+                f"got mu={self.mu} lam={self.lam}"
             )
 
 

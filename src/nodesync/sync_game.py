@@ -42,10 +42,10 @@ class GameSpec:
                 raise ValueError(f"{name} must have length m={self.m}, got {len(values)}")
         if any(not 0 < e < 1 for e in self.epsilon):
             raise ValueError(f"failure tolerances must be in (0, 1), got {self.epsilon}")
-        if any(a <= 0 for a in self.alpha):
-            raise ValueError(f"profit scalars must be positive, got {self.alpha}")
-        if any(c < 0 for c in self.cost):
-            raise ValueError(f"request costs must be nonnegative, got {self.cost}")
+        if any(not (math.isfinite(a) and a > 0) for a in self.alpha):
+            raise ValueError(f"profit scalars must be positive and finite, got {self.alpha}")
+        if any(not (math.isfinite(c) and c >= 0) for c in self.cost):
+            raise ValueError(f"request costs must be nonnegative and finite, got {self.cost}")
 
     @classmethod
     def uniform(cls, m: int, epsilon: float, alpha: float, cost: float) -> "GameSpec":
@@ -117,15 +117,21 @@ class CeCheck(NamedTuple):
 
 
 class _Tables(NamedTuple):
-    """Everything the game needs about its 2^m profiles, row k = profile k."""
+    """Everything the game needs about its 2^m profiles, row k = profile k.
+
+    Built once per solve: the LP, the pure-profile start and the equilibrium
+    re-check all read from it.  `total` and `rows` go into the LP as they
+    are, so both are read-only.
+    """
 
     bits: np.ndarray  # B[k, i]: profile k sends to node i
-    utility: np.ndarray  # U[k, i]: utility of decision i under profile k
     total: np.ndarray  # T[k]: sum of the m utilities under profile k
+    gains: np.ndarray  # G[k, i]: what decision i gains under k by keeping its action
+    rows: np.ndarray  # (2m, 2^m) equilibrium rows, see _deviation_rows
 
 
 def _tables(spec: GameSpec) -> _Tables:
-    """Bit matrix, utility table and totals for all 2^m profiles.
+    """Bit matrix, totals, keep gains and deviation rows for all 2^m profiles.
 
     A sender's share is its success weight 1 - epsilon_i over the weight sum
     of all senders; a non-sender earns nothing.  Weight sums and totals are
@@ -145,21 +151,25 @@ def _tables(spec: GameSpec) -> _Tables:
         share = (1.0 - spec.epsilon[i]) / weight_sum[send]
         utility[send, i] = spec.alpha[i] * share - spec.cost[i]
         total += utility[:, i]
-    return _Tables(bits=bits, utility=utility, total=total)
+    gains = _keep_gains(utility)
+    rows = _deviation_rows(gains, bits)
+    total.flags.writeable = False
+    rows.flags.writeable = False
+    return _Tables(bits=bits, total=total, gains=gains, rows=rows)
 
 
-def _keep_gains(tables: _Tables) -> np.ndarray:
+def _keep_gains(utility: np.ndarray) -> np.ndarray:
     """G[k, i] = U[k, i] - U[k ^ (1 << i), i]: what decision i gains under
     profile k by keeping its action instead of switching."""
-    n, m = tables.utility.shape
+    n, m = utility.shape
     flipped = np.arange(n)[:, None] ^ (1 << np.arange(m))
-    return tables.utility - np.take_along_axis(tables.utility, flipped, axis=0)
+    return utility - np.take_along_axis(utility, flipped, axis=0)
 
 
-def _deviation_rows(tables: _Tables) -> np.ndarray:
+def _deviation_rows(gains: np.ndarray, bits: np.ndarray) -> np.ndarray:
     """(2m, 2^m) equilibrium rows: row 2i + held carries decision i's keep
     gain on the profiles where it plays `held`, and 0 elsewhere."""
-    gains, sends = _keep_gains(tables).T, tables.bits.T
+    gains, sends = gains.T, bits.T
     rows = np.stack([np.where(sends, 0.0, gains), np.where(sends, gains, 0.0)], axis=1)
     return rows.reshape(-1, gains.shape[1])
 
@@ -181,18 +191,18 @@ def build_ns_lp(spec: GameSpec) -> LpProblem:
     total utility.  Besides normalization, each decision i contributes two
     rows, one per ordered pair of actions (held, alt): conditional on being
     told to play `held`, switching to `alt` must not pay in expectation.
+    The objective and the deviation rows are read-only array views of one
+    profile table.
     """
     return _ns_lp(_tables(spec))
 
 
 def _ns_lp(tables: _Tables) -> LpProblem:
+    # tables.rows and tables.total are read-only, so the LP keeps them uncopied.
     n = tables.total.shape[0]
-    rows = [Constraint(coeffs=(1.0,) * n, relation=Relation.EQ, rhs=1.0)]
-    rows += [
-        Constraint(coeffs=tuple(coeffs), relation=Relation.GE, rhs=0.0)
-        for coeffs in _deviation_rows(tables).tolist()
-    ]
-    return LpProblem(n=n, objective=tuple(tables.total.tolist()), constraints=tuple(rows))
+    rows = [Constraint(coeffs=np.ones(n), relation=Relation.EQ, rhs=1.0)]
+    rows += [Constraint(coeffs=coeffs, relation=Relation.GE, rhs=0.0) for coeffs in tables.rows]
+    return LpProblem(n=n, objective=tables.total, constraints=tuple(rows))
 
 
 def is_correlated_equilibrium(
@@ -206,7 +216,7 @@ def is_correlated_equilibrium(
 
 def _ce_check(g: np.ndarray, tables: _Tables, tol: float) -> CeCheck:
     # Each row's expectation is summed in profile order (cumsum is sequential).
-    lhs = np.cumsum(_deviation_rows(tables) * g, axis=1)[:, -1]
+    lhs = np.cumsum(tables.rows * g, axis=1)[:, -1]
     worst = max(0.0, float(-lhs.min()))
     return CeCheck(ok=worst <= tol, max_violation=worst)
 
@@ -278,7 +288,7 @@ def _best_pure_index(tables: _Tables) -> int:
     """Lowest-encoding profile of maximum total among those whose point
     mass passes the equilibrium check (at tolerance 1e-9), i.e. where no
     decision gains more than that by switching away."""
-    stable = np.all(-_keep_gains(tables) <= 1e-9, axis=1)
+    stable = np.all(-tables.gains <= 1e-9, axis=1)
     if not stable.any():
         raise LookupError("no pure-profile correlated equilibrium exists for this spec")
     return int(np.argmax(np.where(stable, tables.total, -np.inf)))

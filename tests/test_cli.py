@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import nodesync
-from nodesync import sim_harness
+from nodesync import cli, sim_harness
 from nodesync.cli import main
 from nodesync.queue_model import RateParams, estimate_tail
 from nodesync.sync_game import GameSpec, best_pure_profile, solve_ns
@@ -178,6 +178,17 @@ def test_invalid_input_writes_no_rows(tmp_path):
         ["capacity", "--epsilons", "0.1,-1"],
         ["rate", "--epsilons", "0.1,2"],
         ["rate", "--gamma", "-1"],
+        ["decide", "--m", "2", "--alpha", "nan"],
+        ["decide", "--m", "2", "--alpha", "inf"],
+        ["decide", "--m", "2", "--cost", "inf"],
+        ["sweep", "--m", "2", "--values", "nan"],
+        ["sweep", "--m", "2", "--param", "cost", "--values", "inf"],
+        ["netsim", "--gamma", "inf", "--rounds", "10", "--reps", "1"],
+        ["capacity", "--mu", "inf"],
+        ["rate", "--lam", "inf"],
+        ["rate", "--gamma", "nan"],
+        ["decay", "--lam", "nan"],
+        ["decay", "--x-max", "inf"],
     ):
         assert run_cli(args) == (1, ""), args
         # The --out file is written only by a call that succeeds: an existing
@@ -205,6 +216,46 @@ def test_netsim_solves_each_spec_once(monkeypatch):
     # The solve is shared within one call only: a second call solves again.
     assert run_cli(args)[0] == 0
     assert len(calls) == 2
+
+
+def test_parser_is_built_once_and_reuse_leaks_no_state(tmp_path, monkeypatch):
+    builds = []
+    build_parser = cli.build_parser
+
+    def counting_build_parser():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._shared_parser.cache_clear()
+    plain = ["tail", "--runs", "150", "--horizon", "80", "--reps", "1"]
+    first = run_cli(plain)  # the parser's first call in this process
+    assert first[0] == 0
+    cfg = tmp_path / "tail.cfg"
+    cfg.write_text("gammas = 1,2\nseed = 7\nlam = 2.5\n")
+    for before in (
+        plain + ["--gammas", "1,2"],
+        ["tail", "--config", str(cfg)] + plain[1:],
+        plain + ["--gammas", "0"],  # exit 1: one threshold
+        plain + ["--nope"],  # exit 1: argparse error
+    ):
+        run_cli(before)
+        assert run_cli(plain) == first, before
+    assert len(builds) == 1
+    cli._shared_parser.cache_clear()
+
+
+def test_parser_defaults_are_immutable():
+    parser, registry = cli.build_parser()
+    assert cli.build_parser()[0] is not parser  # the public builder stays fresh
+    float_lists = 0
+    for sub in registry.values():
+        for action in sub._actions:
+            assert not isinstance(action.default, (list, dict, set)), (sub.prog, action.dest)
+            if action.type is cli._float_list and action.default is not None:
+                assert isinstance(action.default, tuple), (sub.prog, action.dest)
+                float_lists += 1
+    assert float_lists == 14
 
 
 def test_byte_identical_reruns():

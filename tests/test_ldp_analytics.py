@@ -76,6 +76,9 @@ def test_effective_rate_values():
         effective_rate(ToleranceSpec(0.5), gamma=0.0, lam=3.0)
     with pytest.raises(ValueError):
         effective_rate(ToleranceSpec(0.5), gamma=1.0, lam=0.0)
+    for gamma, lam in ((1.0, math.inf), (1.0, math.nan), (math.inf, 3.0), (math.nan, 3.0)):
+        with pytest.raises(ValueError):
+            effective_rate(ToleranceSpec(0.5), gamma=gamma, lam=lam)
 
 
 def _identity_grid():
@@ -117,6 +120,11 @@ def test_decay_surface_validation():
         decay_surface([0.1], [-1.0], lam=3.0)
     with pytest.raises(ValueError):
         decay_surface([0.1], [1.0], lam=0.0)
+    for xs, gaps, lam in (([0.1], [1.0], math.nan), ([0.1], [1.0], math.inf),
+                          ([math.nan], [1.0], 3.0), ([math.inf], [1.0], 3.0),
+                          ([0.1], [math.nan], 3.0), ([0.1], [math.inf], 3.0)):
+        with pytest.raises(ValueError):
+            decay_surface(xs, gaps, lam=lam)
 
 
 def test_surface_affine_in_x_and_concave_in_gap():

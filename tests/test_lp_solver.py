@@ -96,6 +96,71 @@ def test_row_cap_enforced():
         LpProblem(n=1, objective=(1.0,), constraints=(row,) * 4097)
 
 
+def _as_tuples(prob):
+    """Copy of prob with every coefficient handed over as a Python tuple."""
+    return LpProblem(
+        n=prob.n,
+        objective=tuple(prob.objective.tolist()),
+        constraints=tuple(
+            Constraint(coeffs=tuple(row.coeffs.tolist()), relation=row.relation, rhs=row.rhs)
+            for row in prob.constraints
+        ),
+    )
+
+
+def _as_array_views(prob):
+    """Copy of prob whose rows are read-only views of one coefficient matrix,
+    the way the equilibrium LP hands its rows over."""
+    a = np.array([row.coeffs for row in prob.constraints]).reshape(len(prob.constraints), prob.n)
+    a.flags.writeable = False
+    return LpProblem(
+        n=prob.n,
+        objective=np.array(prob.objective),
+        constraints=tuple(
+            Constraint(coeffs=coeffs, relation=row.relation, rhs=row.rhs)
+            for coeffs, row in zip(a, prob.constraints)
+        ),
+    )
+
+
+def test_problem_stores_coefficients_as_read_only_float64():
+    source = np.array([[1.0, 2.0], [3.0, 4.0]])
+    view = source[1]
+    view.flags.writeable = False
+    for objective, coeffs in (((1, 2), [5, 6]), (source[0], view), ([1.5, 2.5], (7.0, 8.0))):
+        row = Constraint(coeffs=coeffs, relation=Relation.LE, rhs=1.0)
+        prob = LpProblem(n=2, objective=objective, constraints=(row,))
+        for arr in (prob.objective, prob.constraints[0].coeffs):
+            assert isinstance(arr, np.ndarray)
+            assert arr.dtype == np.float64 and arr.shape == (2,)
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+    # A writable array is copied, so changing it later cannot change the
+    # problem; a read-only view is kept as it is.
+    row = Constraint(coeffs=view, relation=Relation.LE, rhs=1.0)
+    prob = LpProblem(n=2, objective=source[0], constraints=(row,))
+    source[0, 0] = 99.0
+    assert prob.objective.tolist() == [1.0, 2.0]
+    assert prob.constraints[0].coeffs is view
+    with pytest.raises(ValueError):
+        Constraint(coeffs=[[1.0, 2.0]], relation=Relation.LE, rhs=1.0)
+
+
+def test_tuple_and_array_built_problems_solve_identically():
+    rng = np.random.default_rng(404)
+    optimal = 0
+    for _ in range(100):
+        prob = random_problem(rng)
+        from_tuples, from_views = solve(_as_tuples(prob)), solve(_as_array_views(prob))
+        assert from_tuples.status is from_views.status
+        if from_tuples.status is LpStatus.OPTIMAL:
+            optimal += 1
+            assert from_tuples.x.tobytes() == from_views.x.tobytes()
+            assert from_tuples.objective_value == from_views.objective_value
+    assert optimal >= 20
+
+
 def test_deterministic_resolve():
     rng = np.random.default_rng(77)
     for _ in range(20):

@@ -27,6 +27,9 @@ def test_rate_params_require_stability():
         RateParams(lam=-1.0, mu=6.0)
     with pytest.raises(ValueError):
         RateParams(lam=3.0, mu=3.0)
+    for lam, mu in ((math.nan, 6.0), (math.inf, math.inf), (3.0, math.inf), (3.0, math.nan)):
+        with pytest.raises(ValueError):
+            RateParams(lam=lam, mu=mu)
 
 
 def test_sample_poisson_rejects_unsupported_rates():

@@ -51,6 +51,10 @@ def test_game_spec_validation():
         GameSpec(m=1, epsilon=(0.5,), alpha=(0.0,), cost=(0.0,))
     with pytest.raises(ValueError):
         GameSpec(m=1, epsilon=(0.5,), alpha=(1.0,), cost=(-0.1,))
+    # Non-finite inputs would reach the LP as NaN coefficients.
+    for alpha, cost in ((math.nan, 0.0), (math.inf, 0.0), (1.0, math.inf), (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            GameSpec(m=1, epsilon=(0.5,), alpha=(alpha,), cost=(cost,))
 
 
 def test_profile_roundtrip_and_validation():
@@ -150,6 +154,32 @@ def test_ns_lp_structure():
     big = build_ns_lp(_uniform(8))
     assert big.n == 256
     assert len(big.constraints) == 17
+
+
+def test_ns_lp_rows_are_read_only_views_of_one_matrix():
+    lp = build_ns_lp(_random_spec(np.random.default_rng(17), m=5))
+    deviation = [row.coeffs for row in lp.constraints[1:]]
+    # No copy per row: all 2m rows view one table, which no caller can write.
+    assert deviation[0].base is not None
+    assert all(row.base is deviation[0].base for row in deviation)
+    for arr in [lp.objective, lp.constraints[0].coeffs] + deviation:
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
+def test_objective_is_a_plain_sum_in_profile_order():
+    # Python 3.12's sum() over floats is compensated; the reported objective
+    # must stay the uncompensated left-to-right sum over the profiles.  At
+    # cost 3 the two differ in the last bit, so this spec tells them apart.
+    spec = GameSpec.uniform(m=8, epsilon=0.2, alpha=10.0, cost=3.0)
+    report = solve_ns(spec)
+    g, total = report.distribution.g.tolist(), build_ns_lp(spec).objective.tolist()
+    terms = [gk * tk for gk, tk in zip(g, total)]
+    plain = 0.0
+    for term in terms:
+        plain += term
+    assert plain != math.fsum(terms)
+    assert report.objective == plain
 
 
 def test_ns_lp_objective_vector_m2():
