@@ -33,9 +33,7 @@ from .sim_harness import (
     FullNode,
     NetRunDetail,
     NetSimConfig,
-    StrategyComparison,
     SyncReport,
-    compare_strategies,
     run_network_sim,
     simulate_detail,
 )
@@ -71,7 +69,6 @@ __all__ = [
     "RateParams",
     "Relation",
     "SlopeFit",
-    "StrategyComparison",
     "SyncReport",
     "TailEstimate",
     "ToleranceSpec",
@@ -79,7 +76,6 @@ __all__ = [
     "best_pure_profile",
     "build_ns_lp",
     "cautious_failure",
-    "compare_strategies",
     "decay_surface",
     "derive_seed",
     "effective_capacity",

@@ -1,8 +1,9 @@
 """Experiment runner: every analysis is a subcommand that emits CSV.
 
-Exit codes: 0 on success, 1 on input validation problems, 2 on numerical
-or solver failures.  All output is deterministic given flags and --seed;
-repeated invocations produce byte-identical CSV.
+Exit codes: 0 on success, 1 on input validation problems or when memory
+runs out, 2 on numerical or solver failures.  A call that exits 1 or 2
+writes nothing to stdout or --out.  All output is deterministic given
+flags and --seed; repeated invocations produce byte-identical CSV.
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ from .sim_harness import (
     CautiousAll,
     Equilibrium,
     FullNode,
+    NetRunDetail,
     NetSimConfig,
-    SyncReport,
-    compare_strategies,
     simulate_detail,
 )
 from .sync_game import GameSpec, solve_ns
@@ -102,23 +102,23 @@ def _merge_tail(per_rep: list[list[TailEstimate]]) -> list[TailEstimate]:
     return merged
 
 
-def _cmd_tail(args: argparse.Namespace, writer) -> None:
-    params = RateParams(lam=args.lam, mu=args.mu)
-    gammas = args.gammas
+def _rep_seeds(args: argparse.Namespace) -> list[int]:
+    """--seed itself for a single repetition, else one child seed of it per repetition."""
     if args.reps < 1:
         raise ValueError(f"reps must be at least 1, got {args.reps}")
-    if len(gammas) < 2:
-        raise ValueError(f"the decay slope needs at least 2 thresholds, got {len(gammas)}")
     if args.reps == 1:
-        estimates = estimate_tail(params, gammas, args.runs, args.horizon, args.seed)
-    else:
-        estimates = _merge_tail(
-            [
-                estimate_tail(params, gammas, args.runs, args.horizon, derive_seed(args.seed, rep))
-                for rep in range(args.reps)
-            ]
-        )
-    # Fit before the header, so a call that cannot fit writes no rows.
+        return [args.seed]
+    return [derive_seed(args.seed, rep) for rep in range(args.reps)]
+
+
+def _cmd_tail(args: argparse.Namespace, writer) -> None:
+    params = RateParams(lam=args.lam, mu=args.mu)
+    seeds = _rep_seeds(args)
+    if len(args.gammas) < 2:
+        raise ValueError(f"the decay slope needs at least 2 thresholds, got {len(args.gammas)}")
+    estimates = _merge_tail(
+        [estimate_tail(params, args.gammas, args.runs, args.horizon, seed) for seed in seeds]
+    )
     if all(est.hits == 0 for est in estimates):
         raise RuntimeError("every threshold had zero hits; nothing to fit")
     fit = fit_decay_slope(estimates)
@@ -134,26 +134,15 @@ def _cmd_tail(args: argparse.Namespace, writer) -> None:
 
 def _cmd_capacity(args: argparse.Namespace, writer) -> None:
     params = RateParams(lam=args.lam, mu=args.mu)
-    values = [effective_capacity(ToleranceSpec(eps), params) for eps in args.epsilons]
     writer.writerow(["epsilon", "gamma_star"])
-    for eps, value in zip(args.epsilons, values):
-        writer.writerow([_fmt(eps), _fmt(value)])
+    for eps in args.epsilons:
+        writer.writerow([_fmt(eps), _fmt(effective_capacity(ToleranceSpec(eps), params))])
 
 
 def _cmd_rate(args: argparse.Namespace, writer) -> None:
-    values = [effective_rate(ToleranceSpec(eps), args.gamma, args.lam) for eps in args.epsilons]
     writer.writerow(["epsilon", "mu_star"])
-    for eps, value in zip(args.epsilons, values):
-        writer.writerow([_fmt(eps), _fmt(value)])
-
-
-def _decide_row(spec: GameSpec, eps1: float, writer) -> None:
-    report = solve_ns(spec)
-    row = [_fmt(eps1)]
-    row += [b for b in report.chosen_profile.bits]
-    row.append(_fmt(report.objective))
-    row += [_fmt(v) for v in report.marginals]
-    writer.writerow(row)
+    for eps in args.epsilons:
+        writer.writerow([_fmt(eps), _fmt(effective_rate(ToleranceSpec(eps), args.gamma, args.lam))])
 
 
 def _cmd_decide(args: argparse.Namespace, writer) -> None:
@@ -164,37 +153,32 @@ def _cmd_decide(args: argparse.Namespace, writer) -> None:
         sweep = [_broadcast(args.epsilon, m, "epsilon")]
     else:
         sweep = [(eps1,) + (args.eps_rest,) * (m - 1) for eps1 in args.eps1]
-    specs = [GameSpec(m=m, epsilon=epsilon, alpha=alpha, cost=cost) for epsilon in sweep]
-    header = (
+    writer.writerow(
         ["eps1"]
         + [f"p_{i + 1}" for i in range(m)]
         + ["objective"]
         + [f"marginal_{i + 1}" for i in range(m)]
     )
-    writer.writerow(header)
-    for spec in specs:
-        _decide_row(spec, spec.epsilon[0], writer)
+    for epsilon in sweep:
+        report = solve_ns(GameSpec(m=m, epsilon=epsilon, alpha=alpha, cost=cost))
+        row = [_fmt(epsilon[0]), *report.chosen_profile.bits, _fmt(report.objective)]
+        writer.writerow(row + [_fmt(v) for v in report.marginals])
 
 
 def _cmd_sweep(args: argparse.Namespace, writer) -> None:
     m = args.m
     epsilon = _broadcast(args.eps, m, "eps")
-    specs = []
-    for value in args.values:
-        if args.param == "alpha":
-            spec = GameSpec(m=m, epsilon=epsilon, alpha=(value,) * m, cost=(args.cost,) * m)
-        else:
-            spec = GameSpec(m=m, epsilon=epsilon, alpha=(args.alpha,) * m, cost=(value,) * m)
-        specs.append((value, spec))
     writer.writerow(["param_value", "max_total_utility"])
-    for value, spec in specs:
+    for value in args.values:
+        alpha, cost = (value, args.cost) if args.param == "alpha" else (args.alpha, value)
+        spec = GameSpec(m=m, epsilon=epsilon, alpha=(alpha,) * m, cost=(cost,) * m)
         writer.writerow([_fmt(value), _fmt(solve_ns(spec).objective)])
 
 
-def _netsim_config(args: argparse.Namespace) -> tuple[NetSimConfig, Equilibrium | None]:
-    """The configuration at --seed, and the equilibrium strategy that
-    --strategy equilibrium or compare runs (one object per call, so every
-    rep shares its solve)."""
+def _netsim_configs(args: argparse.Namespace) -> list[tuple[str, NetSimConfig]]:
+    """The labelled configurations one rep runs, at --seed: cautious,
+    equilibrium, or both for --strategy compare.  The equilibrium strategy
+    is one object per call, so every rep shares its solve."""
     m = args.m
     lams = _broadcast(args.lam, m, "lam")
     mus = _broadcast(args.mu, m, "mu")
@@ -205,7 +189,9 @@ def _netsim_config(args: argparse.Namespace) -> tuple[NetSimConfig, Equilibrium 
         FullNode(params=RateParams(lam=lam, mu=mu), capacity=int(cap))
         for lam, mu, cap in zip(lams, mus, gammas)
     )
-    equilibrium = None
+    strategies = []
+    if args.strategy in ("cautious", "compare"):
+        strategies.append(("cautious", CautiousAll()))
     if args.strategy in ("equilibrium", "compare"):
         spec = GameSpec(
             m=m,
@@ -213,21 +199,19 @@ def _netsim_config(args: argparse.Namespace) -> tuple[NetSimConfig, Equilibrium 
             alpha=_broadcast(args.alpha, m, "alpha"),
             cost=_broadcast(args.cost, m, "cost"),
         )
-        equilibrium = Equilibrium(spec=spec)
-    config = NetSimConfig(
-        full_nodes=nodes,
-        n_partial=args.n_partial,
-        strategy=equilibrium if args.strategy == "equilibrium" else CautiousAll(),
-        rounds=args.rounds,
-        master_seed=args.seed,
-    )
-    return config, equilibrium
+        strategies.append(("equilibrium", Equilibrium(spec=spec)))
+    return [
+        (label, NetSimConfig(full_nodes=nodes, n_partial=args.n_partial, strategy=strategy,
+                             rounds=args.rounds, master_seed=args.seed))
+        for label, strategy in strategies
+    ]
 
 
-def _netsim_row(rep: object, label: str, report: SyncReport, requests: int, redundant: int) -> list:
+def _netsim_row(rep: int, label: str, detail: NetRunDetail) -> list:
+    report = detail.report
     return (
         [rep, label, report.sync_success_rate, report.predicted_success, report.rounds_used]
-        + [requests, redundant]
+        + [detail.total_requests, detail.redundant_responses]
         + list(report.per_node_failure)
     )
 
@@ -248,32 +232,19 @@ def _netsim_footers(label: str, rows: list[list]) -> list[list]:
 
 
 def _cmd_netsim(args: argparse.Namespace, writer) -> None:
-    if args.reps < 1:
-        raise ValueError(f"reps must be at least 1, got {args.reps}")
-    base, equilibrium = _netsim_config(args)
-    header = (
+    seeds = _rep_seeds(args)
+    runs = _netsim_configs(args)
+    writer.writerow(
         ["rep", "strategy", "sync_success_rate", "predicted_success", "rounds"]
         + ["total_requests", "redundant_responses"]
         + [f"failure_{i + 1}" for i in range(args.m)]
     )
-    writer.writerow(header)
     by_label: dict[str, list[list]] = {}
-    for rep in range(args.reps):
-        seed = args.seed if args.reps == 1 else derive_seed(args.seed, rep)
-        config = replace(base, master_seed=seed)
-        if args.strategy == "compare":
-            assert equilibrium is not None
-            result = compare_strategies(config, equilibrium)
-            rows = [
-                _netsim_row(rep, "cautious", result.cautious, result.cautious_requests, result.cautious_redundant),
-                _netsim_row(rep, "equilibrium", result.equilibrium, result.equilibrium_requests, result.equilibrium_redundant),
-            ]
-        else:
-            detail = simulate_detail(config)
-            rows = [_netsim_row(rep, args.strategy, detail.report, detail.total_requests, detail.redundant_responses)]
-        for row in rows:
+    for rep, seed in enumerate(seeds):
+        for label, config in runs:
+            row = _netsim_row(rep, label, simulate_detail(replace(config, master_seed=seed)))
             writer.writerow([_fmt(v) for v in row])
-            by_label.setdefault(row[1], []).append(row)
+            by_label.setdefault(label, []).append(row)
     for label in sorted(by_label):
         for footer in _netsim_footers(label, by_label[label]):
             writer.writerow([_fmt(v) for v in footer])
@@ -436,6 +407,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"nodesync: error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"nodesync: error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
     except (RuntimeError, ArithmeticError, LookupError) as exc:
         print(f"nodesync: failure: {exc}", file=sys.stderr)
         return 2
@@ -443,12 +417,13 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> None:
-    if args.out == _STDOUT:
-        args.func(args, csv.writer(sys.stdout, lineterminator="\n"))
-        return
-    # Rows are collected first, so a failed call leaves --out untouched.
+    # Rows are written out only once the subcommand returns, so a failed
+    # call writes nothing to stdout or --out.
     rows = io.StringIO()
     args.func(args, csv.writer(rows, lineterminator="\n"))
+    if args.out == _STDOUT:
+        sys.stdout.write(rows.getvalue())
+        return
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
         handle.write(rows.getvalue())
 

@@ -10,7 +10,7 @@ independent by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
 
@@ -110,18 +110,6 @@ class SyncReport:
 
 
 @dataclass(frozen=True)
-class StrategyComparison:
-    """Cautious and equilibrium runs on identical seeds, plus cost proxies."""
-
-    cautious: SyncReport
-    equilibrium: SyncReport
-    cautious_requests: int
-    equilibrium_requests: int
-    cautious_redundant: int
-    equilibrium_redundant: int
-
-
-@dataclass(frozen=True)
 class NetRunDetail:
     """SyncReport plus the request/redundancy accounting of one run."""
 
@@ -218,22 +206,3 @@ def run_network_sim(config: NetSimConfig) -> SyncReport:
     synchronization success."""
     return simulate_detail(config).report
 
-
-def compare_strategies(config: NetSimConfig, strategy: Equilibrium) -> StrategyComparison:
-    """Run the cautious and the given equilibrium strategy on identical
-    seeds.  Passing one strategy object to several calls solves its
-    equilibrium once."""
-    if strategy.spec.m != len(config.full_nodes):
-        raise ValueError(
-            f"game spec is for m={strategy.spec.m} nodes, config has {len(config.full_nodes)}"
-        )
-    cautious = simulate_detail(replace(config, strategy=CautiousAll()))
-    equilibrium = simulate_detail(replace(config, strategy=strategy))
-    return StrategyComparison(
-        cautious=cautious.report,
-        equilibrium=equilibrium.report,
-        cautious_requests=cautious.total_requests,
-        equilibrium_requests=equilibrium.total_requests,
-        cautious_redundant=cautious.redundant_responses,
-        equilibrium_redundant=equilibrium.redundant_responses,
-    )

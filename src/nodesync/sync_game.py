@@ -287,7 +287,19 @@ def best_pure_profile(spec: GameSpec) -> tuple[Profile, float]:
 def _best_pure_index(tables: _Tables) -> int:
     """Lowest-encoding profile of maximum total among those whose point
     mass passes the equilibrium check (at tolerance 1e-9), i.e. where no
-    decision gains more than that by switching away."""
+    decision gains more than that by switching away.
+
+    Such a profile always exists, because the request game aggregates.
+    With weights w_j = 1 - epsilon_j, decision i's payoff depends only on
+    its own bit b_i and on W_-i = sum_{j != i} w_j b_j: a sender earns
+    alpha_i w_i / (w_i + W_-i) - c_i, a non-sender 0.  So i sends iff
+    W_-i <= w_i (alpha_i / c_i - 1) (always when c_i = 0), and its best
+    reply falls as the aggregate grows (strategic substitutes).  Read as actions in
+    {0, w_j}, this is a finite game of strategic substitutes with
+    aggregation, which always has a pure Nash equilibrium (Dubey, Haimanko
+    and Zapechelnyuk, Games Econ. Behav. 2006).  The LookupError below
+    therefore cannot fire on exact data.
+    """
     stable = np.all(-tables.gains <= 1e-9, axis=1)
     if not stable.any():
         raise LookupError("no pure-profile correlated equilibrium exists for this spec")

@@ -202,6 +202,59 @@ def test_invalid_input_writes_no_rows(tmp_path):
         assert not missing.exists()
 
 
+def _fail_on_second_call(monkeypatch, name):
+    """Make cli.<name> raise ArithmeticError from its second call on."""
+    real, calls = getattr(cli, name), []
+
+    def flaky(*args, **kwargs):
+        calls.append(1)
+        if len(calls) >= 2:
+            raise ArithmeticError(f"{name} failed on call {len(calls)}")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, flaky)
+    return calls
+
+
+def test_failure_after_some_rows_writes_nothing(tmp_path, monkeypatch):
+    for name, args in (
+        ("solve_ns", ["decide", "--m", "3", "--eps1", "0.1,0.5"]),
+        ("solve_ns", ["sweep", "--m", "3", "--values", "1,2"]),
+        ("simulate_detail", ["netsim", "--strategy", "compare", "--rounds", "50", "--reps", "1"]),
+    ):
+        with monkeypatch.context() as patch:
+            calls = _fail_on_second_call(patch, name)
+            assert run_cli(args) == (2, ""), args
+            assert len(calls) == 2, args  # a row was computed before the failure
+            kept = tmp_path / "kept.csv"
+            kept.write_bytes(b"earlier,rows\n")
+            calls.clear()
+            assert run_cli(args + ["--out", str(kept)]) == (2, ""), args
+            assert kept.read_bytes() == b"earlier,rows\n"
+            missing = tmp_path / "missing.csv"
+            calls.clear()
+            assert run_cli(args + ["--out", str(missing)]) == (2, ""), args
+            assert not missing.exists()
+
+
+def test_out_of_memory_is_a_clean_error(monkeypatch, capsys):
+    def no_memory(config):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "simulate_detail", no_memory)
+    assert main(["netsim", "--rounds", "10", "--reps", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "nodesync: error: out of memory\n"
+
+    def no_memory_for(config):
+        raise MemoryError("Unable to allocate 8.0 GiB for an array")
+
+    monkeypatch.setattr(cli, "simulate_detail", no_memory_for)
+    assert main(["netsim", "--rounds", "10", "--reps", "1"]) == 1
+    assert capsys.readouterr().err == "nodesync: error: Unable to allocate 8.0 GiB for an array\n"
+
+
 def test_netsim_solves_each_spec_once(monkeypatch):
     calls = []
 

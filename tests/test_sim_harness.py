@@ -13,7 +13,6 @@ from nodesync.sim_harness import (
     FullNode,
     NetSimConfig,
     _fail_series,
-    compare_strategies,
     run_network_sim,
     simulate_detail,
 )
@@ -91,26 +90,31 @@ def test_equilibrium_single_sender_requests():
     assert math.isnan(detail.report.per_node_failure[2])
 
 
+def _cautious_and_equilibrium(spec, **kwargs):
+    """Cautious and equilibrium runs of one configuration on the same seed."""
+    cautious = simulate_detail(_config(**kwargs))
+    equilibrium = simulate_detail(_config(strategy=Equilibrium(spec=spec), **kwargs))
+    return cautious, equilibrium
+
+
 def test_equilibrium_sends_everywhere_when_costs_vanish():
     spec = GameSpec.uniform(3, 0.2, 100.0, 1.0)
-    config = _config(n_partial=2, rounds=500)
-    result = compare_strategies(config, Equilibrium(spec=spec))
-    assert result.equilibrium_requests == result.cautious_requests
+    cautious, equilibrium = _cautious_and_equilibrium(spec, n_partial=2, rounds=500)
+    assert equilibrium.total_requests == cautious.total_requests
 
 
 def test_strategy_dominance_on_shared_seeds():
     spec = GameSpec.uniform(3, 0.2, 10.0, 5.0)
-    config = _config(n_partial=2, rounds=20_000)
-    result = compare_strategies(config, Equilibrium(spec=spec))
-    assert result.cautious.sync_success_rate >= result.equilibrium.sync_success_rate
-    assert result.equilibrium_requests <= result.cautious_requests
-    assert result.equilibrium_redundant <= result.cautious_redundant
+    cautious, equilibrium = _cautious_and_equilibrium(spec, n_partial=2, rounds=20_000)
+    assert cautious.report.sync_success_rate >= equilibrium.report.sync_success_rate
+    assert equilibrium.total_requests <= cautious.total_requests
+    assert equilibrium.redundant_responses <= cautious.redundant_responses
 
 
 def test_compare_requires_matching_dimensions():
     spec = GameSpec.uniform(2, 0.2, 10.0, 5.0)
     with pytest.raises(ValueError):
-        compare_strategies(_config(m=3), Equilibrium(spec=spec))
+        _cautious_and_equilibrium(spec, m=3)
 
 
 def test_config_validation():
