@@ -15,7 +15,7 @@ from .ldp_analytics import (
     failure_rate_approx,
     rate_function,
 )
-from .lp_solver import Constraint, LpProblem, LpSolution, LpStatus, Relation
+from .lp_solver import LpProblem, LpSolution, LpStatus, Relation
 from .queue_model import (
     RateParams,
     SlopeFit,
@@ -53,7 +53,6 @@ from .sync_game import (
 __all__ = [
     "CautiousAll",
     "CeCheck",
-    "Constraint",
     "CorrelatedDistribution",
     "DecayPoint",
     "DecisionReport",

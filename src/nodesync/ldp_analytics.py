@@ -57,12 +57,21 @@ def effective_capacity(tol: ToleranceSpec, params: RateParams) -> float:
 
 def effective_rate(tol: ToleranceSpec, gamma: float, lam: float) -> float:
     """Minimum response rate keeping the failure rate at or below the
-    tolerance for a given capacity; always at least lam."""
+    tolerance for a given capacity; always at least lam.  A rate beyond the
+    float range is invalid input, not an answer."""
     if not (math.isfinite(gamma) and gamma > 0):
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
     if not (math.isfinite(lam) and lam > 0):
         raise ValueError(f"arrival rate must be positive and finite, got {lam}")
-    return lam * math.exp(-math.log(tol.epsilon) / gamma)
+    try:
+        rate = lam * math.exp(-math.log(tol.epsilon) / gamma)
+    except OverflowError:
+        rate = math.inf
+    if not math.isfinite(rate):
+        raise ValueError(
+            f"the response rate for tolerance {tol.epsilon} at gamma={gamma} overflows a float"
+        )
+    return rate
 
 
 def decay_surface(
@@ -79,6 +88,8 @@ def decay_surface(
         raise ValueError("x grid entries must be nonnegative and finite")
     if any(not (math.isfinite(gap) and gap >= 0) for gap in gap_grid):
         raise ValueError("rate gap grid entries must be nonnegative and finite")
+    if not math.isfinite((lam + max(gap_grid, default=0.0)) / lam):
+        raise ValueError(f"rate ratios (lam + gap) / lam overflow a float at lam={lam}")
     surface = []
     for x in x_grid:
         row = [

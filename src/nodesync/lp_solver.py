@@ -1,12 +1,13 @@
 """Dense two-phase primal simplex with Bland's anti-cycling rule.
 
-Solves   maximize c . x   subject to rows of <= / == / >= constraints and
-x >= 0.  Determinism is built in: the entering variable is the lowest
-eligible index and ratio-test ties leave the row whose basic variable has
-the lowest index, which also guarantees termination.  The tableau is
-refactorized from the original data at regular intervals and the final
-solution is recomputed from the terminal basis, so elimination round-off
-cannot accumulate into the reported answer.
+Solves   maximize c . x   subject to   a x (relations) rhs   and   x >= 0,
+where the constraint matrix `a` has one row per relation (<=, == or >=)
+and one column per variable.  Determinism is built in: the entering
+variable is the lowest eligible index and ratio-test ties leave the row
+whose basic variable has the lowest index, which also guarantees
+termination.  The tableau is refactorized from the original data at
+regular intervals and the final solution is recomputed from the terminal
+basis, so elimination round-off cannot accumulate into the reported answer.
 
 A caller that already knows a feasible vertex may pass its basis as
 `start`.  A start that is a nonsingular, primal-feasible basis of real
@@ -49,63 +50,54 @@ class LpStatus(enum.Enum):
     UNBOUNDED = "unbounded"
 
 
-def _frozen_row(values: Sequence[float] | np.ndarray) -> np.ndarray:
-    """`values` as a read-only 1-D float64 array.  A read-only float64 array
-    is kept as it is (a view stays a view); anything else is copied, so no
-    caller can change the coefficients afterwards."""
-    row = np.asarray(values, dtype=np.float64)
-    if row.ndim != 1:
-        raise ValueError(f"coefficients must be one-dimensional, got shape {row.shape}")
-    if row.flags.writeable:
-        row = row.copy()
-        row.flags.writeable = False
-    return row
-
-
-@dataclass(frozen=True)
-class Constraint:
-    """coeffs . x (relation) rhs; coeffs is stored as a read-only float64
-    array whether it was given as a sequence or an array."""
-
-    coeffs: np.ndarray
-    relation: Relation
-    rhs: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _frozen_row(self.coeffs))
+def _frozen(values: Sequence | np.ndarray, ndim: int) -> np.ndarray:
+    """`values` as a read-only float64 array of `ndim` dimensions.  A
+    read-only float64 array is kept as it is (a view stays a view); anything
+    else is copied once, so no caller can change the data afterwards."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != ndim:
+        raise ValueError(f"expected a {ndim}-D array, got shape {arr.shape}")
+    if arr.flags.writeable:
+        arr = arr.copy()
+        arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
 class LpProblem:
-    """maximize objective . x  subject to constraints and x >= 0.
+    """maximize objective . x  subject to  a x (relations) rhs  and  x >= 0.
 
-    The objective is stored as a read-only float64 array, like every
-    constraint's coefficients.
+    Row i reads  a[i] . x (relations[i]) rhs[i].  `objective`, `a` and `rhs`
+    are stored as read-only float64 arrays and `relations` as a tuple, so
+    the number of variables is len(objective) and of rows len(relations).
     """
 
-    n: int
     objective: np.ndarray
-    constraints: tuple[Constraint, ...]
+    a: np.ndarray
+    relations: tuple[Relation, ...]
+    rhs: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "objective", _frozen_row(self.objective))
-        if self.n < 1:
-            raise ValueError(f"need at least one variable, got n={self.n}")
-        if self.n > MAX_VARS:
-            raise ValueError(f"n={self.n} exceeds the dense-tableau cap of {MAX_VARS}")
-        if len(self.constraints) > MAX_ROWS:
+        object.__setattr__(self, "objective", _frozen(self.objective, 1))
+        object.__setattr__(self, "a", _frozen(self.a, 2))
+        object.__setattr__(self, "relations", tuple(self.relations))
+        object.__setattr__(self, "rhs", _frozen(self.rhs, 1))
+        n, rows = self.n, len(self.relations)
+        if not 1 <= n <= MAX_VARS:
+            raise ValueError(f"need 1 to {MAX_VARS} variables (the dense-tableau cap), got {n}")
+        if rows > MAX_ROWS:
+            raise ValueError(f"{rows} rows exceed the dense-tableau cap of {MAX_ROWS}")
+        if self.a.shape != (rows, n) or self.rhs.shape != (rows,):
             raise ValueError(
-                f"{len(self.constraints)} rows exceed the dense-tableau cap of {MAX_ROWS}"
+                f"a has shape {self.a.shape} and rhs {self.rhs.shape}; "
+                f"{rows} relations and {n} variables need ({rows}, {n}) and ({rows},)"
             )
-        if len(self.objective) != self.n:
-            raise ValueError(
-                f"objective has {len(self.objective)} coefficients for n={self.n}"
-            )
-        for idx, row in enumerate(self.constraints):
-            if len(row.coeffs) != self.n:
-                raise ValueError(
-                    f"constraint {idx} has {len(row.coeffs)} coefficients for n={self.n}"
-                )
+        if not all(isinstance(rel, Relation) for rel in self.relations):
+            raise ValueError(f"relations must be Relation members, got {self.relations}")
+
+    @property
+    def n(self) -> int:
+        return len(self.objective)
 
 
 @dataclass(frozen=True)
@@ -205,17 +197,14 @@ def _feasible_start(a_real: np.ndarray, b: np.ndarray, start: Sequence[int]) -> 
 def solve(problem: LpProblem, start: Sequence[int] | None = None) -> LpSolution:
     """Two-phase simplex; classifies the problem or returns a maximizer.
 
-    `start` optionally names a starting basis, one column per constraint
-    row: columns 0..n-1 are the structural variables and n, n+1, ... the
-    slack/surplus columns of the non-equality rows, in row order.  A start
+    `start` optionally names a starting basis, one column per row of
+    `problem.a`: columns 0..n-1 are the structural variables and n, n+1,
+    ... the slack/surplus columns of the non-equality rows, in row order.  A start
     naming an artificial column, a singular basis, or a negative basic
     level is ignored and phase 1 runs as without it.
     """
-    m = len(problem.constraints)
-    n = problem.n
-    a = np.array([row.coeffs for row in problem.constraints], dtype=float).reshape(m, n)
-    b = np.array([row.rhs for row in problem.constraints], dtype=float)
-    relations = [row.relation for row in problem.constraints]
+    a, b, relations = problem.a, problem.rhs, problem.relations
+    m, n = a.shape
 
     # Rows with a negative right-hand side are negated, and their relation
     # swapped, so every basic level starts nonnegative.  A slack column keeps

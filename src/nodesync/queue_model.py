@@ -44,7 +44,7 @@ _BLOCK = 1 << 17
 @dataclass(frozen=True)
 class RateParams:
     """Mean request arrivals (lam) and responses (mu) per slot; both finite,
-    mu > lam."""
+    mu > lam, and mu / lam finite."""
 
     lam: float
     mu: float
@@ -57,6 +57,8 @@ class RateParams:
                 "response rate must be finite and exceed arrival rate, "
                 f"got mu={self.mu} lam={self.lam}"
             )
+        if not math.isfinite(self.mu / self.lam):
+            raise ValueError(f"mu / lam overflows a float: mu={self.mu} lam={self.lam}")
 
 
 @dataclass(frozen=True)
@@ -230,6 +232,8 @@ def estimate_tail(
     if len(gammas) == 0:
         raise ValueError("gammas must be nonempty")
     g = np.asarray(gammas, dtype=float)
+    if not np.isfinite(g).all():
+        raise ValueError(f"gammas must be finite, got {list(gammas)}")
     if not np.all(np.diff(g) > 0):
         raise ValueError(f"gammas must be strictly increasing, got {list(gammas)}")
 

@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import lp_solver
-from .lp_solver import Constraint, LpProblem, LpStatus, Relation
+from .lp_solver import LpProblem, LpStatus, Relation
 
 MAX_NODES = 12
 
@@ -120,18 +120,18 @@ class _Tables(NamedTuple):
     """Everything the game needs about its 2^m profiles, row k = profile k.
 
     Built once per solve: the LP, the pure-profile start and the equilibrium
-    re-check all read from it.  `total` and `rows` go into the LP as they
-    are, so both are read-only.
+    re-check all read from it.  `total` and `a` go into the LP as they are,
+    so both are read-only.
     """
 
     bits: np.ndarray  # B[k, i]: profile k sends to node i
     total: np.ndarray  # T[k]: sum of the m utilities under profile k
     gains: np.ndarray  # G[k, i]: what decision i gains under k by keeping its action
-    rows: np.ndarray  # (2m, 2^m) equilibrium rows, see _deviation_rows
+    a: np.ndarray  # (2m + 1, 2^m) LP matrix, see _lp_matrix
 
 
 def _tables(spec: GameSpec) -> _Tables:
-    """Bit matrix, totals, keep gains and deviation rows for all 2^m profiles.
+    """Bit matrix, totals, keep gains and LP matrix for all 2^m profiles.
 
     A sender's share is its success weight 1 - epsilon_i over the weight sum
     of all senders; a non-sender earns nothing.  Weight sums and totals are
@@ -152,10 +152,10 @@ def _tables(spec: GameSpec) -> _Tables:
         utility[send, i] = spec.alpha[i] * share - spec.cost[i]
         total += utility[:, i]
     gains = _keep_gains(utility)
-    rows = _deviation_rows(gains, bits)
+    a = _lp_matrix(gains, bits)
     total.flags.writeable = False
-    rows.flags.writeable = False
-    return _Tables(bits=bits, total=total, gains=gains, rows=rows)
+    a.flags.writeable = False
+    return _Tables(bits=bits, total=total, gains=gains, a=a)
 
 
 def _keep_gains(utility: np.ndarray) -> np.ndarray:
@@ -166,12 +166,15 @@ def _keep_gains(utility: np.ndarray) -> np.ndarray:
     return utility - np.take_along_axis(utility, flipped, axis=0)
 
 
-def _deviation_rows(gains: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """(2m, 2^m) equilibrium rows: row 2i + held carries decision i's keep
-    gain on the profiles where it plays `held`, and 0 elsewhere."""
+def _lp_matrix(gains: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """(2m + 1, 2^m) LP matrix.  Row 0 is the normalization row of ones;
+    deviation row 1 + 2i + held carries decision i's keep gain on the
+    profiles where it plays `held`, and 0 elsewhere."""
     gains, sends = gains.T, bits.T
-    rows = np.stack([np.where(sends, 0.0, gains), np.where(sends, gains, 0.0)], axis=1)
-    return rows.reshape(-1, gains.shape[1])
+    a = np.ones((2 * gains.shape[0] + 1, gains.shape[1]))
+    a[1::2] = np.where(sends, 0.0, gains)
+    a[2::2] = np.where(sends, gains, 0.0)
+    return a
 
 
 def cautious_failure(epsilon: Sequence[float]) -> float:
@@ -191,18 +194,19 @@ def build_ns_lp(spec: GameSpec) -> LpProblem:
     total utility.  Besides normalization, each decision i contributes two
     rows, one per ordered pair of actions (held, alt): conditional on being
     told to play `held`, switching to `alt` must not pay in expectation.
-    The objective and the deviation rows are read-only array views of one
-    profile table.
+    The objective and the constraint matrix are the read-only profile
+    tables themselves, uncopied.
     """
     return _ns_lp(_tables(spec))
 
 
 def _ns_lp(tables: _Tables) -> LpProblem:
-    # tables.rows and tables.total are read-only, so the LP keeps them uncopied.
-    n = tables.total.shape[0]
-    rows = [Constraint(coeffs=np.ones(n), relation=Relation.EQ, rhs=1.0)]
-    rows += [Constraint(coeffs=coeffs, relation=Relation.GE, rhs=0.0) for coeffs in tables.rows]
-    return LpProblem(n=n, objective=tables.total, constraints=tuple(rows))
+    # tables.a and tables.total are read-only, so the LP keeps them uncopied.
+    rows = tables.a.shape[0]
+    rhs = np.zeros(rows)
+    rhs[0] = 1.0
+    relations = (Relation.EQ,) + (Relation.GE,) * (rows - 1)
+    return LpProblem(tables.total, tables.a, relations, rhs)
 
 
 def is_correlated_equilibrium(
@@ -216,7 +220,7 @@ def is_correlated_equilibrium(
 
 def _ce_check(g: np.ndarray, tables: _Tables, tol: float) -> CeCheck:
     # Each row's expectation is summed in profile order (cumsum is sequential).
-    lhs = np.cumsum(tables.rows * g, axis=1)[:, -1]
+    lhs = np.cumsum(tables.a[1:] * g, axis=1)[:, -1]
     worst = max(0.0, float(-lhs.min()))
     return CeCheck(ok=worst <= tol, max_violation=worst)
 

@@ -11,48 +11,47 @@ from itertools import combinations
 
 import numpy as np
 
-from nodesync.lp_solver import Constraint, LpProblem, Relation
+from nodesync.lp_solver import LpProblem, Relation
 
 FEAS = 1e-7
 
 
-def _satisfies(x: np.ndarray, rows: list[tuple[np.ndarray, Relation, float]]) -> bool:
+def _satisfies(
+    x: np.ndarray, a: np.ndarray, relations: tuple[Relation, ...], rhs: np.ndarray
+) -> bool:
     if x.min(initial=0.0) < -1e-9:
         return False
-    for coeffs, relation, rhs in rows:
+    for coeffs, relation, bound in zip(a, relations, rhs):
         value = float(coeffs @ x)
-        if relation is Relation.LE and value > rhs + FEAS:
+        if relation is Relation.LE and value > bound + FEAS:
             return False
-        if relation is Relation.GE and value < rhs - FEAS:
+        if relation is Relation.GE and value < bound - FEAS:
             return False
-        if relation is Relation.EQ and abs(value - rhs) > FEAS:
+        if relation is Relation.EQ and abs(value - bound) > FEAS:
             return False
     return True
 
 
-def _candidate_points(
-    n: int, planes: list[tuple[np.ndarray, float]], rows: list[tuple[np.ndarray, Relation, float]]
+def _vertices(
+    a: np.ndarray, relations: tuple[Relation, ...], rhs: np.ndarray
 ) -> list[np.ndarray]:
+    """Points of a x (relations) rhs, x >= 0, where n of the hyperplanes
+    a[i] . x = rhs[i] and x_j = 0 meet."""
+    n = a.shape[1]
+    planes = np.vstack([a, np.eye(n)])
+    levels = np.concatenate([rhs, np.zeros(n)])
     points = []
     for combo in combinations(range(len(planes)), n):
-        a = np.array([planes[i][0] for i in combo])
-        b = np.array([planes[i][1] for i in combo])
+        sub_a, sub_b = planes[list(combo)], levels[list(combo)]
         try:
-            x = np.linalg.solve(a, b)
+            x = np.linalg.solve(sub_a, sub_b)
         except np.linalg.LinAlgError:
             continue
-        if np.max(np.abs(a @ x - b)) > FEAS:
+        if np.max(np.abs(sub_a @ x - sub_b)) > FEAS:
             continue
-        if _satisfies(x, rows):
+        if _satisfies(x, a, relations, rhs):
             points.append(x)
     return points
-
-
-def _rows_of(problem: LpProblem) -> list[tuple[np.ndarray, Relation, float]]:
-    return [
-        (np.asarray(row.coeffs, dtype=float), row.relation, float(row.rhs))
-        for row in problem.constraints
-    ]
 
 
 def brute_force_solve(problem: LpProblem) -> tuple[str, float | None]:
@@ -63,20 +62,15 @@ def brute_force_solve(problem: LpProblem) -> tuple[str, float | None]:
     ray improves the objective.
     """
     n = problem.n
-    rows = _rows_of(problem)
-    planes = [(coeffs, rhs) for coeffs, _, rhs in rows]
-    planes += [(np.eye(n)[i], 0.0) for i in range(n)]
-    vertices = _candidate_points(n, planes, rows)
+    vertices = _vertices(problem.a, problem.relations, problem.rhs)
     if not vertices:
         return ("infeasible", None)
 
     # Recession cone sliced by sum(d) = 1: extreme rays become vertices.
-    ray_rows = [(coeffs, relation, 0.0) for coeffs, relation, _ in rows]
-    ray_rows.append((np.ones(n), Relation.EQ, 1.0))
-    ray_planes = [(coeffs, rhs) for coeffs, _, rhs in ray_rows]
-    ray_planes += [(np.eye(n)[i], 0.0) for i in range(n)]
-    c = np.asarray(problem.objective, dtype=float)
-    for ray in _candidate_points(n, ray_planes, ray_rows):
+    ray_a = np.vstack([problem.a, np.ones(n)])
+    ray_rhs = np.append(np.zeros(len(problem.rhs)), 1.0)
+    c = problem.objective
+    for ray in _vertices(ray_a, problem.relations + (Relation.EQ,), ray_rhs):
         if float(c @ ray) > FEAS:
             return ("unbounded", None)
 
@@ -90,14 +84,11 @@ def random_problem(rng: np.random.Generator) -> LpProblem:
     relations = rng.choice(
         [Relation.LE, Relation.GE, Relation.EQ], size=m, p=[0.6, 0.25, 0.15]
     )
-    constraints = []
+    a, rhs = np.empty((m, n)), np.empty(m)
     for i in range(m):
-        coeffs = tuple(float(v) for v in rng.uniform(-5, 5, size=n))
-        constraints.append(
-            Constraint(coeffs=coeffs, relation=relations[i], rhs=float(rng.uniform(-5, 5)))
-        )
-    objective = tuple(float(v) for v in rng.uniform(-5, 5, size=n))
-    return LpProblem(n=n, objective=objective, constraints=tuple(constraints))
+        a[i] = rng.uniform(-5, 5, size=n)
+        rhs[i] = rng.uniform(-5, 5)
+    return LpProblem(rng.uniform(-5, 5, size=n), a, tuple(relations), rhs)
 
 
 def random_feasible_problem(rng: np.random.Generator) -> LpProblem:
@@ -106,11 +97,8 @@ def random_feasible_problem(rng: np.random.Generator) -> LpProblem:
     optimum value actually gets compared."""
     n = int(rng.integers(1, 7))
     m = int(rng.integers(1, 7))
-    constraints = []
-    for _ in range(m):
-        coeffs = tuple(float(v) for v in rng.uniform(-5, 5, size=n))
-        constraints.append(
-            Constraint(coeffs=coeffs, relation=Relation.LE, rhs=float(rng.uniform(0.5, 5)))
-        )
-    objective = tuple(float(v) for v in rng.uniform(-5, 5, size=n))
-    return LpProblem(n=n, objective=objective, constraints=tuple(constraints))
+    a, rhs = np.empty((m, n)), np.empty(m)
+    for i in range(m):
+        a[i] = rng.uniform(-5, 5, size=n)
+        rhs[i] = rng.uniform(0.5, 5)
+    return LpProblem(rng.uniform(-5, 5, size=n), a, (Relation.LE,) * m, rhs)

@@ -164,6 +164,32 @@ def test_netsim_full_node_limit():
     assert out.split("\n")[1].startswith("0,cautious,")
 
 
+# Inputs that pass the range checks but whose answers leave the float range.
+_OVERFLOW_CALLS = (
+    ["tail", "--gammas=-inf,3", "--runs", "50", "--horizon", "50", "--reps", "1"],
+    ["tail", "--gammas=3,inf", "--runs", "50", "--horizon", "50", "--reps", "1"],
+    ["rate", "--gamma", "0.001"],
+    ["rate", "--gamma", "1e-320", "--epsilons", "0.5"],
+    ["capacity", "--lam", "1e-300", "--mu", "1e300"],
+    ["decay", "--lam", "1e-310", "--x-steps", "2", "--gap-steps", "2"],
+)
+
+
+def test_overflowing_inputs_fail_before_any_numerics(capfd, monkeypatch):
+    # No walk runs for an infinite threshold, and nothing reaches LAPACK,
+    # whose messages go straight to file descriptor 2.
+    monkeypatch.setattr(
+        "nodesync.queue_model._walk_sups",
+        lambda *_: pytest.fail("a walk ran for invalid thresholds"),
+    )
+    for args in _OVERFLOW_CALLS:
+        assert main(args) == 1, args
+        out, err = capfd.readouterr()
+        assert out == "", args
+        assert err.startswith("nodesync: error: ") and err.count("\n") == 1, (args, err)
+        assert "DLASCL" not in err
+
+
 def test_invalid_input_writes_no_rows(tmp_path):
     for args in (
         ["decide", "--m", "13"],
@@ -189,6 +215,7 @@ def test_invalid_input_writes_no_rows(tmp_path):
         ["rate", "--gamma", "nan"],
         ["decay", "--lam", "nan"],
         ["decay", "--x-max", "inf"],
+        *_OVERFLOW_CALLS,
     ):
         assert run_cli(args) == (1, ""), args
         # The --out file is written only by a call that succeeds: an existing

@@ -79,6 +79,10 @@ def test_effective_rate_values():
     for gamma, lam in ((1.0, math.inf), (1.0, math.nan), (math.inf, 3.0), (math.nan, 3.0)):
         with pytest.raises(ValueError):
             effective_rate(ToleranceSpec(0.5), gamma=gamma, lam=lam)
+    # Rates beyond the float range: math.exp overflows, or lam * exp(...) does.
+    for eps, gamma, lam in ((0.01, 0.001, 3.0), (0.5, 1e-320, 3.0), (0.5, 1.0, 1e308)):
+        with pytest.raises(ValueError):
+            effective_rate(ToleranceSpec(eps), gamma=gamma, lam=lam)
 
 
 def _identity_grid():
@@ -122,7 +126,8 @@ def test_decay_surface_validation():
         decay_surface([0.1], [1.0], lam=0.0)
     for xs, gaps, lam in (([0.1], [1.0], math.nan), ([0.1], [1.0], math.inf),
                           ([math.nan], [1.0], 3.0), ([math.inf], [1.0], 3.0),
-                          ([0.1], [math.nan], 3.0), ([0.1], [math.inf], 3.0)):
+                          ([0.1], [math.nan], 3.0), ([0.1], [math.inf], 3.0),
+                          ([0.1], [0.0, 10.0], 1e-310), ([0.1], [1e308], 1e308)):
         with pytest.raises(ValueError):
             decay_surface(xs, gaps, lam=lam)
 

@@ -6,145 +6,131 @@ import numpy as np
 import pytest
 
 from bruteforce import brute_force_solve, random_feasible_problem, random_problem
-from nodesync.lp_solver import (
-    Constraint,
-    LpProblem,
-    LpStatus,
-    Relation,
-    _Tableau,
-    solve,
-)
+from nodesync.lp_solver import LpProblem, LpStatus, Relation, _Tableau, solve
 from nodesync.sync_game import GameSpec, best_pure_profile, build_ns_lp
 
-
-def _problem(n, objective, rows):
-    constraints = tuple(
-        Constraint(coeffs=tuple(float(v) for v in coeffs), relation=rel, rhs=float(rhs))
-        for coeffs, rel, rhs in rows
-    )
-    return LpProblem(n=n, objective=tuple(float(v) for v in objective), constraints=constraints)
+LE, EQ, GE = Relation.LE, Relation.EQ, Relation.GE
 
 
 def test_single_bound():
-    sol = solve(_problem(1, [1], [([1], Relation.LE, 1)]))
+    sol = solve(LpProblem([1], [[1]], [LE], [1]))
     assert sol.status is LpStatus.OPTIMAL
     assert sol.x[0] == pytest.approx(1.0, abs=1e-12)
     assert sol.objective_value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_infeasible_interval():
-    sol = solve(_problem(1, [1], [([1], Relation.GE, 2), ([1], Relation.LE, 1)]))
+    sol = solve(LpProblem([1], [[1], [1]], [GE, LE], [2, 1]))
     assert sol.status is LpStatus.INFEASIBLE
     assert sol.x is None
 
 
 def test_equality_split():
-    sol = solve(_problem(2, [1, 1], [([1, 1], Relation.EQ, 1)]))
+    sol = solve(LpProblem([1, 1], [[1, 1]], [EQ], [1]))
     assert sol.status is LpStatus.OPTIMAL
     assert sol.objective_value == pytest.approx(1.0, abs=1e-12)
     assert sol.x.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_unbounded_direction():
-    sol = solve(_problem(2, [1, 0], [([0, 1], Relation.LE, 5)]))
+    sol = solve(LpProblem([1, 0], [[0, 1]], [LE], [5]))
     assert sol.status is LpStatus.UNBOUNDED
 
 
 def test_negative_rhs_normalization():
     # -x <= -2 is x >= 2; minimize x via maximize -x.
-    sol = solve(_problem(1, [-1], [([-1], Relation.LE, -2)]))
+    sol = solve(LpProblem([-1], [[-1]], [LE], [-2]))
     assert sol.status is LpStatus.OPTIMAL
     assert sol.x[0] == pytest.approx(2.0, abs=1e-9)
 
 
 def test_redundant_equalities_are_dropped():
-    rows = [([1, 1], Relation.EQ, 1), ([2, 2], Relation.EQ, 2), ([1, 0], Relation.LE, 1)]
-    sol = solve(_problem(2, [3, 1], rows))
+    sol = solve(LpProblem([3, 1], [[1, 1], [2, 2], [1, 0]], [EQ, EQ, LE], [1, 2, 1]))
     assert sol.status is LpStatus.OPTIMAL
     assert sol.objective_value == pytest.approx(3.0, abs=1e-9)
 
 
 def test_degenerate_zero_rhs_rows_terminate():
-    rows = [
-        ([1, -1, 0], Relation.GE, 0),
-        ([0, 1, -1], Relation.GE, 0),
-        ([1, 1, 1], Relation.EQ, 1),
-    ]
-    sol = solve(_problem(3, [1, 2, 3], rows))
+    a = [[1, -1, 0], [0, 1, -1], [1, 1, 1]]
+    sol = solve(LpProblem([1, 2, 3], a, [GE, GE, EQ], [0, 0, 1]))
     assert sol.status is LpStatus.OPTIMAL
     assert sol.objective_value == pytest.approx(2.0, abs=1e-9)
 
 
 def test_validation_distinct_from_infeasible():
-    with pytest.raises(ValueError):
-        LpProblem(n=2, objective=(1.0,), constraints=())
-    with pytest.raises(ValueError):
-        LpProblem(
-            n=2,
-            objective=(1.0, 2.0),
-            constraints=(Constraint(coeffs=(1.0,), relation=Relation.LE, rhs=1.0),),
-        )
-    with pytest.raises(ValueError):
-        LpProblem(n=0, objective=(), constraints=())
-    with pytest.raises(ValueError):
-        LpProblem(n=70000, objective=(0.0,) * 70000, constraints=())
+    row = np.array([[1.0, 2.0]])
+    for objective, a, relations, rhs in (
+        ((1.0,), np.empty((0, 2)), (), ()),  # two columns, one variable
+        ((1.0, 2.0), [[1.0]], (LE,), (1.0,)),  # one column, two variables
+        ((), np.empty((0, 0)), (), ()),  # no variable
+        ((0.0,) * 70000, np.empty((0, 70000)), (), ()),  # over MAX_VARS
+        ((1.0, 2.0), row, (), ()),  # one row, no relation
+        ((1.0, 2.0), row, (LE, LE), (1.0, 1.0)),  # one row, two relations
+        ((1.0, 2.0), row, (LE,), ()),  # rhs too short
+        ((1.0, 2.0), row, (LE,), (1.0, 2.0)),  # rhs too long
+        ((1.0, 2.0), row, ("<=",), (1.0,)),  # relation is not a Relation
+    ):
+        with pytest.raises(ValueError):
+            LpProblem(objective, a, relations, rhs)
 
 
 def test_row_cap_enforced():
-    row = Constraint(coeffs=(1.0,), relation=Relation.LE, rhs=1.0)
     with pytest.raises(ValueError):
-        LpProblem(n=1, objective=(1.0,), constraints=(row,) * 4097)
+        LpProblem((1.0,), np.ones((4097, 1)), (LE,) * 4097, np.ones(4097))
 
 
 def _as_tuples(prob):
     """Copy of prob with every coefficient handed over as a Python tuple."""
     return LpProblem(
-        n=prob.n,
-        objective=tuple(prob.objective.tolist()),
-        constraints=tuple(
-            Constraint(coeffs=tuple(row.coeffs.tolist()), relation=row.relation, rhs=row.rhs)
-            for row in prob.constraints
-        ),
+        tuple(prob.objective.tolist()),
+        tuple(tuple(row) for row in prob.a.tolist()),
+        prob.relations,
+        tuple(prob.rhs.tolist()),
     )
 
 
 def _as_array_views(prob):
-    """Copy of prob whose rows are read-only views of one coefficient matrix,
-    the way the equilibrium LP hands its rows over."""
-    a = np.array([row.coeffs for row in prob.constraints]).reshape(len(prob.constraints), prob.n)
+    """Copy of prob whose matrix is a read-only array, the way the
+    equilibrium LP hands its matrix over, and whose vectors are writable
+    arrays."""
+    a = np.array(prob.a)
     a.flags.writeable = False
-    return LpProblem(
-        n=prob.n,
-        objective=np.array(prob.objective),
-        constraints=tuple(
-            Constraint(coeffs=coeffs, relation=row.relation, rhs=row.rhs)
-            for coeffs, row in zip(a, prob.constraints)
-        ),
-    )
+    return LpProblem(np.array(prob.objective), a, prob.relations, np.array(prob.rhs))
 
 
 def test_problem_stores_coefficients_as_read_only_float64():
     source = np.array([[1.0, 2.0], [3.0, 4.0]])
-    view = source[1]
+    view = source[1:]
     view.flags.writeable = False
-    for objective, coeffs in (((1, 2), [5, 6]), (source[0], view), ([1.5, 2.5], (7.0, 8.0))):
-        row = Constraint(coeffs=coeffs, relation=Relation.LE, rhs=1.0)
-        prob = LpProblem(n=2, objective=objective, constraints=(row,))
-        for arr in (prob.objective, prob.constraints[0].coeffs):
+    for objective, a, rhs in (
+        ((1, 2), [[5, 6]], [1]),
+        (source[0], view, np.ones(1)),
+        ([1.5, 2.5], ((7.0, 8.0),), (1.0,)),
+    ):
+        prob = LpProblem(objective, a, (LE,), rhs)
+        for arr, shape in ((prob.objective, (2,)), (prob.a, (1, 2)), (prob.rhs, (1,))):
             assert isinstance(arr, np.ndarray)
-            assert arr.dtype == np.float64 and arr.shape == (2,)
+            assert arr.dtype == np.float64 and arr.shape == shape
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
-                arr[0] = 0.0
+                arr.flat[0] = 0.0
+        assert prob.n == 2
     # A writable array is copied, so changing it later cannot change the
     # problem; a read-only view is kept as it is.
-    row = Constraint(coeffs=view, relation=Relation.LE, rhs=1.0)
-    prob = LpProblem(n=2, objective=source[0], constraints=(row,))
+    writable = np.array([[5.0, 6.0]])
+    prob = LpProblem(source[0], view, (LE,), (1.0,))
+    copied = LpProblem(source[0], writable, (LE,), (1.0,))
     source[0, 0] = 99.0
+    writable[0, 0] = 99.0
     assert prob.objective.tolist() == [1.0, 2.0]
-    assert prob.constraints[0].coeffs is view
+    assert prob.a is view
+    assert copied.a is not writable and copied.a.tolist() == [[5.0, 6.0]]
     with pytest.raises(ValueError):
-        Constraint(coeffs=[[1.0, 2.0]], relation=Relation.LE, rhs=1.0)
+        LpProblem((1.0, 2.0), [1.0, 2.0], (LE,), (1.0,))  # a is 1-D
+    with pytest.raises(ValueError):
+        LpProblem([[1.0, 2.0]], [[1.0, 2.0]], (LE,), (1.0,))  # objective is 2-D
+    with pytest.raises(TypeError):
+        LpProblem((1.0, 2.0), [[1.0, 2.0]], (LE,), (1.0,), n=2)  # n is not an argument
 
 
 def test_tuple_and_array_built_problems_solve_identically():
@@ -181,11 +167,7 @@ def test_objective_scaling_keeps_argmax():
         if base.status is not LpStatus.OPTIMAL:
             continue
         factor = 3.5
-        scaled = LpProblem(
-            n=prob.n,
-            objective=tuple(factor * c for c in prob.objective),
-            constraints=prob.constraints,
-        )
+        scaled = LpProblem(factor * prob.objective, prob.a, prob.relations, prob.rhs)
         scaled_sol = solve(scaled)
         assert scaled_sol.status is LpStatus.OPTIMAL
         assert scaled_sol.objective_value == pytest.approx(
@@ -208,14 +190,14 @@ def test_solution_feasibility_of_random_optima():
         seen_optimal += 1
         x = sol.x
         assert x.min(initial=0.0) >= -1e-9
-        for row in prob.constraints:
-            value = float(np.dot(row.coeffs, x))
-            if row.relation is Relation.LE:
-                assert value <= row.rhs + 1e-8
-            elif row.relation is Relation.GE:
-                assert value >= row.rhs - 1e-8
+        for coeffs, relation, rhs in zip(prob.a, prob.relations, prob.rhs):
+            value = float(np.dot(coeffs, x))
+            if relation is LE:
+                assert value <= rhs + 1e-8
+            elif relation is GE:
+                assert value >= rhs - 1e-8
             else:
-                assert value == pytest.approx(row.rhs, abs=1e-8)
+                assert value == pytest.approx(rhs, abs=1e-8)
     assert seen_optimal > 10
 
 
@@ -236,22 +218,19 @@ def test_matches_bruteforce_oracle_sample():
 def _real_columns(prob):
     """[A | S] in the original row orientation: the structural columns, then
     one slack (+1, <= row) or surplus (-1, >= row) column per inequality."""
-    a = np.array([row.coeffs for row in prob.constraints])
     slacks = [
-        (i, 1.0 if row.relation is Relation.LE else -1.0)
-        for i, row in enumerate(prob.constraints)
-        if row.relation is not Relation.EQ
+        (i, 1.0 if rel is LE else -1.0) for i, rel in enumerate(prob.relations) if rel is not EQ
     ]
-    s = np.zeros((len(prob.constraints), len(slacks)))
+    s = np.zeros((len(prob.relations), len(slacks)))
     for j, (i, sign) in enumerate(slacks):
         s[i, j] = sign
-    return np.hstack([a, s])
+    return np.hstack([prob.a, s])
 
 
 def _bases(prob):
     """Every nonsingular basis of the real columns, with its basic levels."""
     a = _real_columns(prob)
-    b = np.array([row.rhs for row in prob.constraints])
+    b = prob.rhs
     for cols in combinations(range(a.shape[1]), a.shape[0]):
         base = a[:, cols]
         if np.linalg.matrix_rank(base) == a.shape[0]:
@@ -279,7 +258,7 @@ def test_unusable_start_runs_phase_1():
     checked = 0
     for _ in range(80):
         prob = random_problem(rng)
-        rows, n_real = len(prob.constraints), _real_columns(prob).shape[1]
+        rows, n_real = len(prob.relations), _real_columns(prob).shape[1]
         cold = solve(prob)
         infeasible = next((cols for cols, levels in _bases(prob) if levels.min() < -1e-6), None)
         for start in (
@@ -300,7 +279,7 @@ def test_unusable_start_runs_phase_1():
 
 def test_start_at_an_optimal_vertex_is_returned_exactly():
     # maximize x + y on [0, 1] x [0, 2]: the vertex (1, 2) with x, y basic.
-    prob = _problem(2, [1, 1], [([1, 0], Relation.LE, 1), ([0, 1], Relation.LE, 2)])
+    prob = LpProblem([1, 1], [[1, 0], [0, 1]], [LE, LE], [1, 2])
     sol = solve(prob, start=[0, 1])
     assert np.array_equal(sol.x, [1.0, 2.0])
     # A point mass on the best pure profile of the request game, with the

@@ -27,7 +27,9 @@ def test_rate_params_require_stability():
         RateParams(lam=-1.0, mu=6.0)
     with pytest.raises(ValueError):
         RateParams(lam=3.0, mu=3.0)
-    for lam, mu in ((math.nan, 6.0), (math.inf, math.inf), (3.0, math.inf), (3.0, math.nan)):
+    # mu / lam must stay finite too: at 1e300 / 1e-300 it overflows to inf.
+    for lam, mu in ((math.nan, 6.0), (math.inf, math.inf), (3.0, math.inf), (3.0, math.nan),
+                    (1e-300, 1e300), (1e-310, 1.0)):
         with pytest.raises(ValueError):
             RateParams(lam=lam, mu=mu)
 
@@ -227,6 +229,9 @@ def test_estimate_tail_validation():
         estimate_tail(params, [1], runs=0, horizon=10, master_seed=0)
     with pytest.raises(ValueError):
         estimate_tail(params, [1], runs=10, horizon=0, master_seed=0)
+    for gammas in ([-math.inf, 3], [3, math.inf], [math.inf], [math.nan]):
+        with pytest.raises(ValueError):
+            estimate_tail(params, gammas, runs=10, horizon=10, master_seed=0)
 
 
 def test_estimate_tail_equals_independent_walks():

@@ -118,9 +118,9 @@ def test_utility_table_matches_scalar_oracle_exactly():
         lp = build_ns_lp(spec)
         objective, rows = ns_lp_tables(spec)
         assert np.array(lp.objective).tobytes() == np.array(objective).tobytes()
-        assert len(lp.constraints) == 1 + len(rows)
-        for got, expected in zip(lp.constraints[1:], rows):
-            assert np.array(got.coeffs).tobytes() == np.array(expected).tobytes()
+        assert lp.a.shape[0] == 1 + len(rows)
+        for got, expected in zip(lp.a[1:], rows):
+            assert got.tobytes() == np.array(expected).tobytes()
         if m <= 8:
             for _ in range(3):
                 g = rng.dirichlet(np.full(1 << m, 0.3))
@@ -147,24 +147,26 @@ def test_cautious_failure_values():
 def test_ns_lp_structure():
     small = build_ns_lp(_uniform(1))
     assert small.n == 2
-    assert len(small.constraints) == 3
-    assert small.constraints[0].relation is Relation.EQ
-    assert all(row.relation is Relation.GE for row in small.constraints[1:])
+    assert small.a.shape == (3, 2)
+    assert small.relations[0] is Relation.EQ
+    assert all(rel is Relation.GE for rel in small.relations[1:])
+    assert small.a[0].tolist() == [1.0, 1.0]
+    assert small.rhs.tolist() == [1.0, 0.0, 0.0]
 
     big = build_ns_lp(_uniform(8))
     assert big.n == 256
-    assert len(big.constraints) == 17
+    assert big.a.shape == (17, 256)
 
 
 def test_ns_lp_rows_are_read_only_views_of_one_matrix():
-    lp = build_ns_lp(_random_spec(np.random.default_rng(17), m=5))
-    deviation = [row.coeffs for row in lp.constraints[1:]]
-    # No copy per row: all 2m rows view one table, which no caller can write.
-    assert deviation[0].base is not None
-    assert all(row.base is deviation[0].base for row in deviation)
-    for arr in [lp.objective, lp.constraints[0].coeffs] + deviation:
+    tables = sync_game._tables(_random_spec(np.random.default_rng(17), m=5))
+    lp = sync_game._ns_lp(tables)
+    # No copy: the LP holds the game's own tables, which no caller can write.
+    assert lp.a is tables.a and lp.objective is tables.total
+    assert lp.a.shape == (11, 32)
+    for arr in (lp.objective, lp.a, lp.rhs):
         with pytest.raises(ValueError):
-            arr[0] = 1.0
+            arr.flat[0] = 1.0
 
 
 def test_objective_is_a_plain_sum_in_profile_order():
@@ -397,12 +399,11 @@ def test_solve_ns_objective_matches_highs():
     ]
     for spec in specs:
         lp = build_ns_lp(spec)
-        a = np.array([row.coeffs for row in lp.constraints])
         res = optimize.linprog(
-            -np.array(lp.objective),
-            A_ub=-a[1:],
-            b_ub=np.zeros(len(a) - 1),
-            A_eq=a[:1],
+            -lp.objective,
+            A_ub=-lp.a[1:],
+            b_ub=np.zeros(len(lp.a) - 1),
+            A_eq=lp.a[:1],
             b_eq=[1.0],
             method="highs",
         )
