@@ -62,10 +62,6 @@ def _broadcast(values: tuple[float, ...], m: int, name: str) -> tuple[float, ...
     raise ValueError(f"{name} must have 1 or m={m} values, got {len(values)}")
 
 
-def _fmt(value: object) -> str:
-    return str(value)
-
-
 def _grid(lo: float, hi: float, steps: int) -> list[float]:
     if steps < 2:
         raise ValueError(f"need at least 2 grid steps, got {steps}")
@@ -81,7 +77,7 @@ def _cmd_decay(args: argparse.Namespace, writer) -> None:
     writer.writerow(["x", "mu_minus_lambda", "i_value"])
     for row in surface:
         for point in row:
-            writer.writerow([_fmt(point.x), _fmt(point.rate_gap), _fmt(point.i_value)])
+            writer.writerow([point.x, point.rate_gap, point.i_value])
 
 
 def _merge_tail(per_rep: list[list[TailEstimate]]) -> list[TailEstimate]:
@@ -126,23 +122,21 @@ def _cmd_tail(args: argparse.Namespace, writer) -> None:
         print(f"note: {fit.n_excluded} zero-hit thresholds excluded from the fit", file=sys.stderr)
     writer.writerow(["gamma", "hits", "runs", "p_hat", "std_err"])
     for est in estimates:
-        writer.writerow(
-            [_fmt(est.gamma), est.hits, est.runs, _fmt(est.p_hat), _fmt(est.std_err)]
-        )
-    writer.writerow(["slope", "", "", _fmt(fit.slope), _fmt(math.log(args.mu / args.lam))])
+        writer.writerow([est.gamma, est.hits, est.runs, est.p_hat, est.std_err])
+    writer.writerow(["slope", "", "", fit.slope, math.log(args.mu / args.lam)])
 
 
 def _cmd_capacity(args: argparse.Namespace, writer) -> None:
     params = RateParams(lam=args.lam, mu=args.mu)
     writer.writerow(["epsilon", "gamma_star"])
     for eps in args.epsilons:
-        writer.writerow([_fmt(eps), _fmt(effective_capacity(ToleranceSpec(eps), params))])
+        writer.writerow([eps, effective_capacity(ToleranceSpec(eps), params)])
 
 
 def _cmd_rate(args: argparse.Namespace, writer) -> None:
     writer.writerow(["epsilon", "mu_star"])
     for eps in args.epsilons:
-        writer.writerow([_fmt(eps), _fmt(effective_rate(ToleranceSpec(eps), args.gamma, args.lam))])
+        writer.writerow([eps, effective_rate(ToleranceSpec(eps), args.gamma, args.lam)])
 
 
 def _cmd_decide(args: argparse.Namespace, writer) -> None:
@@ -161,8 +155,9 @@ def _cmd_decide(args: argparse.Namespace, writer) -> None:
     )
     for epsilon in sweep:
         report = solve_ns(GameSpec(m=m, epsilon=epsilon, alpha=alpha, cost=cost))
-        row = [_fmt(epsilon[0]), *report.chosen_profile.bits, _fmt(report.objective)]
-        writer.writerow(row + [_fmt(v) for v in report.marginals])
+        writer.writerow(
+            [epsilon[0], *report.chosen_profile.bits, report.objective, *report.marginals]
+        )
 
 
 def _cmd_sweep(args: argparse.Namespace, writer) -> None:
@@ -172,7 +167,7 @@ def _cmd_sweep(args: argparse.Namespace, writer) -> None:
     for value in args.values:
         alpha, cost = (value, args.cost) if args.param == "alpha" else (args.alpha, value)
         spec = GameSpec(m=m, epsilon=epsilon, alpha=(alpha,) * m, cost=(cost,) * m)
-        writer.writerow([_fmt(value), _fmt(solve_ns(spec).objective)])
+        writer.writerow([value, solve_ns(spec).objective])
 
 
 def _netsim_configs(args: argparse.Namespace) -> list[tuple[str, NetSimConfig]]:
@@ -243,11 +238,11 @@ def _cmd_netsim(args: argparse.Namespace, writer) -> None:
     for rep, seed in enumerate(seeds):
         for label, config in runs:
             row = _netsim_row(rep, label, simulate_detail(replace(config, master_seed=seed)))
-            writer.writerow([_fmt(v) for v in row])
+            writer.writerow(row)
             by_label.setdefault(label, []).append(row)
     for label in sorted(by_label):
         for footer in _netsim_footers(label, by_label[label]):
-            writer.writerow([_fmt(v) for v in footer])
+            writer.writerow(footer)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -272,7 +267,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     subs = parser.add_subparsers(dest="command", required=True)
     registry: dict[str, argparse.ArgumentParser] = {}
 
-    p = subs.add_parser("decay", parents=[], help="tabulate the tail decay-rate surface")
+    p = subs.add_parser("decay", help="tabulate the tail decay-rate surface")
     p.add_argument("--lam", type=float, default=3.0)
     p.add_argument("--x-min", type=float, default=0.0)
     p.add_argument("--x-max", type=float, default=1.0)

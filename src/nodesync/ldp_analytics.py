@@ -51,8 +51,9 @@ def failure_rate_approx(gamma: float, params: RateParams) -> float:
 
 
 def effective_capacity(tol: ToleranceSpec, params: RateParams) -> float:
-    """Minimum capacity keeping the failure rate at or below the tolerance."""
-    return -math.log(tol.epsilon) / math.log(params.mu / params.lam)
+    """Minimum capacity keeping the failure rate at or below the tolerance.
+    Subtracting from 0.0 keeps epsilon = 1 at +0.0 rather than -0.0."""
+    return (0.0 - math.log(tol.epsilon)) / math.log(params.mu / params.lam)
 
 
 def effective_rate(tol: ToleranceSpec, gamma: float, lam: float) -> float:

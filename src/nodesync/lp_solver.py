@@ -10,12 +10,14 @@ regular intervals and the final solution is recomputed from the terminal
 basis, so elimination round-off cannot accumulate into the reported answer.
 
 A caller that already knows a feasible vertex may pass its basis as
-`start`.  A start that is a nonsingular, primal-feasible basis of real
-(structural or slack/surplus) columns skips phase 1 and the artificial
-columns; phase 2 then pivots from it under the same Bland rule.  Any other
-start is ignored and phase 1 runs from the artificial basis.  On a
-degenerate polytope this matters: the cold start can spend thousands of
-stalled pivots finding a vertex that the caller hands over for free.
+`start`.  A start of real (structural or slack/surplus) columns becomes
+the phase-2 tableau's basis, and that tableau's factorization tests it: a
+singular basis, or a negative level after the snap of tiny levels to
+zero, drops the start.  An accepted start skips phase 1 and phase 2 pivots
+from it under the same Bland rule; otherwise phase 1 runs from the
+artificial basis.  On a degenerate polytope this matters: the cold start
+can spend thousands of stalled pivots finding a vertex that the caller
+hands over for free.
 """
 
 from __future__ import annotations
@@ -155,7 +157,6 @@ class _Tableau:
 
     def run(self) -> str:
         """Pivot until optimal or unbounded.  Bland's rule on both choices."""
-        since_refactor = 0
         while True:
             eligible = np.nonzero(self.z_row[:-1] < -PIVOT_TOL)[0]
             if eligible.size == 0:
@@ -171,27 +172,8 @@ class _Tableau:
             tied = open_rows[ratios <= ratios.min()]
             leave = int(min(tied, key=lambda i: self.basis[i]))
             self.pivot(leave, col)
-            since_refactor += 1
-            if since_refactor >= _REFACTOR_EVERY:
+            if self.pivots % _REFACTOR_EVERY == 0:
                 self.refactor()
-                since_refactor = 0
-
-
-def _feasible_start(a_real: np.ndarray, b: np.ndarray, start: Sequence[int]) -> list[int] | None:
-    """`start` as a basis of the real columns when it is a nonsingular,
-    primal-feasible one, else None.  Singular and degenerate mean what they
-    mean to the tableau: the LU factorization fails, and basic levels below
-    the refactorization's snap count as zero."""
-    basis = [int(col) for col in start]
-    rows, cols = a_real.shape
-    if len(basis) != rows or any(not 0 <= col < cols for col in basis):
-        return None
-    try:
-        levels = np.linalg.solve(a_real[:, basis], b)
-    except np.linalg.LinAlgError:
-        return None
-    levels[np.abs(levels) < _RHS_SNAP] = 0.0
-    return basis if levels.min(initial=0.0) >= 0.0 else None
 
 
 def solve(problem: LpProblem, start: Sequence[int] | None = None) -> LpSolution:
@@ -240,25 +222,38 @@ def solve(problem: LpProblem, start: Sequence[int] | None = None) -> LpSolution:
             basis.append(art_at)
             art_at += 1
 
-    warm = None if start is None else _feasible_start(a_ext[:, :n_real], b_std, start)
-    if warm is not None:
-        basis = warm
-    elif n_art > 0:
+    phase2_costs = np.zeros(n_real)
+    phase2_costs[:n] = problem.objective
+    warm = None
+    if start is not None:
+        cols = [int(col) for col in start]
+        if len(cols) == m and all(0 <= col < n_real for col in cols):
+            # The phase-2 tableau on the start basis is its own test: a
+            # singular basis fails to factorize, and a feasible one has no
+            # negative level in the snapped right-hand side.
+            try:
+                warm = _Tableau(a_ext[:, :n_real], b_std, phase2_costs, cols, phase=2)
+            except ArithmeticError:
+                pass
+            if warm is not None and not warm.rows[:, -1].min(initial=0.0) >= 0.0:
+                warm = None
+    if warm is None and n_art > 0:
         phase1_costs = np.zeros(n_real + n_art)
         phase1_costs[n_real:] = -1.0
         state = _Tableau(a_ext, b_std, phase1_costs, basis, phase=1)
         if state.run() != "optimal":
             raise ArithmeticError("phase 1 is bounded by construction")
-        values = state.basic_values()
+        # The drive-out below starts from a fresh factorization, whose
+        # right-hand side also holds the artificials' levels.
+        state.refactor()
         infeasibility = sum(
-            float(v) for bv, v in zip(basis, values) if bv >= n_real
+            float(v) for bv, v in zip(basis, state.rows[:, -1]) if bv >= n_real
         )
         if infeasibility > FEAS_TOL:
             return LpSolution(status=LpStatus.INFEASIBLE)
 
         # Artificials basic at level zero: pivot them out on the strongest
         # structural column, or drop the row entirely when it is redundant.
-        state.refactor()
         keep = np.ones(m, dtype=bool)
         for i in range(m):
             if basis[i] < n_real:
@@ -273,15 +268,15 @@ def solve(problem: LpProblem, start: Sequence[int] | None = None) -> LpSolution:
         b_std = b_std[keep]
         basis = [bv for bv, k in zip(basis, keep) if k]
 
-    a_ext = a_ext[:, :n_real]
-    phase2_costs = np.zeros(n_real)
-    phase2_costs[:n] = problem.objective
-    state = _Tableau(a_ext, b_std, phase2_costs, basis, phase=2)
+    if warm is not None:
+        state = warm
+    else:
+        state = _Tableau(a_ext[:, :n_real], b_std, phase2_costs, basis, phase=2)
     if state.run() == "unbounded":
         return LpSolution(status=LpStatus.UNBOUNDED)
 
     x = np.zeros(n)
-    for bv, value in zip(basis, state.basic_values()):
+    for bv, value in zip(state.basis, state.basic_values()):
         if bv < n:
             x[bv] = value
     x[(x < 0) & (x > -PIVOT_TOL)] = 0.0

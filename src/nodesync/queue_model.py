@@ -234,7 +234,7 @@ def estimate_tail(
     g = np.asarray(gammas, dtype=float)
     if not np.isfinite(g).all():
         raise ValueError(f"gammas must be finite, got {list(gammas)}")
-    if not np.all(np.diff(g) > 0):
+    if not np.all(g[1:] > g[:-1]):
         raise ValueError(f"gammas must be strictly increasing, got {list(gammas)}")
 
     hits = np.zeros(len(g), dtype=np.int64)

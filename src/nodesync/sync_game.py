@@ -126,12 +126,11 @@ class _Tables(NamedTuple):
 
     bits: np.ndarray  # B[k, i]: profile k sends to node i
     total: np.ndarray  # T[k]: sum of the m utilities under profile k
-    gains: np.ndarray  # G[k, i]: what decision i gains under k by keeping its action
     a: np.ndarray  # (2m + 1, 2^m) LP matrix, see _lp_matrix
 
 
 def _tables(spec: GameSpec) -> _Tables:
-    """Bit matrix, totals, keep gains and LP matrix for all 2^m profiles.
+    """Bit matrix, totals and LP matrix for all 2^m profiles.
 
     A sender's share is its success weight 1 - epsilon_i over the weight sum
     of all senders; a non-sender earns nothing.  Weight sums and totals are
@@ -151,11 +150,10 @@ def _tables(spec: GameSpec) -> _Tables:
         share = (1.0 - spec.epsilon[i]) / weight_sum[send]
         utility[send, i] = spec.alpha[i] * share - spec.cost[i]
         total += utility[:, i]
-    gains = _keep_gains(utility)
-    a = _lp_matrix(gains, bits)
+    a = _lp_matrix(_keep_gains(utility), bits)
     total.flags.writeable = False
     a.flags.writeable = False
-    return _Tables(bits=bits, total=total, gains=gains, a=a)
+    return _Tables(bits=bits, total=total, a=a)
 
 
 def _keep_gains(utility: np.ndarray) -> np.ndarray:
@@ -304,7 +302,9 @@ def _best_pure_index(tables: _Tables) -> int:
     and Zapechelnyuk, Games Econ. Behav. 2006).  The LookupError below
     therefore cannot fire on exact data.
     """
-    stable = np.all(-tables.gains <= 1e-9, axis=1)
+    # Column k of the deviation rows holds each decision's keep gain under
+    # profile k, beside a 0 in the decision's other row.
+    stable = np.all(tables.a[1:] >= -1e-9, axis=0)
     if not stable.any():
         raise LookupError("no pure-profile correlated equilibrium exists for this spec")
     return int(np.argmax(np.where(stable, tables.total, -np.inf)))

@@ -87,6 +87,8 @@ def test_capacity_and_rate_tables():
     assert lines[0] == "epsilon,gamma_star"
     assert float(lines[1].split(",")[1]) == pytest.approx(6.643856, abs=1e-5)
     assert float(lines[2].split(",")[1]) == 0.0
+    code, out = run_cli(["capacity"])
+    assert code == 0 and out.split("\n")[-2] == "1.0,0.0" and "-0.0" not in out
 
     code, out = run_cli(["rate", "--epsilons", "0.01,1", "--gamma", "10"])
     assert code == 0
@@ -188,6 +190,16 @@ def test_overflowing_inputs_fail_before_any_numerics(capfd, monkeypatch):
         assert out == "", args
         assert err.startswith("nodesync: error: ") and err.count("\n") == 1, (args, err)
         assert "DLASCL" not in err
+
+
+def test_overflowing_threshold_gap_is_one_clean_error(capfd):
+    # Valid thresholds, so the walks run; no warning of the order check
+    # may reach stderr before the fit's error line.
+    args = ["tail", "--gammas=-1e308,1e308", "--runs", "20", "--horizon", "20", "--reps", "1"]
+    assert main(args) == 1
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err.startswith("nodesync: error: ") and err.count("\n") == 1, err
 
 
 def test_invalid_input_writes_no_rows(tmp_path):

@@ -64,6 +64,7 @@ def test_failure_rate_values():
 def test_effective_capacity_values():
     params = RateParams(lam=3.0, mu=6.0)
     assert effective_capacity(ToleranceSpec(1.0), params) == 0.0
+    assert math.copysign(1.0, effective_capacity(ToleranceSpec(1.0), params)) == 1.0
     assert effective_capacity(ToleranceSpec(0.01), params) == pytest.approx(6.643856, abs=1e-5)
 
 

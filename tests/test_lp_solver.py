@@ -7,7 +7,7 @@ import pytest
 
 from bruteforce import brute_force_solve, random_feasible_problem, random_problem
 from nodesync.lp_solver import LpProblem, LpStatus, Relation, _Tableau, solve
-from nodesync.sync_game import GameSpec, best_pure_profile, build_ns_lp
+from nodesync.sync_game import GameSpec, best_pure_profile, build_ns_lp, solve_ns
 
 LE, EQ, GE = Relation.LE, Relation.EQ, Relation.GE
 
@@ -291,6 +291,37 @@ def test_start_at_an_optimal_vertex_is_returned_exactly():
     sol = solve(build_ns_lp(spec), start=[best.index] + list(range(n, n + 2 * m)))
     assert np.array_equal(sol.x, np.eye(n)[best.index])
     assert sol.objective_value == value
+
+
+def _count_basis_solves(monkeypatch):
+    calls = []
+    real = np.linalg.solve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    return calls
+
+
+def test_accepted_start_costs_two_basis_solves(monkeypatch):
+    # One factorization builds the phase-2 tableau and accepts the start;
+    # one more gives the final levels.
+    spec = GameSpec.uniform(8, 0.2, 10.0, 5.0)
+    calls = _count_basis_solves(monkeypatch)
+    solve_ns(spec)
+    assert len(calls) <= 2
+
+
+def test_cold_two_phase_solve_costs_four_basis_solves(monkeypatch):
+    # Phase 1's tableau, its exit refactor (which also reads the
+    # infeasibility), phase 2's tableau and the final levels.
+    prob = LpProblem([1, 1], [[1, 1], [1, 0]], [EQ, GE], [1, 0.25])
+    calls = _count_basis_solves(monkeypatch)
+    sol = solve(prob)
+    assert sol.status is LpStatus.OPTIMAL and sol.objective_value == pytest.approx(1.0)
+    assert len(calls) <= 4
 
 
 def test_singular_basis_error_names_phase_and_pivots():

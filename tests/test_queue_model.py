@@ -234,6 +234,12 @@ def test_estimate_tail_validation():
             estimate_tail(params, gammas, runs=10, horizon=10, master_seed=0)
 
 
+def test_estimate_tail_accepts_thresholds_whose_gap_overflows():
+    # 1e308 - (-1e308) overflows, so the order check must not subtract.
+    estimates = estimate_tail(RateParams(3, 6), [-1e308, 1e308], 20, 20, 1)
+    assert [est.hits for est in estimates] == [20, 0]
+
+
 def test_estimate_tail_equals_independent_walks():
     params = RateParams(lam=3.0, mu=6.0)
     runs, horizon = 40, 120
