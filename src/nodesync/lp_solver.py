@@ -1,23 +1,22 @@
-"""Dense two-phase primal simplex with Bland's anti-cycling rule.
+"""Two-phase revised simplex with Bland's anti-cycling rule.
 
 Solves   maximize c . x   subject to   a x (relations) rhs   and   x >= 0,
 where the constraint matrix `a` has one row per relation (<=, == or >=)
-and one column per variable.  Determinism is built in: the entering
-variable is the lowest eligible index and ratio-test ties leave the row
-whose basic variable has the lowest index, which also guarantees
-termination.  The tableau is refactorized from the original data at
-regular intervals and the final solution is recomputed from the terminal
-basis, so elimination round-off cannot accumulate into the reported answer.
+and one column per variable.  The entering variable is the lowest
+eligible index and ratio-test ties leave the row whose basic variable has
+the lowest index, which makes the result deterministic and guarantees
+termination.  The state is the basis alone (Dantzig and Orchard-Hays
+1954): each pivot solves with B = a[:, basis], taken from the original
+data, for the prices y = B^-T c_B and for B^-1 [b | a_j], so round-off
+cannot build up from pivot to pivot, and the answer is B^-1 b of the last
+basis.
 
 A caller that already knows a feasible vertex may pass its basis as
-`start`.  A start of real (structural or slack/surplus) columns becomes
-the phase-2 tableau's basis, and that tableau's factorization tests it: a
-singular basis, or a negative level after the snap of tiny levels to
-zero, drops the start.  An accepted start skips phase 1 and phase 2 pivots
-from it under the same Bland rule; otherwise phase 1 runs from the
-artificial basis.  On a degenerate polytope this matters: the cold start
-can spend thousands of stalled pivots finding a vertex that the caller
-hands over for free.
+`start`.  A start of real (structural or slack/surplus) columns whose
+levels solve and, once tiny levels snap to zero, are all nonnegative
+skips phase 1; any other start runs phase 1 from the artificial basis.
+On a degenerate polytope this matters: the cold start can spend thousands
+of stalled pivots finding a vertex that the caller hands over for free.
 """
 
 from __future__ import annotations
@@ -34,9 +33,7 @@ FEAS_TOL = 1e-8
 MAX_VARS = 65536
 MAX_ROWS = 4096
 
-# Pivots between refactorizations of the tableau from the original data.
-_REFACTOR_EVERY = 64
-# Refreshed right-hand sides below this magnitude are degenerate zeros.
+# Basic levels below this magnitude are degenerate zeros.
 _RHS_SNAP = 1e-11
 
 
@@ -86,9 +83,9 @@ class LpProblem:
         object.__setattr__(self, "rhs", _frozen(self.rhs, 1))
         n, rows = self.n, len(self.relations)
         if not 1 <= n <= MAX_VARS:
-            raise ValueError(f"need 1 to {MAX_VARS} variables (the dense-tableau cap), got {n}")
+            raise ValueError(f"need 1 to {MAX_VARS} variables (the dense-matrix cap), got {n}")
         if rows > MAX_ROWS:
-            raise ValueError(f"{rows} rows exceed the dense-tableau cap of {MAX_ROWS}")
+            raise ValueError(f"{rows} rows exceed the dense-matrix cap of {MAX_ROWS}")
         if self.a.shape != (rows, n) or self.rhs.shape != (rows,):
             raise ValueError(
                 f"a has shape {self.a.shape} and rhs {self.rhs.shape}; "
@@ -109,71 +106,77 @@ class LpSolution:
     objective_value: float | None = None
 
 
-class _Tableau:
-    """Simplex state over an immutable extended system [a_ext | b]."""
+class _Simplex:
+    """Simplex state over an immutable system a x = b: the basis, as its
+    column indices and the basis matrix a[:, basis]."""
 
     def __init__(
-        self, a_ext: np.ndarray, b: np.ndarray, costs: np.ndarray, basis: list[int], phase: int
+        self, a: np.ndarray, b: np.ndarray, costs: np.ndarray, basis: Sequence[int], phase: int
     ):
-        self.a_ext = a_ext
+        self.a = a
         self.b = b
         self.costs = costs
-        self.basis = basis
+        self.basis = np.array(basis, dtype=np.intp)
         self.phase = phase
         self.pivots = 0
-        self.rows: np.ndarray = np.empty(0)
-        self.z_row: np.ndarray = np.empty(0)
-        self.refactor()
+        self.matrix = a[:, self.basis]
+        self._levels = None
+        self.levels()  # a singular basis fails here
 
-    def _solve_basis(self, rhs: np.ndarray) -> np.ndarray:
+    def _solve(self, matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         try:
-            return np.linalg.solve(self.a_ext[:, self.basis], rhs)
+            return np.linalg.solve(matrix, rhs)
         except np.linalg.LinAlgError as exc:
             raise ArithmeticError(
                 f"basis matrix became singular in phase {self.phase} after "
                 f"{self.pivots} pivots ({len(self.basis)} rows)"
             ) from exc
 
-    def refactor(self) -> None:
-        """Rebuild rows = B^-1 [a_ext | b] and the z-row from scratch."""
-        fresh = self._solve_basis(np.column_stack([self.a_ext, self.b]))
-        rhs = fresh[:, -1]
-        rhs[np.abs(rhs) < _RHS_SNAP] = 0.0
-        self.rows = fresh
-        self.z_row = self.costs[self.basis] @ fresh
-        self.z_row[:-1] -= self.costs
-
-    def basic_values(self) -> np.ndarray:
-        return self._solve_basis(self.b)
+    def levels(self) -> np.ndarray:
+        """The basic levels B^-1 b, unsnapped; solved once per basis."""
+        if self._levels is None:
+            self._levels = self._solve(self.matrix, self.b)
+        return self._levels
 
     def pivot(self, row: int, col: int) -> None:
-        self.rows[row] /= self.rows[row, col]
-        factors = self.rows[:, col].copy()
-        factors[row] = 0.0
-        self.rows -= np.outer(factors, self.rows[row])
-        self.z_row -= self.z_row[col] * self.rows[row]
+        self.matrix[:, row] = self.a[:, col]
         self.basis[row] = col
         self.pivots += 1
+        self._levels = None
 
     def run(self) -> str:
         """Pivot until optimal or unbounded.  Bland's rule on both choices."""
+        a, costs, basis = self.a, self.costs, self.basis
+        rhs = np.stack([self.b, self.b], axis=1)  # [b | entering column]
+        floor = costs - PIVOT_TOL  # a reduced cost below -PIVOT_TOL
+        vertex = None
         while True:
-            eligible = np.nonzero(self.z_row[:-1] < -PIVOT_TOL)[0]
-            if eligible.size == 0:
+            eligible = self._solve(self.matrix.T, costs[basis]) @ a < floor
+            eligible[basis] = False  # a basic column prices at zero, whatever the round-off
+            col = int(eligible.argmax())
+            if not eligible[col]:
                 return "optimal"
-            col = int(eligible[0])
-            direction = self.rows[:, col]
-            open_rows = np.nonzero(direction > PIVOT_TOL)[0]
+            rhs[:, 1] = a[:, col]
+            fresh = self._solve(self.matrix, rhs)
+            direction = fresh[:, 1]
+            # Round-off grows with the column's largest entry; a pivot on
+            # round-off would leave the basis singular.
+            open_rows = (direction > PIVOT_TOL * max(1.0, direction.max())).nonzero()[0]
             if open_rows.size == 0:
                 return "unbounded"
             # Ties must be recognized exactly (degenerate rows carry an
-            # exact zero rhs) or the anti-cycling guarantee is void.
-            ratios = self.rows[open_rows, -1] / direction[open_rows]
-            tied = open_rows[ratios <= ratios.min()]
-            leave = int(min(tied, key=lambda i: self.basis[i]))
-            self.pivot(leave, col)
-            if self.pivots % _REFACTOR_EVERY == 0:
-                self.refactor()
+            # exact zero level) or the anti-cycling guarantee is void.  A
+            # degenerate pivot does not move the vertex, so its snapped
+            # levels are kept until a pivot does: all its bases see one tie set.
+            if vertex is None:
+                vertex = fresh[:, 0]
+                vertex[np.abs(vertex) < _RHS_SNAP] = 0.0
+            ratios = vertex[open_rows] / direction[open_rows]
+            step = ratios.min()
+            tied = open_rows[ratios <= step]
+            self.pivot(int(tied[basis[tied].argmin()]), col)
+            if step != 0.0:
+                vertex = None
 
 
 def solve(problem: LpProblem, start: Sequence[int] | None = None) -> LpSolution:
@@ -228,27 +231,22 @@ def solve(problem: LpProblem, start: Sequence[int] | None = None) -> LpSolution:
     if start is not None:
         cols = [int(col) for col in start]
         if len(cols) == m and all(0 <= col < n_real for col in cols):
-            # The phase-2 tableau on the start basis is its own test: a
-            # singular basis fails to factorize, and a feasible one has no
-            # negative level in the snapped right-hand side.
+            # The phase-2 state on the start basis is its own test: a
+            # singular basis fails to solve for its levels, and a feasible
+            # one has none below zero once tiny levels snap to zero.
             try:
-                warm = _Tableau(a_ext[:, :n_real], b_std, phase2_costs, cols, phase=2)
+                warm = _Simplex(a_ext[:, :n_real], b_std, phase2_costs, cols, phase=2)
             except ArithmeticError:
                 pass
-            if warm is not None and not warm.rows[:, -1].min(initial=0.0) >= 0.0:
+            if warm is not None and not warm.levels().min(initial=0.0) > -_RHS_SNAP:
                 warm = None
     if warm is None and n_art > 0:
         phase1_costs = np.zeros(n_real + n_art)
         phase1_costs[n_real:] = -1.0
-        state = _Tableau(a_ext, b_std, phase1_costs, basis, phase=1)
+        state = _Simplex(a_ext, b_std, phase1_costs, basis, phase=1)
         if state.run() != "optimal":
             raise ArithmeticError("phase 1 is bounded by construction")
-        # The drive-out below starts from a fresh factorization, whose
-        # right-hand side also holds the artificials' levels.
-        state.refactor()
-        infeasibility = sum(
-            float(v) for bv, v in zip(basis, state.rows[:, -1]) if bv >= n_real
-        )
+        infeasibility = float(state.levels()[state.basis >= n_real].sum())
         if infeasibility > FEAS_TOL:
             return LpSolution(status=LpStatus.INFEASIBLE)
 
@@ -256,9 +254,10 @@ def solve(problem: LpProblem, start: Sequence[int] | None = None) -> LpSolution:
         # structural column, or drop the row entirely when it is redundant.
         keep = np.ones(m, dtype=bool)
         for i in range(m):
-            if basis[i] < n_real:
+            if state.basis[i] < n_real:
                 continue
-            magnitudes = np.abs(state.rows[i, :n_real])
+            # Row i of B^-1 a, read as (B^-T e_i) . a.
+            magnitudes = np.abs(state._solve(state.matrix.T, np.eye(m)[i]) @ a_ext[:, :n_real])
             col = int(magnitudes.argmax())
             if magnitudes[col] > PIVOT_TOL:
                 state.pivot(i, col)
@@ -266,19 +265,18 @@ def solve(problem: LpProblem, start: Sequence[int] | None = None) -> LpSolution:
                 keep[i] = False
         a_ext = a_ext[keep]
         b_std = b_std[keep]
-        basis = [bv for bv, k in zip(basis, keep) if k]
+        basis = state.basis[keep]
 
     if warm is not None:
         state = warm
     else:
-        state = _Tableau(a_ext[:, :n_real], b_std, phase2_costs, basis, phase=2)
+        state = _Simplex(a_ext[:, :n_real], b_std, phase2_costs, basis, phase=2)
     if state.run() == "unbounded":
         return LpSolution(status=LpStatus.UNBOUNDED)
 
     x = np.zeros(n)
-    for bv, value in zip(state.basis, state.basic_values()):
-        if bv < n:
-            x[bv] = value
+    structural = state.basis < n
+    x[state.basis[structural]] = state.levels()[structural]
     x[(x < 0) & (x > -PIVOT_TOL)] = 0.0
     _check_feasible(a, b, relations, x)
     return LpSolution(

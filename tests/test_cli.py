@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import nodesync
 from nodesync import cli, sim_harness
 from nodesync.cli import main
 from nodesync.queue_model import RateParams, estimate_tail
-from nodesync.sync_game import GameSpec, best_pure_profile, solve_ns
+from nodesync.sync_game import GameSpec, best_pure_profile, is_correlated_equilibrium, solve_ns
 
 
 def run_cli(args):
@@ -118,6 +119,37 @@ def test_decide_explicit_vector_mode():
     cells = lines[1].split(",")
     assert cells[0] == "0.3"
     assert (cells[1], cells[2]) == ("0", "1")
+
+
+# Specs with profit high next to cost and unequal tolerances, on which the
+# equilibrium LP used to exit 2 ("basis matrix became singular in phase 2")
+# or, the last one, to run for more than 580 s.
+_HIGH_RATIO_DECIDE = {
+    "m8": ("0.45,0.58,0.79,0.1,0.77,0.56,0.57,0.1", 33.8, 0.15),
+    "m10": ("0.42,0.67,0.44,0.51,0.73,0.11,0.66,0.09,0.27,0.7", 15.4, 0.25),
+    "m10_stall": ("0.33,0.75,0.26,0.82,0.49,0.65,0.57,0.17,0.94,0.68", 10.0, 0.1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HIGH_RATIO_DECIDE))
+def test_decide_high_profit_to_cost_specs(name):
+    epsilon, alpha, cost = _HIGH_RATIO_DECIDE[name]
+    m = epsilon.count(",") + 1
+    args = ["decide", "--m", str(m), "--epsilon", epsilon]
+    args += ["--alpha", str(alpha), "--cost", str(cost)]
+    start = time.perf_counter()
+    code, out = run_cli(args)
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert elapsed < 5.0, f"took {elapsed:.2f}s"
+    lines = out.splitlines()
+    assert len(lines) == 2
+    tolerances = tuple(float(e) for e in epsilon.split(","))
+    spec = GameSpec(m=m, epsilon=tolerances, alpha=(alpha,) * m, cost=(cost,) * m)
+    report = solve_ns(spec)
+    assert is_correlated_equilibrium(report.distribution, spec, tol=1e-8).ok
+    assert report.objective >= best_pure_profile(spec)[1] - 1e-8
+    assert float(lines[1].split(",")[m + 1]) == report.objective
 
 
 def test_sweep_alpha_and_cost_zero():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bruteforce import brute_force_solve, random_feasible_problem, random_problem
-from nodesync.lp_solver import LpProblem, LpStatus, Relation, _Tableau, solve
+from nodesync.lp_solver import LpProblem, LpStatus, Relation, _Simplex, solve
 from nodesync.sync_game import GameSpec, best_pure_profile, build_ns_lp, solve_ns
 
 LE, EQ, GE = Relation.LE, Relation.EQ, Relation.GE
@@ -294,38 +294,54 @@ def test_start_at_an_optimal_vertex_is_returned_exactly():
 
 
 def _count_basis_solves(monkeypatch):
+    """Record the shape of the right-hand side of every np.linalg.solve call."""
     calls = []
     real = np.linalg.solve
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(matrix, rhs):
+        calls.append(np.shape(rhs))
+        return real(matrix, rhs)
 
     monkeypatch.setattr(np.linalg, "solve", counting)
     return calls
 
 
 def test_accepted_start_costs_two_basis_solves(monkeypatch):
-    # One factorization builds the phase-2 tableau and accepts the start;
-    # one more gives the final levels.
+    # The start basis's levels accept it and are the final levels; one
+    # pricing finds no entering column.
     spec = GameSpec.uniform(8, 0.2, 10.0, 5.0)
     calls = _count_basis_solves(monkeypatch)
     solve_ns(spec)
     assert len(calls) <= 2
 
 
-def test_cold_two_phase_solve_costs_four_basis_solves(monkeypatch):
-    # Phase 1's tableau, its exit refactor (which also reads the
-    # infeasibility), phase 2's tableau and the final levels.
-    prob = LpProblem([1, 1], [[1, 1], [1, 0]], [EQ, GE], [1, 0.25])
+# maximize x1 + x2  subject to  x1 + x2 == 1  and  x1 >= 0.25.
+_TWO_ROW = LpProblem([1, 1], [[1, 1], [1, 0]], [EQ, GE], [1, 0.25])
+
+
+def test_basis_solves_take_at_most_two_right_hand_sides(monkeypatch):
+    # Each solve is a vector or the pair [b | entering column], never a
+    # solve for every column of the program.
     calls = _count_basis_solves(monkeypatch)
-    sol = solve(prob)
+    assert solve(_TWO_ROW).status is LpStatus.OPTIMAL
+    solve_ns(GameSpec.uniform(8, 0.2, 10.0, 5.0))
+    assert calls and all(len(shape) == 1 or shape[1] <= 2 for shape in calls), calls
+
+
+def test_cold_two_phase_solve_costs_nine_basis_solves(monkeypatch):
+    # Phase 1 from the artificial basis: its levels (1), two pivots of a
+    # pricing and a [b | entering column] solve each (4), the pricing that
+    # finds no entering column (1) and the levels that show zero
+    # infeasibility (1).  Phase 2 on the same columns: its levels (1) and
+    # one pricing (1); with no pivot, those levels are the answer.
+    calls = _count_basis_solves(monkeypatch)
+    sol = solve(_TWO_ROW)
     assert sol.status is LpStatus.OPTIMAL and sol.objective_value == pytest.approx(1.0)
-    assert len(calls) <= 4
+    assert len(calls) == 9
 
 
 def test_singular_basis_error_names_phase_and_pivots():
     a_ext = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(ArithmeticError, match=r"singular in phase 1 after 0 pivots"):
-        _Tableau(a_ext, np.ones(2), np.zeros(2), [0, 1], phase=1)
+        _Simplex(a_ext, np.ones(2), np.zeros(2), [0, 1], phase=1)
 

@@ -389,6 +389,21 @@ def test_solve_ns_without_pure_equilibrium_runs_phase_1(monkeypatch):
         assert is_correlated_equilibrium(got.distribution, spec, tol=1e-8).ok
 
 
+def _highs_objective(optimize, spec):
+    """The best correlated equilibrium's total utility, as HiGHS finds it."""
+    lp = build_ns_lp(spec)
+    res = optimize.linprog(
+        -lp.objective,
+        A_ub=-lp.a[1:],
+        b_ub=np.zeros(len(lp.a) - 1),
+        A_eq=lp.a[:1],
+        b_eq=[1.0],
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return -res.fun
+
+
 def test_solve_ns_objective_matches_highs():
     optimize = pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(404)
@@ -398,14 +413,48 @@ def test_solve_ns_objective_matches_highs():
         for eps in _SINGULAR_COLD_START.values()
     ]
     for spec in specs:
-        lp = build_ns_lp(spec)
-        res = optimize.linprog(
-            -lp.objective,
-            A_ub=-lp.a[1:],
-            b_ub=np.zeros(len(lp.a) - 1),
-            A_eq=lp.a[:1],
-            b_eq=[1.0],
-            method="highs",
-        )
-        assert res.status == 0, res.message
-        assert solve_ns(spec).objective == pytest.approx(-res.fun, abs=1e-7), spec
+        want = _highs_objective(optimize, spec)
+        assert solve_ns(spec).objective == pytest.approx(want, abs=1e-7), spec
+
+
+def _high_ratio_specs():
+    """Thirty specs where profit is high next to cost: m = 8..10,
+    tolerances round(U[0.05, 0.95], 2), alpha = 10 and alpha/cost in
+    {20, 60, 100, 260}.  Their equilibrium LPs are massively degenerate:
+    the simplex makes thousands of pivots, most of them at one vertex.
+    Two specs from the same generator at seed 8 (its specs 17 and 26)
+    close the list: on them the simplex re-entered a basic column whose
+    reduced cost round-off made negative, and pivoted on a round-off entry
+    into a singular basis."""
+    rng = np.random.default_rng(20261018)
+    specs = {}
+    for k in range(30):
+        m = 8 + k % 3
+        ratio = (20, 60, 100, 260)[k % 4]
+        eps = tuple(round(float(e), 2) for e in rng.uniform(0.05, 0.95, size=m))
+        specs[f"spec{k}"] = (eps, ratio)
+    specs["basic_column"] = ((0.68, 0.43, 0.19, 0.27, 0.95, 0.33, 0.35, 0.51, 0.15, 0.19), 60)
+    specs["round_off_pivot"] = ((0.81, 0.42, 0.06, 0.24, 0.25, 0.11, 0.92, 0.44, 0.55, 0.59), 100)
+    return {
+        name: GameSpec(m=len(e), epsilon=e, alpha=(10.0,) * len(e), cost=(10.0 / r,) * len(e))
+        for name, (e, r) in specs.items()
+    }
+
+
+_HIGH_RATIO = _high_ratio_specs()
+
+
+@pytest.mark.parametrize("name", list(_HIGH_RATIO))
+def test_solve_ns_high_profit_to_cost_sweep(name):
+    spec = _HIGH_RATIO[name]
+    start = time.perf_counter()
+    report = solve_ns(spec)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0, f"took {elapsed:.2f}s"
+    assert is_correlated_equilibrium(report.distribution, spec, tol=1e-8).ok
+    assert report.objective >= best_pure_profile(spec)[1] - 1e-8
+    try:
+        from scipy import optimize
+    except ImportError:
+        return
+    assert report.objective == pytest.approx(_highs_objective(optimize, spec), abs=1e-7)
