@@ -49,9 +49,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _float_list(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(part) for part in text.split(",") if part.strip() != "")
+        values = tuple(float(part) for part in text.split(",") if part.strip() != "")
     except ValueError as exc:
         raise ValueError(f"expected comma-separated numbers, got {text!r}") from exc
+    if not values:
+        raise ValueError(f"expected at least one number, got {text!r}")
+    return values
 
 
 def _broadcast(values: tuple[float, ...], m: int, name: str) -> tuple[float, ...]:
@@ -85,16 +88,7 @@ def _merge_tail(per_rep: list[list[TailEstimate]]) -> list[TailEstimate]:
     for cells in zip(*per_rep):
         runs = sum(c.runs for c in cells)
         hits = sum(c.hits for c in cells)
-        p_hat = hits / runs
-        merged.append(
-            TailEstimate(
-                gamma=cells[0].gamma,
-                runs=runs,
-                hits=hits,
-                p_hat=p_hat,
-                std_err=math.sqrt(p_hat * (1.0 - p_hat) / runs),
-            )
-        )
+        merged.append(TailEstimate.from_hits(cells[0].gamma, runs, hits))
     return merged
 
 

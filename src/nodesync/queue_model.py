@@ -24,18 +24,15 @@ MAX_SCALAR_RATE = 30.0
 # Table-size guard for the CDF (table length grows linearly in rate).
 MAX_VECTOR_RATE = 50_000.0
 
-# Number of walks vectorized together inside estimate_tail.  Results are
-# independent of this value because every run has its own seeded stream.
-_WALK_BATCH = 256
-# Cap on uniforms held per batch (doubles); long horizons shrink the batch.
-_BATCH_BUDGET = 8_000_000
 # Poisson inversion counts the CDF entries below each uniform over the head
 # of the table that holds _HEAD_MASS of the mass; beyond it, and for tables
-# whose head exceeds _MAX_HEAD entries, it binary-searches the table.  The
-# count runs over blocks of about _BLOCK uniforms (1 MiB of doubles), so a
-# block stays in a per-core L2 cache across the passes over the head.
+# whose head exceeds _MAX_HEAD entries, it binary-searches the table.
 # On a 2-core x86 VM with 256 x 5000 uniforms, counting beat the binary
 # search up to heads of about 130 entries (rate 100) and lost beyond.
+# estimate_tail holds _BLOCK // horizon walks (at least one) and
+# poisson_counts draws in pieces of _BLOCK, so an inversion call sees at most
+# _BLOCK uniforms (1 MiB of doubles) unless one walk is longer; they stay in
+# a per-core L2 cache across the passes over the head.
 _HEAD_MASS = 0.999
 _MAX_HEAD = 128
 _BLOCK = 1 << 17
@@ -78,6 +75,12 @@ class TailEstimate:
     hits: int
     p_hat: float
     std_err: float
+
+    @classmethod
+    def from_hits(cls, gamma: float, runs: int, hits: int) -> TailEstimate:
+        """The estimate from `hits` of `runs` walks over gamma."""
+        p_hat = hits / runs
+        return cls(gamma, runs, hits, p_hat, math.sqrt(p_hat * (1.0 - p_hat) / runs))
 
 
 @dataclass(frozen=True)
@@ -157,20 +160,17 @@ def _poisson_inverse(rate: float, u: np.ndarray) -> np.ndarray:
     table (about 99.9 % of the mass) it is counted with one vectorised
     comparison per entry; the rare uniforms beyond the head, and all
     uniforms of rates with a long head, are binary-searched.  The draws come
-    in the narrowest signed integer type that holds +-(len(F) - 1).
+    in the narrowest signed integer type that holds +-(len(F) - 1).  Every
+    head entry is one pass over u, so callers pass blocks of _BLOCK or less.
     """
     check_sampling_rate(rate)
     cdf = _poisson_cdf(rate)
     head = _head_length(rate)
     counts = np.zeros(u.shape, dtype=_count_dtype(len(cdf)))
-    rows = max(1, _BLOCK * len(u) // max(u.size, 1))
-    above = np.empty((rows,) + u.shape[1:], dtype=bool)
-    for start in range(0, len(u), rows):
-        block, block_counts = u[start : start + rows], counts[start : start + rows]
-        mask = above[: len(block)]
-        for f in cdf[:head]:
-            np.greater(block, f, out=mask)
-            block_counts += mask
+    above = np.empty(u.shape, dtype=bool)
+    for f in cdf[:head]:
+        np.greater(u, f, out=above)
+        counts += above
     beyond = np.nonzero(counts == head)
     counts[beyond] = np.minimum(np.searchsorted(cdf, u[beyond], side="left"), len(cdf) - 1)
     return counts
@@ -179,8 +179,14 @@ def _poisson_inverse(rate: float, u: np.ndarray) -> np.ndarray:
 def poisson_counts(rate: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """n Poisson(rate) draws (int64) by inversion of n uniforms taken from
     `rng` in stream order, so the result is a pure function of the stream
-    state."""
-    return _poisson_inverse(rate, rng.random(n)).astype(np.int64)
+    state.  The uniforms are drawn and inverted in pieces of _BLOCK, which
+    on PCG64 yields the same doubles as one draw of n."""
+    check_sampling_rate(rate)
+    counts = np.empty(n, dtype=np.int64)
+    for start in range(0, n, _BLOCK):
+        piece = counts[start : start + _BLOCK]
+        piece[:] = _poisson_inverse(rate, rng.random(len(piece)))
+    return counts
 
 
 def _walk_sups(params: RateParams, uniforms: np.ndarray) -> np.ndarray:
@@ -222,8 +228,10 @@ def estimate_tail(
 
     Every run is an independent walk whose stream is seeded with
     derive_seed(master_seed, run_index); results are therefore identical no
-    matter how runs are batched or parallelized.  All thresholds are counted
-    against the same run set, which makes p_hat nonincreasing in gamma.
+    matter how runs are batched or parallelized.  A batch holds
+    _BLOCK // horizon walks (at least one), one inversion block per half.  All
+    thresholds are counted against the same run set, which makes p_hat
+    nonincreasing in gamma.
     """
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
@@ -238,7 +246,7 @@ def estimate_tail(
         raise ValueError(f"gammas must be strictly increasing, got {list(gammas)}")
 
     hits = np.zeros(len(g), dtype=np.int64)
-    batch_rows = max(1, min(_WALK_BATCH, _BATCH_BUDGET // (2 * horizon), runs))
+    batch_rows = max(1, min(_BLOCK // horizon, runs))
     uniforms = np.empty((batch_rows, 2 * horizon))
     done = 0
     while done < runs:
@@ -249,17 +257,7 @@ def estimate_tail(
         sups = _walk_sups(params, uniforms[:nb])
         hits += (sups[:, None] > g[None, :]).sum(axis=0)
         done += nb
-
-    out = []
-    for gamma, h in zip(g, hits):
-        p_hat = h / runs
-        std_err = math.sqrt(p_hat * (1.0 - p_hat) / runs)
-        out.append(
-            TailEstimate(
-                gamma=float(gamma), runs=runs, hits=int(h), p_hat=p_hat, std_err=std_err
-            )
-        )
-    return out
+    return [TailEstimate.from_hits(float(gamma), runs, int(h)) for gamma, h in zip(g, hits)]
 
 
 def fit_decay_slope(estimates: Sequence[TailEstimate]) -> SlopeFit:

@@ -247,6 +247,10 @@ def test_invalid_input_writes_no_rows(tmp_path):
         ["decay", "--lam", "-1"],
         ["capacity", "--epsilons", "0.1,-1"],
         ["rate", "--epsilons", "0.1,2"],
+        ["capacity", "--epsilons", ","],
+        ["rate", "--epsilons", ","],
+        ["decide", "--eps1", ","],
+        ["sweep", "--values", ","],
         ["rate", "--gamma", "-1"],
         ["decide", "--m", "2", "--alpha", "nan"],
         ["decide", "--m", "2", "--alpha", "inf"],

@@ -102,7 +102,8 @@ def test_poisson_inverse_equals_binary_search_oracle(rate):
     draws = qm._poisson_inverse(rate, u)
     assert np.array_equal(draws, poisson_inverse(rate, u))
     assert draws.dtype == qm._count_dtype(len(cdf))
-    # Two-dimensional blocks, as the walk passes them, invert alike.
+    # A strided two-dimensional view, as the walk passes its halves, inverts
+    # alike.
     grid = make_rng(18).random((300, 900))[:, 100:800]
     assert np.array_equal(qm._poisson_inverse(rate, grid), poisson_inverse(rate, grid))
 
@@ -215,6 +216,7 @@ def test_estimate_tail_shares_one_run_set():
         assert e.runs == 2000
         assert e.hits == round(e.p_hat * e.runs)
         assert e.std_err == pytest.approx(math.sqrt(e.p_hat * (1 - e.p_hat) / e.runs))
+        assert type(e.p_hat) is float
 
 
 def test_estimate_tail_validation():
@@ -255,9 +257,34 @@ def test_estimate_tail_equals_independent_walks():
 def test_estimate_tail_independent_of_batch_size(monkeypatch):
     params = RateParams(lam=3.0, mu=6.0)
     baseline = estimate_tail(params, [1, 4], runs=300, horizon=100, master_seed=3)
-    monkeypatch.setattr(qm, "_WALK_BATCH", 7)
-    rebatched = estimate_tail(params, [1, 4], runs=300, horizon=100, master_seed=3)
-    assert baseline == rebatched
+    # 7-walk batches, which do not divide the runs, and the 1-walk floor.
+    for block in (7 * 100, 50):
+        monkeypatch.setattr(qm, "_BLOCK", block)
+        rebatched = estimate_tail(params, [1, 4], runs=300, horizon=100, master_seed=3)
+        assert baseline == rebatched
+
+
+def test_estimate_tail_inverts_at_most_one_block(monkeypatch):
+    sizes = []
+    inverse = qm._poisson_inverse
+
+    def recording_inverse(rate, u):
+        sizes.append(u.size)
+        return inverse(rate, u)
+
+    monkeypatch.setattr(qm, "_poisson_inverse", recording_inverse)
+    estimate_tail(RateParams(lam=3.0, mu=6.0), [2], runs=60, horizon=5000, master_seed=4)
+    assert sizes and max(sizes) <= qm._BLOCK
+
+
+def test_poisson_counts_blocks_match_one_inversion():
+    n = 2 * qm._BLOCK + 5
+    for rate, seed in ((3.0, 31), (200.0, 32)):
+        draws = poisson_counts(rate, n, make_rng(seed))
+        assert draws.dtype == np.int64
+        assert np.array_equal(draws, poisson_inverse(rate, make_rng(seed).random(n)))
+    with pytest.raises(ValueError):
+        poisson_counts(0.0, 0, make_rng(1))
 
 
 def test_estimate_tail_deterministic_and_seed_sensitive():
