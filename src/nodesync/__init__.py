@@ -20,11 +20,9 @@ from .queue_model import (
     RateParams,
     SlopeFit,
     TailEstimate,
-    WalkResult,
     estimate_tail,
     fit_decay_slope,
     poisson_counts,
-    simulate_walk,
 )
 from .seeding import derive_seed, make_rng, splitmix64
 from .sim_harness import (
@@ -71,7 +69,6 @@ __all__ = [
     "SyncReport",
     "TailEstimate",
     "ToleranceSpec",
-    "WalkResult",
     "best_pure_profile",
     "build_ns_lp",
     "cautious_failure",
@@ -88,7 +85,6 @@ __all__ = [
     "rate_function",
     "run_network_sim",
     "simulate_detail",
-    "simulate_walk",
     "solve_ns",
     "splitmix64",
 ]

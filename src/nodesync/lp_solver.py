@@ -17,6 +17,17 @@ levels solve and, once tiny levels snap to zero, are all nonnegative
 skips phase 1; any other start runs phase 1 from the artificial basis.
 On a degenerate polytope this matters: the cold start can spend thousands
 of stalled pivots finding a vertex that the caller hands over for free.
+
+From an accepted start that is not yet optimal, phase 2 first runs on
+relaxed bounds (Charnes 1952): the right-hand side of every inequality row
+whose slack or surplus column is basic at the start moves outwards by a
+distinct delta of about 1e-7, from a fixed sequence.  That lifts those
+levels off zero and moves no other, so the start stays feasible, and
+Bland's rule need not walk the many bases of one degenerate vertex.  The
+prices depend on the basis alone, so the relaxed run's final basis is dual
+optimal for the true b too, and one solve for its levels with the true b
+finishes the job when none is negative.  When one is, phase 2 reruns
+unrelaxed from the start.
 """
 
 from __future__ import annotations
@@ -35,6 +46,12 @@ MAX_ROWS = 4096
 
 # Basic levels below this magnitude are degenerate zeros.
 _RHS_SNAP = 1e-11
+
+# A warm-started phase 2 first relaxes the bound of the k-th inequality row
+# (k = 1, 2, ...) by delta_k = _RELAX * (1 + frac(k * golden ratio)):
+# distinct values in [1e-7, 2e-7), the same on every call.
+_RELAX = 1e-7
+_GOLDEN = (1.0 + 5.0**0.5) / 2.0
 
 
 class Relation(enum.Enum):
@@ -101,9 +118,15 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class LpSolution:
+    """`pivots` counts every basis change the solve made: phase 1 (its
+    drive-out of artificials included) and phase 2.  After a warm start
+    that is the relaxed run's pivots, plus those of the unrelaxed rerun
+    when the relaxed final basis failed the true b."""
+
     status: LpStatus
     x: np.ndarray | None = None
     objective_value: float | None = None
+    pivots: int = 0
 
 
 class _Simplex:
@@ -119,6 +142,7 @@ class _Simplex:
         self.basis = np.array(basis, dtype=np.intp)
         self.phase = phase
         self.pivots = 0
+        self._floor = costs - PIVOT_TOL  # a reduced cost below -PIVOT_TOL
         self.matrix = a[:, self.basis]
         self._levels = None
         self.levels()  # a singular basis fails here
@@ -138,25 +162,32 @@ class _Simplex:
             self._levels = self._solve(self.matrix, self.b)
         return self._levels
 
+    def feasible(self) -> bool:
+        """Whether every basic level is nonnegative once tiny ones snap to zero."""
+        return self.levels().min(initial=0.0) > -_RHS_SNAP
+
     def pivot(self, row: int, col: int) -> None:
         self.matrix[:, row] = self.a[:, col]
         self.basis[row] = col
         self.pivots += 1
         self._levels = None
 
+    def entering(self) -> int | None:
+        """Bland's entering column: the lowest index whose reduced cost is
+        below -PIVOT_TOL, or None when the basis is optimal.  The prices
+        y = B^-T c_B depend on the basis alone, not on b."""
+        eligible = self._solve(self.matrix.T, self.costs[self.basis]) @ self.a < self._floor
+        eligible[self.basis] = False  # a basic column prices at zero, whatever the round-off
+        col = int(eligible.argmax())
+        return col if eligible[col] else None
+
     def run(self) -> str:
         """Pivot until optimal or unbounded.  Bland's rule on both choices."""
-        a, costs, basis = self.a, self.costs, self.basis
+        basis = self.basis
         rhs = np.stack([self.b, self.b], axis=1)  # [b | entering column]
-        floor = costs - PIVOT_TOL  # a reduced cost below -PIVOT_TOL
         vertex = None
-        while True:
-            eligible = self._solve(self.matrix.T, costs[basis]) @ a < floor
-            eligible[basis] = False  # a basic column prices at zero, whatever the round-off
-            col = int(eligible.argmax())
-            if not eligible[col]:
-                return "optimal"
-            rhs[:, 1] = a[:, col]
+        while (col := self.entering()) is not None:
+            rhs[:, 1] = self.a[:, col]
             fresh = self._solve(self.matrix, rhs)
             direction = fresh[:, 1]
             # Round-off grows with the column's largest entry; a pivot on
@@ -177,6 +208,36 @@ class _Simplex:
             self.pivot(int(tied[basis[tied].argmin()]), col)
             if step != 0.0:
                 vertex = None
+        return "optimal"
+
+
+def _relaxed_b(warm: _Simplex, n: int) -> np.ndarray:
+    """warm.b with every inequality bound whose slack or surplus column is
+    basic moved outwards: the k-th slack or surplus column's level, when
+    basic, rises by delta_k and no other level moves, so the start stays
+    feasible."""
+    # Columns n, n + 1, ... are the slack and surplus columns in row order.
+    slack = warm.basis >= n
+    k = warm.basis[slack] - n + 1
+    return warm.b + warm.matrix[:, slack] @ (_RELAX * (1.0 + k * _GOLDEN % 1.0))
+
+
+def _warm_phase2(warm: _Simplex, n: int) -> tuple[str, _Simplex]:
+    """Phase 2 from an accepted start (see the module notes): the status and
+    the final state, whose `pivots` include the relaxed run's.  A start that
+    prices optimal is returned as it is; a relaxed run that ends unbounded
+    is also followed by the unrelaxed rerun."""
+    if warm.entering() is None:
+        return "optimal", warm
+    relaxed = _Simplex(warm.a, _relaxed_b(warm, n), warm.costs, warm.basis, phase=2)
+    if relaxed.run() == "optimal":
+        final = _Simplex(warm.a, warm.b, warm.costs, relaxed.basis, phase=2)
+        if final.feasible():
+            final.pivots = relaxed.pivots
+            return "optimal", final
+    status = warm.run()
+    warm.pivots += relaxed.pivots
+    return status, warm
 
 
 def solve(problem: LpProblem, start: Sequence[int] | None = None) -> LpSolution:
@@ -238,8 +299,9 @@ def solve(problem: LpProblem, start: Sequence[int] | None = None) -> LpSolution:
                 warm = _Simplex(a_ext[:, :n_real], b_std, phase2_costs, cols, phase=2)
             except ArithmeticError:
                 pass
-            if warm is not None and not warm.levels().min(initial=0.0) > -_RHS_SNAP:
+            if warm is not None and not warm.feasible():
                 warm = None
+    pivots = 0
     if warm is None and n_art > 0:
         phase1_costs = np.zeros(n_real + n_art)
         phase1_costs[n_real:] = -1.0
@@ -248,7 +310,7 @@ def solve(problem: LpProblem, start: Sequence[int] | None = None) -> LpSolution:
             raise ArithmeticError("phase 1 is bounded by construction")
         infeasibility = float(state.levels()[state.basis >= n_real].sum())
         if infeasibility > FEAS_TOL:
-            return LpSolution(status=LpStatus.INFEASIBLE)
+            return LpSolution(status=LpStatus.INFEASIBLE, pivots=state.pivots)
 
         # Artificials basic at level zero: pivot them out on the strongest
         # structural column, or drop the row entirely when it is redundant.
@@ -266,13 +328,16 @@ def solve(problem: LpProblem, start: Sequence[int] | None = None) -> LpSolution:
         a_ext = a_ext[keep]
         b_std = b_std[keep]
         basis = state.basis[keep]
+        pivots = state.pivots
 
     if warm is not None:
-        state = warm
+        status, state = _warm_phase2(warm, n)
     else:
         state = _Simplex(a_ext[:, :n_real], b_std, phase2_costs, basis, phase=2)
-    if state.run() == "unbounded":
-        return LpSolution(status=LpStatus.UNBOUNDED)
+        status = state.run()
+    pivots += state.pivots
+    if status == "unbounded":
+        return LpSolution(status=LpStatus.UNBOUNDED, pivots=pivots)
 
     x = np.zeros(n)
     structural = state.basis < n
@@ -283,6 +348,7 @@ def solve(problem: LpProblem, start: Sequence[int] | None = None) -> LpSolution:
         status=LpStatus.OPTIMAL,
         x=x,
         objective_value=float(np.dot(problem.objective, x)),
+        pivots=pivots,
     )
 
 

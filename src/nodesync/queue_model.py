@@ -59,14 +59,6 @@ class RateParams:
 
 
 @dataclass(frozen=True)
-class WalkResult:
-    """Supremum of the cumulative backlog walk over a finite horizon."""
-
-    sup_backlog: int
-    horizon: int
-
-
-@dataclass(frozen=True)
 class TailEstimate:
     """Binomial estimate of P(sup backlog > gamma) on a shared run set."""
 
@@ -204,17 +196,6 @@ def _walk_sups(params: RateParams, uniforms: np.ndarray) -> np.ndarray:
     table_len = max(len(_poisson_cdf(params.lam)), len(_poisson_cdf(params.mu)))
     walks = np.cumsum(arrivals - responses, axis=1, dtype=_walk_dtype(horizon, table_len))
     return np.maximum(walks.max(axis=1), 0)
-
-
-def simulate_walk(params: RateParams, horizon: int, rng: np.random.Generator) -> WalkResult:
-    """Supremum of the unreflected cumulative backlog over `horizon` slots.
-
-    Per walk, all arrival counts are drawn first, then all response counts.
-    """
-    if horizon < 1:
-        raise ValueError(f"horizon must be at least 1 slot, got {horizon}")
-    sup = _walk_sups(params, rng.random((1, 2 * horizon)))[0]
-    return WalkResult(sup_backlog=int(sup), horizon=horizon)
 
 
 def estimate_tail(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bruteforce import brute_force_solve, random_feasible_problem, random_problem
+from nodesync import lp_solver
 from nodesync.lp_solver import LpProblem, LpStatus, Relation, _Simplex, solve
 from nodesync.sync_game import GameSpec, best_pure_profile, build_ns_lp, solve_ns
 
@@ -338,10 +339,55 @@ def test_cold_two_phase_solve_costs_nine_basis_solves(monkeypatch):
     sol = solve(_TWO_ROW)
     assert sol.status is LpStatus.OPTIMAL and sol.objective_value == pytest.approx(1.0)
     assert len(calls) == 9
+    assert sol.pivots == 2
+
+
+# maximize x + y  subject to  10 x <= 10,  10 y <= 10  and  x + y <= 1.5.
+_CAPPED_SUM = LpProblem([1, 1], [[10, 0], [0, 10], [1, 1]], [LE, LE, LE], [10, 10, 1.5])
+
+
+def test_relaxed_phase_2_matches_the_plain_run():
+    # The slack basis is an accepted start that prices an entering column,
+    # so phase 2 runs on the relaxed bounds first; without a start, phase 2
+    # runs unrelaxed from the same basis.
+    plain = solve(_CAPPED_SUM)
+    relaxed = solve(_CAPPED_SUM, start=[2, 3, 4])
+    assert plain.objective_value == relaxed.objective_value == pytest.approx(1.5)
+    assert np.array_equal(plain.x, relaxed.x)
+    assert plain.pivots == relaxed.pivots == 2
+
+
+def test_relaxed_basis_infeasible_for_true_bounds_falls_back(monkeypatch):
+    # At scale 1 the bounds relax to about x <= 1.16, y <= 1.12 and
+    # x + y <= 3.35, so the relaxed optimum has the sum's slack basic.  Under
+    # the true bounds that slack is 1.5 - 2 < 0: phase 2 reruns unrelaxed
+    # from the start, and its answer is the plain run's, exactly.
+    monkeypatch.setattr(lp_solver, "_RELAX", 1.0)
+    plain = solve(_CAPPED_SUM)
+    forced = solve(_CAPPED_SUM, start=[2, 3, 4])
+    assert forced.status is LpStatus.OPTIMAL
+    assert np.array_equal(forced.x, plain.x)
+    assert forced.objective_value == plain.objective_value
+    # The relaxed run's two pivots, then the rerun's.
+    assert forced.pivots == 2 + plain.pivots
+
+
+def test_relaxation_lifts_only_basic_slack_levels():
+    # maximize y  subject to  x <= 1,  x + y >= 1  and  y <= 1.  The start
+    # has x, y and the last slack basic at (1, 0, 1), y a degenerate zero.
+    # Relaxing the first two bounds would move y to -delta_1 - delta_2;
+    # only the last one, whose slack is basic, moves, and only its slack.
+    prob = LpProblem([0, 1], [[1, 0], [1, 1], [0, 1]], [LE, GE, LE], [1, 1, 1])
+    a_ext = np.array([[1.0, 0, 1, 0, 0], [1, 1, 0, -1, 0], [0, 1, 0, 0, 1]])
+    warm = _Simplex(a_ext, prob.rhs, np.array([0.0, 1, 0, 0, 0]), [0, 1, 4], phase=2)
+    relaxed = _Simplex(a_ext, lp_solver._relaxed_b(warm, 2), warm.costs, warm.basis, phase=2)
+    assert relaxed.levels()[:2].tolist() == [1.0, 0.0]
+    assert 1 + 1e-7 <= relaxed.levels()[2] < 1 + 2e-7
+    got = solve(prob, start=[0, 1, 4])
+    assert got.objective_value == 1.0
 
 
 def test_singular_basis_error_names_phase_and_pivots():
     a_ext = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(ArithmeticError, match=r"singular in phase 1 after 0 pivots"):
         _Simplex(a_ext, np.ones(2), np.zeros(2), [0, 1], phase=1)
-

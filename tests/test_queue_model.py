@@ -13,10 +13,14 @@ from nodesync.queue_model import (
     estimate_tail,
     fit_decay_slope,
     poisson_counts,
-    simulate_walk,
 )
 from nodesync.seeding import derive_seed, make_rng
 from oracles import poisson_inverse, sample_poisson, step_queue, walk_sups
+
+
+def _walk_sup(params, horizon, rng):
+    """Supremum of one backlog walk over `horizon` slots, drawn from `rng`."""
+    return int(qm._walk_sups(params, rng.random((1, 2 * horizon)))[0])
 
 
 def test_rate_params_require_stability():
@@ -79,7 +83,7 @@ def test_estimate_tail_rejects_rates_beyond_table_guard():
     with pytest.raises(ValueError):
         estimate_tail(RateParams(lam=60_000.0, mu=70_000.0), [1], runs=2, horizon=3, master_seed=0)
     with pytest.raises(ValueError):
-        simulate_walk(RateParams(lam=3.0, mu=1e9), 3, make_rng(0))
+        _walk_sup(RateParams(lam=3.0, mu=1e9), 3, make_rng(0))
 
 
 @pytest.mark.parametrize(
@@ -178,32 +182,33 @@ def test_step_queue_positive_part_identity():
         assert out == max(q + a - r, 0)
 
 
-def test_simulate_walk_basics():
+def test_walk_sups_basics():
     params = RateParams(lam=3.0, mu=6.0)
-    result = simulate_walk(params, 500, make_rng(1))
-    assert result.sup_backlog >= 0
-    assert result.horizon == 500
+    # One supremum per row; a row of 2 * 500 uniforms is a 500-slot walk.
+    sups = qm._walk_sups(params, make_rng(1).random((3, 2 * 500)))
+    assert sups.shape == (3,)
+    assert sups.min() >= 0
     with pytest.raises(ValueError):
-        simulate_walk(params, 0, make_rng(1))
+        estimate_tail(params, [1], runs=1, horizon=0, master_seed=1)
 
 
-def test_simulate_walk_draw_order_contract():
+def test_walk_sups_draw_order_contract():
     params = RateParams(lam=3.0, mu=6.0)
     horizon = 200
-    result = simulate_walk(params, horizon, make_rng(77))
+    sup = _walk_sup(params, horizon, make_rng(77))
     rng = make_rng(77)
     arrivals = poisson_counts(3.0, horizon, rng)
     responses = poisson_counts(6.0, horizon, rng)
     walk = np.cumsum(arrivals - responses)
-    assert result.sup_backlog == max(int(walk.max()), 0)
+    assert sup == max(int(walk.max()), 0)
 
 
-def test_simulate_walk_overwhelming_response_rate():
+def test_walk_sups_overwhelming_response_rate():
     # Drift of -2997 per slot: the first-slot arrivals never beat the
     # responses, so the supremum stays at the floor.
     params = RateParams(lam=3.0, mu=3000.0)
     for seed in range(10):
-        assert simulate_walk(params, 10_000, make_rng(seed)).sup_backlog == 0
+        assert _walk_sup(params, 10_000, make_rng(seed)) == 0
 
 
 def test_estimate_tail_shares_one_run_set():
@@ -246,10 +251,7 @@ def test_estimate_tail_equals_independent_walks():
     params = RateParams(lam=3.0, mu=6.0)
     runs, horizon = 40, 120
     estimates = estimate_tail(params, [2, 5], runs=runs, horizon=horizon, master_seed=9)
-    sups = [
-        simulate_walk(params, horizon, make_rng(derive_seed(9, i))).sup_backlog
-        for i in range(runs)
-    ]
+    sups = [_walk_sup(params, horizon, make_rng(derive_seed(9, i))) for i in range(runs)]
     assert estimates[0].hits == sum(s > 2 for s in sups)
     assert estimates[1].hits == sum(s > 5 for s in sups)
 
@@ -301,10 +303,7 @@ def test_mean_supremum_shrinks_with_faster_responses():
     means = []
     for mu in (5.0, 8.0):
         params = RateParams(lam=3.0, mu=mu)
-        sups = [
-            simulate_walk(params, horizon, make_rng(derive_seed(21, i))).sup_backlog
-            for i in range(runs)
-        ]
+        sups = [_walk_sup(params, horizon, make_rng(derive_seed(21, i))) for i in range(runs)]
         means.append(sum(sups) / runs)
     assert means[1] < means[0]
 

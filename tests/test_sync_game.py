@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from nodesync import sync_game
+from nodesync import lp_solver, sync_game
 from nodesync.lp_solver import Relation
 from nodesync.sync_game import (
     MAX_NODES,
@@ -444,6 +444,14 @@ def _high_ratio_specs():
 _HIGH_RATIO = _high_ratio_specs()
 
 
+def _warm_pivots(spec):
+    """Pivots of the equilibrium LP from solve_ns's start: the best pure
+    profile's point mass with the 2m surplus columns basic."""
+    n = 1 << spec.m
+    start = [best_pure_profile(spec)[0].index] + list(range(n, n + 2 * spec.m))
+    return lp_solver.solve(build_ns_lp(spec), start=start).pivots
+
+
 @pytest.mark.parametrize("name", list(_HIGH_RATIO))
 def test_solve_ns_high_profit_to_cost_sweep(name):
     spec = _HIGH_RATIO[name]
@@ -453,8 +461,31 @@ def test_solve_ns_high_profit_to_cost_sweep(name):
     assert elapsed < 5.0, f"took {elapsed:.2f}s"
     assert is_correlated_equilibrium(report.distribution, spec, tol=1e-8).ok
     assert report.objective >= best_pure_profile(spec)[1] - 1e-8
+    # The relaxed phase 2 made at most 1,264 pivots on these specs; Bland's
+    # rule on the true bounds made up to 22,711.
+    pivots = _warm_pivots(spec)
+    assert pivots < 5000, f"{pivots} pivots"
     try:
         from scipy import optimize
     except ImportError:
         return
+    assert report.objective == pytest.approx(_highs_objective(optimize, spec), abs=1e-7)
+
+
+def test_solve_ns_degenerate_stall_spec():
+    # The start, the point mass on "send to all 10", is already optimal, so
+    # every pivot is degenerate: Bland's rule on the true bounds walked
+    # 96,995 bases at this vertex before proving optimality.
+    m = 10
+    eps = (0.63, 0.37, 0.68, 0.13, 0.47, 0.58, 0.61, 0.67, 0.85, 0.27)
+    spec = GameSpec(m=m, epsilon=eps, alpha=(10.0,) * m, cost=(0.16666666666666666,) * m)
+    start = time.perf_counter()
+    report = solve_ns(spec)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.5, f"took {elapsed:.2f}s"
+    assert is_correlated_equilibrium(report.distribution, spec, tol=1e-8).ok
+    assert report.chosen_profile.bits == (1,) * m
+    assert report.objective == pytest.approx(best_pure_profile(spec)[1], abs=1e-12)
+    assert _warm_pivots(spec) < 5000
+    optimize = pytest.importorskip("scipy.optimize")
     assert report.objective == pytest.approx(_highs_objective(optimize, spec), abs=1e-7)
