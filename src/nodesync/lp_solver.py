@@ -18,16 +18,19 @@ skips phase 1; any other start runs phase 1 from the artificial basis.
 On a degenerate polytope this matters: the cold start can spend thousands
 of stalled pivots finding a vertex that the caller hands over for free.
 
-From an accepted start that is not yet optimal, phase 2 first runs on
-relaxed bounds (Charnes 1952): the right-hand side of every inequality row
-whose slack or surplus column is basic at the start moves outwards by a
-distinct delta of about 1e-7, from a fixed sequence.  That lifts those
-levels off zero and moves no other, so the start stays feasible, and
-Bland's rule need not walk the many bases of one degenerate vertex.  The
-prices depend on the basis alone, so the relaxed run's final basis is dual
-optimal for the true b too, and one solve for its levels with the true b
-finishes the job when none is negative.  When one is, phase 2 reruns
-unrelaxed from the start.
+Phase 2 runs the same way from either feasible basis, the accepted start
+or phase 1's last one.  A basis that prices optimal is the answer.  From
+one that is not, phase 2 first runs on relaxed bounds (Charnes 1952): the
+right-hand side of every inequality row whose slack or surplus column is
+basic there moves outwards by a distinct delta of about 1e-7, from a fixed
+sequence.  That lifts those levels off zero and moves no other, so the
+basis stays feasible, and Bland's rule need not walk the many bases of one
+degenerate vertex.  The prices depend on the basis alone, so the relaxed
+run's final basis is dual optimal for the true b too, and one solve for
+its levels with the true b finishes the job when none is negative.  When
+one is, or when round-off makes the relaxed run return to a basis it has
+visited, phase 2 reruns unrelaxed from the same start.  A cycle there or
+in phase 1 raises ArithmeticError instead of running forever.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ MAX_ROWS = 4096
 # Basic levels below this magnitude are degenerate zeros.
 _RHS_SNAP = 1e-11
 
-# A warm-started phase 2 first relaxes the bound of the k-th inequality row
+# Phase 2 first relaxes the bound of the k-th inequality row
 # (k = 1, 2, ...) by delta_k = _RELAX * (1 + frac(k * golden ratio)):
 # distinct values in [1e-7, 2e-7), the same on every call.
 _RELAX = 1e-7
@@ -119,9 +122,9 @@ class LpProblem:
 @dataclass(frozen=True)
 class LpSolution:
     """`pivots` counts every basis change the solve made: phase 1 (its
-    drive-out of artificials included) and phase 2.  After a warm start
-    that is the relaxed run's pivots, plus those of the unrelaxed rerun
-    when the relaxed final basis failed the true b."""
+    drive-out of artificials included) and phase 2, which is the relaxed
+    run's pivots plus, when that run's final basis failed the true b or
+    the run cycled, those of the unrelaxed rerun."""
 
     status: LpStatus
     x: np.ndarray | None = None
@@ -145,7 +148,6 @@ class _Simplex:
         self._floor = costs - PIVOT_TOL  # a reduced cost below -PIVOT_TOL
         self.matrix = a[:, self.basis]
         self._levels = None
-        self.levels()  # a singular basis fails here
 
     def _solve(self, matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         try:
@@ -181,12 +183,18 @@ class _Simplex:
         col = int(eligible.argmax())
         return col if eligible[col] else None
 
-    def run(self) -> str:
-        """Pivot until optimal or unbounded.  Bland's rule on both choices."""
+    def run(self, col: int | None = None) -> str:
+        """Pivot until optimal or unbounded, Bland's rule on both choices,
+        from `col` when the start is already priced.  Returns "cycled" on
+        reaching a basis this run has visited: in exact arithmetic Bland's
+        rule never does (Bland 1977), so only round-off gets there."""
         basis = self.basis
+        visited = {basis.tobytes()}
         rhs = np.stack([self.b, self.b], axis=1)  # [b | entering column]
         vertex = None
-        while (col := self.entering()) is not None:
+        if col is None:
+            col = self.entering()
+        while col is not None:
             rhs[:, 1] = self.a[:, col]
             fresh = self._solve(self.matrix, rhs)
             direction = fresh[:, 1]
@@ -208,36 +216,56 @@ class _Simplex:
             self.pivot(int(tied[basis[tied].argmin()]), col)
             if step != 0.0:
                 vertex = None
+            key = basis.tobytes()
+            if key in visited:
+                return "cycled"
+            visited.add(key)
+            col = self.entering()
         return "optimal"
 
+    def cycle_error(self) -> ArithmeticError:
+        """The failure of a run that cycled where no fallback is left."""
+        return ArithmeticError(
+            f"simplex cycled in phase {self.phase} after {self.pivots} pivots "
+            f"({len(self.basis)} rows)"
+        )
 
-def _relaxed_b(warm: _Simplex, n: int) -> np.ndarray:
-    """warm.b with every inequality bound whose slack or surplus column is
+
+def _relaxed_b(start: _Simplex, n: int) -> np.ndarray:
+    """start.b with every inequality bound whose slack or surplus column is
     basic moved outwards: the k-th slack or surplus column's level, when
     basic, rises by delta_k and no other level moves, so the start stays
     feasible."""
     # Columns n, n + 1, ... are the slack and surplus columns in row order.
-    slack = warm.basis >= n
-    k = warm.basis[slack] - n + 1
-    return warm.b + warm.matrix[:, slack] @ (_RELAX * (1.0 + k * _GOLDEN % 1.0))
+    slack = start.basis >= n
+    k = start.basis[slack] - n + 1
+    return start.b + start.matrix[:, slack] @ (_RELAX * (1.0 + k * _GOLDEN % 1.0))
 
 
-def _warm_phase2(warm: _Simplex, n: int) -> tuple[str, _Simplex]:
-    """Phase 2 from an accepted start (see the module notes): the status and
-    the final state, whose `pivots` include the relaxed run's.  A start that
-    prices optimal is returned as it is; a relaxed run that ends unbounded
-    is also followed by the unrelaxed rerun."""
-    if warm.entering() is None:
-        return "optimal", warm
-    relaxed = _Simplex(warm.a, _relaxed_b(warm, n), warm.costs, warm.basis, phase=2)
-    if relaxed.run() == "optimal":
-        final = _Simplex(warm.a, warm.b, warm.costs, relaxed.basis, phase=2)
+def _phase2(start: _Simplex, n: int) -> tuple[str, _Simplex]:
+    """Phase 2 from a feasible basis (see the module notes): the status and
+    the final state, whose `pivots` count every phase-2 pivot.  A start
+    that prices optimal is returned as it is, with no relaxed data built."""
+    col = start.entering()
+    if col is None:
+        return "optimal", start
+    relaxed = _Simplex(start.a, _relaxed_b(start, n), start.costs, start.basis, phase=2)
+    status = relaxed.run(col)
+    if status == "unbounded":
+        # The ray of the last basis (B^-1 a_col <= 0) does not depend on b,
+        # and the start is feasible for the true b: that program is
+        # unbounded too.
+        return status, relaxed
+    if status == "optimal":
+        final = _Simplex(start.a, start.b, start.costs, relaxed.basis, phase=2)
         if final.feasible():
             final.pivots = relaxed.pivots
-            return "optimal", final
-    status = warm.run()
-    warm.pivots += relaxed.pivots
-    return status, warm
+            return status, final
+    status = start.run(col)
+    if status == "cycled":
+        raise start.cycle_error()
+    start.pivots += relaxed.pivots
+    return status, start
 
 
 def solve(problem: LpProblem, start: Sequence[int] | None = None) -> LpSolution:
@@ -288,25 +316,28 @@ def solve(problem: LpProblem, start: Sequence[int] | None = None) -> LpSolution:
 
     phase2_costs = np.zeros(n_real)
     phase2_costs[:n] = problem.objective
-    warm = None
+    phase2_start = None
     if start is not None:
         cols = [int(col) for col in start]
         if len(cols) == m and all(0 <= col < n_real for col in cols):
             # The phase-2 state on the start basis is its own test: a
             # singular basis fails to solve for its levels, and a feasible
             # one has none below zero once tiny levels snap to zero.
+            phase2_start = _Simplex(a_ext[:, :n_real], b_std, phase2_costs, cols, phase=2)
             try:
-                warm = _Simplex(a_ext[:, :n_real], b_std, phase2_costs, cols, phase=2)
+                if not phase2_start.feasible():
+                    phase2_start = None
             except ArithmeticError:
-                pass
-            if warm is not None and not warm.feasible():
-                warm = None
+                phase2_start = None
     pivots = 0
-    if warm is None and n_art > 0:
+    if phase2_start is None and n_art > 0:
         phase1_costs = np.zeros(n_real + n_art)
         phase1_costs[n_real:] = -1.0
         state = _Simplex(a_ext, b_std, phase1_costs, basis, phase=1)
-        if state.run() != "optimal":
+        status = state.run()
+        if status == "cycled":
+            raise state.cycle_error()
+        if status != "optimal":
             raise ArithmeticError("phase 1 is bounded by construction")
         infeasibility = float(state.levels()[state.basis >= n_real].sum())
         if infeasibility > FEAS_TOL:
@@ -330,11 +361,9 @@ def solve(problem: LpProblem, start: Sequence[int] | None = None) -> LpSolution:
         basis = state.basis[keep]
         pivots = state.pivots
 
-    if warm is not None:
-        status, state = _warm_phase2(warm, n)
-    else:
-        state = _Simplex(a_ext[:, :n_real], b_std, phase2_costs, basis, phase=2)
-        status = state.run()
+    if phase2_start is None:
+        phase2_start = _Simplex(a_ext[:, :n_real], b_std, phase2_costs, basis, phase=2)
+    status, state = _phase2(phase2_start, n)
     pivots += state.pivots
     if status == "unbounded":
         return LpSolution(status=LpStatus.UNBOUNDED, pivots=pivots)

@@ -145,11 +145,16 @@ def _tables(spec: GameSpec) -> _Tables:
         weight_sum = np.concatenate([weight_sum, weight_sum + (1.0 - eps)])
     utility = np.zeros((1 << m, m))
     total = np.zeros(1 << m)
-    for i in range(m):
-        send = bits[:, i]
-        share = (1.0 - spec.epsilon[i]) / weight_sum[send]
-        utility[send, i] = spec.alpha[i] * share - spec.cost[i]
-        total += utility[:, i]
+    with np.errstate(over="ignore"):  # rejected below
+        for i in range(m):
+            send = bits[:, i]
+            share = (1.0 - spec.epsilon[i]) / weight_sum[send]
+            utility[send, i] = spec.alpha[i] * share - spec.cost[i]
+            total += utility[:, i]
+    # A utility lies in [-cost, alpha] and a keep gain is plus or minus one
+    # utility, so only the sums over the m nodes can leave the float range.
+    if not np.isfinite(total).all():
+        raise ValueError("the game's utility totals overflow floats at these profits and costs")
     a = _lp_matrix(_keep_gains(utility), bits)
     total.flags.writeable = False
     a.flags.writeable = False

@@ -206,6 +206,9 @@ _OVERFLOW_CALLS = (
     ["rate", "--gamma", "1e-320", "--epsilons", "0.5"],
     ["capacity", "--lam", "1e-300", "--mu", "1e300"],
     ["decay", "--lam", "1e-310", "--x-steps", "2", "--gap-steps", "2"],
+    ["sweep", "--m", "3", "--param", "cost", "--values", "0,1e308"],
+    ["netsim", "--strategy", "equilibrium", "--alpha", "1e308", "--cost", "1e308",
+     "--rounds", "10", "--reps", "1"],
 )
 
 
@@ -222,6 +225,13 @@ def test_overflowing_inputs_fail_before_any_numerics(capfd, monkeypatch):
         assert out == "", args
         assert err.startswith("nodesync: error: ") and err.count("\n") == 1, (args, err)
         assert "DLASCL" not in err
+
+
+def test_game_with_finite_tables_answers_at_extreme_inputs():
+    # The game is rejected on its tables, not on a bound of its inputs: at
+    # m = 2 these utilities and totals are finite.
+    args = ["decide", "--m", "2", "--eps1", "0.5", "--alpha", "1e308", "--cost", "1e308"]
+    assert run_cli(args) == (0, "eps1,p_1,p_2,objective,marginal_1,marginal_2\n0.5,0,0,0.0,0.0,0.0\n")
 
 
 def test_overflowing_threshold_gap_is_one_clean_error(capfd):

@@ -329,16 +329,16 @@ def test_basis_solves_take_at_most_two_right_hand_sides(monkeypatch):
     assert calls and all(len(shape) == 1 or shape[1] <= 2 for shape in calls), calls
 
 
-def test_cold_two_phase_solve_costs_nine_basis_solves(monkeypatch):
-    # Phase 1 from the artificial basis: its levels (1), two pivots of a
-    # pricing and a [b | entering column] solve each (4), the pricing that
-    # finds no entering column (1) and the levels that show zero
-    # infeasibility (1).  Phase 2 on the same columns: its levels (1) and
-    # one pricing (1); with no pivot, those levels are the answer.
+def test_cold_two_phase_solve_costs_eight_basis_solves(monkeypatch):
+    # Phase 1 from the artificial basis: two pivots of a pricing and a
+    # [b | entering column] solve each (4), the pricing that finds no
+    # entering column (1) and the levels that show zero infeasibility (1).
+    # Phase 2 from phase 1's basis: one pricing (1); with no pivot, that
+    # basis's levels are the answer (1).
     calls = _count_basis_solves(monkeypatch)
     sol = solve(_TWO_ROW)
     assert sol.status is LpStatus.OPTIMAL and sol.objective_value == pytest.approx(1.0)
-    assert len(calls) == 9
+    assert len(calls) == 8
     assert sol.pivots == 2
 
 
@@ -346,30 +346,88 @@ def test_cold_two_phase_solve_costs_nine_basis_solves(monkeypatch):
 _CAPPED_SUM = LpProblem([1, 1], [[10, 0], [0, 10], [1, 1]], [LE, LE, LE], [10, 10, 1.5])
 
 
+def _plain_capped_sum():
+    """Bland's rule on _CAPPED_SUM's true bounds from the slack basis, with
+    no relaxation: the maximizer and the pivots."""
+    a_ext = np.hstack([_CAPPED_SUM.a, np.eye(3)])
+    plain = _Simplex(a_ext, _CAPPED_SUM.rhs, np.array([1.0, 1, 0, 0, 0]), [2, 3, 4], phase=2)
+    assert plain.run() == "optimal"
+    x = np.zeros(2)
+    structural = plain.basis < 2
+    x[plain.basis[structural]] = plain.levels()[structural]
+    return x, plain.pivots
+
+
 def test_relaxed_phase_2_matches_the_plain_run():
-    # The slack basis is an accepted start that prices an entering column,
-    # so phase 2 runs on the relaxed bounds first; without a start, phase 2
-    # runs unrelaxed from the same basis.
-    plain = solve(_CAPPED_SUM)
-    relaxed = solve(_CAPPED_SUM, start=[2, 3, 4])
-    assert plain.objective_value == relaxed.objective_value == pytest.approx(1.5)
-    assert np.array_equal(plain.x, relaxed.x)
-    assert plain.pivots == relaxed.pivots == 2
+    # The slack basis is a feasible start that prices an entering column,
+    # so phase 2 runs on the relaxed bounds first, whether the caller hands
+    # it over or solve starts there because every row is <=.
+    x, pivots = _plain_capped_sum()
+    for relaxed in (solve(_CAPPED_SUM), solve(_CAPPED_SUM, start=[2, 3, 4])):
+        assert float(np.dot(_CAPPED_SUM.objective, x)) == relaxed.objective_value
+        assert relaxed.objective_value == pytest.approx(1.5)
+        assert np.array_equal(x, relaxed.x)
+        assert pivots == relaxed.pivots == 2
+
+
+def test_warm_relaxed_solve_costs_seven_basis_solves(monkeypatch):
+    # The start's levels, which accept it (1), and one pricing (1), whose
+    # entering column the relaxed run takes: two pivots of a [b | entering
+    # column] solve and a pricing each (4).  Then the levels of the final
+    # basis with the true bounds (1), which are also the answer.
+    calls = _count_basis_solves(monkeypatch)
+    sol = solve(_CAPPED_SUM, start=[2, 3, 4])
+    assert sol.objective_value == pytest.approx(1.5)
+    assert len(calls) == 7
+    assert sol.pivots == 2
 
 
 def test_relaxed_basis_infeasible_for_true_bounds_falls_back(monkeypatch):
     # At scale 1 the bounds relax to about x <= 1.16, y <= 1.12 and
     # x + y <= 3.35, so the relaxed optimum has the sum's slack basic.  Under
     # the true bounds that slack is 1.5 - 2 < 0: phase 2 reruns unrelaxed
-    # from the start, and its answer is the plain run's, exactly.
+    # from its start, and its answer is the plain run's, exactly.
+    x, pivots = _plain_capped_sum()
     monkeypatch.setattr(lp_solver, "_RELAX", 1.0)
-    plain = solve(_CAPPED_SUM)
-    forced = solve(_CAPPED_SUM, start=[2, 3, 4])
-    assert forced.status is LpStatus.OPTIMAL
-    assert np.array_equal(forced.x, plain.x)
-    assert forced.objective_value == plain.objective_value
-    # The relaxed run's two pivots, then the rerun's.
-    assert forced.pivots == 2 + plain.pivots
+    for forced in (solve(_CAPPED_SUM), solve(_CAPPED_SUM, start=[2, 3, 4])):
+        assert forced.status is LpStatus.OPTIMAL
+        assert np.array_equal(forced.x, x)
+        assert forced.objective_value == float(np.dot(_CAPPED_SUM.objective, x))
+        # The relaxed run's two pivots, then the rerun's.
+        assert forced.pivots == 2 + pivots
+
+
+def test_relaxed_run_that_cycles_falls_back(monkeypatch):
+    # A pivot that leaves the basis as it was revisits it at once.  Made to
+    # happen on the relaxed bounds only, it sends phase 2 to the unrelaxed
+    # rerun from the start, which answers as the plain run does.
+    x, pivots = _plain_capped_sum()
+    real = _Simplex.pivot
+
+    def stuck_when_relaxed(self, row, col):
+        if np.array_equal(self.b, _CAPPED_SUM.rhs):
+            real(self, row, col)
+        else:
+            self.pivots += 1
+
+    monkeypatch.setattr(_Simplex, "pivot", stuck_when_relaxed)
+    sol = solve(_CAPPED_SUM, start=[2, 3, 4])
+    assert np.array_equal(sol.x, x)
+    assert sol.pivots == 1 + pivots
+
+
+def test_basis_revisit_outside_the_relaxed_run_raises(monkeypatch):
+    # With no pivot ever changing the basis, the relaxed run cycles and so
+    # does the rerun, which has no fallback; phase 1 has none either.  Both
+    # raise instead of looping, and phase 1 does not call a cycle unbounded.
+    def stuck(self, row, col):
+        self.pivots += 1
+
+    monkeypatch.setattr(_Simplex, "pivot", stuck)
+    with pytest.raises(ArithmeticError, match=r"cycled in phase 2 after 1 pivots"):
+        solve(_CAPPED_SUM, start=[2, 3, 4])
+    with pytest.raises(ArithmeticError, match=r"cycled in phase 1 after 1 pivots"):
+        solve(_TWO_ROW)
 
 
 def test_relaxation_lifts_only_basic_slack_levels():
@@ -389,5 +447,6 @@ def test_relaxation_lifts_only_basic_slack_levels():
 
 def test_singular_basis_error_names_phase_and_pivots():
     a_ext = np.array([[1.0, 1.0], [1.0, 1.0]])
+    state = _Simplex(a_ext, np.ones(2), np.zeros(2), [0, 1], phase=1)
     with pytest.raises(ArithmeticError, match=r"singular in phase 1 after 0 pivots"):
-        _Simplex(a_ext, np.ones(2), np.zeros(2), [0, 1], phase=1)
+        state.levels()

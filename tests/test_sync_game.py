@@ -489,3 +489,27 @@ def test_solve_ns_degenerate_stall_spec():
     assert _warm_pivots(spec) < 5000
     optimize = pytest.importorskip("scipy.optimize")
     assert report.objective == pytest.approx(_highs_objective(optimize, spec), abs=1e-7)
+
+
+# decide --eps1 0.5 specs (the other tolerances at 0.2, cost 1) on which
+# the relaxed phase 2 walked a round of about 700 and 1,500 bases without
+# end: with profit this high next to cost, rounding took levels below
+# zero by more than the snap threshold, and the ratio test then stepped
+# back.  The run now stops at its first revisited basis and phase 2 reruns
+# unrelaxed from the start: 3,293 more pivots at m = 10 and 13,055 at
+# m = 12, the latter about 1 s on a 2-core x86 VM.
+_CYCLING_RELAXED = {"m10_alpha1e4": (10, 1e4), "m12_alpha1e3": (12, 1e3)}
+
+
+@pytest.mark.parametrize("name", sorted(_CYCLING_RELAXED))
+def test_solve_ns_relaxed_cycle_falls_back(name):
+    m, alpha = _CYCLING_RELAXED[name]
+    spec = GameSpec(m=m, epsilon=(0.5,) + (0.2,) * (m - 1), alpha=(alpha,) * m, cost=(1.0,) * m)
+    start = time.perf_counter()
+    report = solve_ns(spec)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0, f"took {elapsed:.2f}s"
+    assert is_correlated_equilibrium(report.distribution, spec, tol=1e-8).ok
+    assert report.objective >= best_pure_profile(spec)[1] - 1e-8
+    optimize = pytest.importorskip("scipy.optimize")
+    assert report.objective == pytest.approx(_highs_objective(optimize, spec), abs=1e-7)
