@@ -42,7 +42,6 @@ from .sync_game import (
     GameSpec,
     Profile,
     best_pure_profile,
-    build_ns_lp,
     cautious_failure,
     is_correlated_equilibrium,
     solve_ns,
@@ -70,7 +69,6 @@ __all__ = [
     "TailEstimate",
     "ToleranceSpec",
     "best_pure_profile",
-    "build_ns_lp",
     "cautious_failure",
     "decay_surface",
     "derive_seed",

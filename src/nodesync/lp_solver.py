@@ -11,26 +11,33 @@ data, for the prices y = B^-T c_B and for B^-1 [b | a_j], so round-off
 cannot build up from pivot to pivot, and the answer is B^-1 b of the last
 basis.
 
-A caller that already knows a feasible vertex may pass its basis as
-`start`.  A start of real (structural or slack/surplus) columns whose
-levels solve and, once tiny levels snap to zero, are all nonnegative
-skips phase 1; any other start runs phase 1 from the artificial basis.
-On a degenerate polytope this matters: the cold start can spend thousands
-of stalled pivots finding a vertex that the caller hands over for free.
+Phase 1 starts every row on its own slack or surplus column when that
+column's level there, b_i / (+-1), is nonnegative: every <= row once rows
+with a negative bound are negated, and every >= row whose bound is 0.
+Only == rows and >= rows with a positive bound get an artificial column,
+and a program without one skips phase 1.  A caller that already knows a
+feasible vertex may pass its basis as `start`.  A start of real
+(structural or slack/surplus) columns whose levels solve and, once tiny
+levels snap to zero, are all nonnegative skips phase 1; any other start
+runs phase 1 as if none were given.  On a degenerate polytope this
+matters: the cold start can spend thousands of stalled pivots finding a
+vertex that the caller hands over for free.
 
-Phase 2 runs the same way from either feasible basis, the accepted start
-or phase 1's last one.  A basis that prices optimal is the answer.  From
-one that is not, phase 2 first runs on relaxed bounds (Charnes 1952): the
-right-hand side of every inequality row whose slack or surplus column is
-basic there moves outwards by a distinct delta of about 1e-7, from a fixed
-sequence.  That lifts those levels off zero and moves no other, so the
-basis stays feasible, and Bland's rule need not walk the many bases of one
-degenerate vertex.  The prices depend on the basis alone, so the relaxed
-run's final basis is dual optimal for the true b too, and one solve for
-its levels with the true b finishes the job when none is negative.  When
-one is, or when round-off makes the relaxed run return to a basis it has
-visited, phase 2 reruns unrelaxed from the same start.  A cycle there or
-in phase 1 raises ArithmeticError instead of running forever.
+Both phases run one driver from a feasible basis: phase 1 from its
+starting basis, phase 2 from the accepted start or from phase 1's last
+basis.  A basis that prices optimal is the answer.  From one that is not,
+the driver first runs on relaxed bounds (Charnes 1952): the right-hand
+side of every row whose slack, surplus or artificial column is basic
+there moves by a distinct delta of about 1e-7, from a fixed sequence, so
+that the column's level rises.  That lifts those levels off zero and
+moves no other, so the basis stays feasible, and Bland's rule need not
+walk the many bases of one degenerate vertex.  The prices depend on the
+basis alone, so the relaxed run's final basis is dual optimal for the
+true b too, and one solve for its levels with the true b finishes the
+phase when none is negative.  When one is, or when round-off makes the
+relaxed run return to a basis it has visited, the phase reruns unrelaxed
+from the same start.  A cycle in that rerun raises ArithmeticError
+instead of running forever.
 """
 
 from __future__ import annotations
@@ -50,9 +57,10 @@ MAX_ROWS = 4096
 # Basic levels below this magnitude are degenerate zeros.
 _RHS_SNAP = 1e-11
 
-# Phase 2 first relaxes the bound of the k-th inequality row
-# (k = 1, 2, ...) by delta_k = _RELAX * (1 + frac(k * golden ratio)):
-# distinct values in [1e-7, 2e-7), the same on every call.
+# Each phase first relaxes the bound of the row of column n + k - 1, the
+# k-th past the n structural ones (k = 1, 2, ...), by
+# delta_k = _RELAX * (1 + frac(k * golden ratio)): distinct values in
+# [1e-7, 2e-7), the same on every call.
 _RELAX = 1e-7
 _GOLDEN = (1.0 + 5.0**0.5) / 2.0
 
@@ -121,10 +129,10 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """`pivots` counts every basis change the solve made: phase 1 (its
-    drive-out of artificials included) and phase 2, which is the relaxed
-    run's pivots plus, when that run's final basis failed the true b or
-    the run cycled, those of the unrelaxed rerun."""
+    """`pivots` counts every basis change the solve made, in phase 1 (its
+    drive-out of artificials included) and in phase 2.  Each phase adds its
+    relaxed run's pivots plus, when that run's final basis failed the true
+    b or the run cycled, those of the unrelaxed rerun."""
 
     status: LpStatus
     x: np.ndarray | None = None
@@ -223,33 +231,26 @@ class _Simplex:
             col = self.entering()
         return "optimal"
 
-    def cycle_error(self) -> ArithmeticError:
-        """The failure of a run that cycled where no fallback is left."""
-        return ArithmeticError(
-            f"simplex cycled in phase {self.phase} after {self.pivots} pivots "
-            f"({len(self.basis)} rows)"
-        )
-
 
 def _relaxed_b(start: _Simplex, n: int) -> np.ndarray:
-    """start.b with every inequality bound whose slack or surplus column is
-    basic moved outwards: the k-th slack or surplus column's level, when
-    basic, rises by delta_k and no other level moves, so the start stays
-    feasible."""
-    # Columns n, n + 1, ... are the slack and surplus columns in row order.
-    slack = start.basis >= n
-    k = start.basis[slack] - n + 1
-    return start.b + start.matrix[:, slack] @ (_RELAX * (1.0 + k * _GOLDEN % 1.0))
+    """start.b moved so that the level of every basic column past the n
+    structural ones (slack, surplus or, in phase 1, artificial) rises:
+    column n + k - 1's by delta_k.  No other level moves, so the start
+    stays feasible."""
+    extra = start.basis >= n
+    k = start.basis[extra] - n + 1
+    return start.b + start.matrix[:, extra] @ (_RELAX * (1.0 + k * _GOLDEN % 1.0))
 
 
-def _phase2(start: _Simplex, n: int) -> tuple[str, _Simplex]:
-    """Phase 2 from a feasible basis (see the module notes): the status and
-    the final state, whose `pivots` count every phase-2 pivot.  A start
-    that prices optimal is returned as it is, with no relaxed data built."""
+def _optimize(start: _Simplex, n: int) -> tuple[str, _Simplex]:
+    """Either phase from a feasible basis (see the module notes): the status
+    and the final state, whose `pivots` count every pivot of the phase.  A
+    start that prices optimal is returned as it is, with no relaxed data
+    built."""
     col = start.entering()
     if col is None:
         return "optimal", start
-    relaxed = _Simplex(start.a, _relaxed_b(start, n), start.costs, start.basis, phase=2)
+    relaxed = _Simplex(start.a, _relaxed_b(start, n), start.costs, start.basis, start.phase)
     status = relaxed.run(col)
     if status == "unbounded":
         # The ray of the last basis (B^-1 a_col <= 0) does not depend on b,
@@ -257,13 +258,16 @@ def _phase2(start: _Simplex, n: int) -> tuple[str, _Simplex]:
         # unbounded too.
         return status, relaxed
     if status == "optimal":
-        final = _Simplex(start.a, start.b, start.costs, relaxed.basis, phase=2)
+        final = _Simplex(start.a, start.b, start.costs, relaxed.basis, start.phase)
         if final.feasible():
             final.pivots = relaxed.pivots
             return status, final
     status = start.run(col)
     if status == "cycled":
-        raise start.cycle_error()
+        raise ArithmeticError(
+            f"simplex cycled in phase {start.phase} after {start.pivots} pivots "
+            f"({len(start.basis)} rows)"
+        )
     start.pivots += relaxed.pivots
     return status, start
 
@@ -289,30 +293,26 @@ def solve(problem: LpProblem, start: Sequence[int] | None = None) -> LpSolution:
     swap = {Relation.LE: Relation.GE, Relation.GE: Relation.LE, Relation.EQ: Relation.EQ}
     std_relations = [swap[rel] if f else rel for rel, f in zip(relations, flip)]
 
-    n_slack = sum(rel is not Relation.EQ for rel in std_relations)
-    n_art = sum(rel is not Relation.LE for rel in std_relations)
-    n_real = n + n_slack
+    # Each inequality row has a slack (+1, <=) or surplus (-1, >=) column.
+    # A row starts on it when its level there, b_i / (+-1), is nonnegative:
+    # every <= row and every >= row whose bound is 0.  Each other row starts
+    # on an artificial column of its own.
+    sign_of = {Relation.LE: 1.0, Relation.GE: -1.0, Relation.EQ: 0.0}
+    slack_sign = np.array([sign_of[rel] for rel in std_relations])
+    slack_rows = slack_sign.nonzero()[0]
+    art_rows = ((slack_sign == 0.0) | (slack_sign * b_std < 0.0)).nonzero()[0]
+    n_real = n + len(slack_rows)
+    n_art = len(art_rows)
+    slack_cols = np.arange(n, n_real)
+    art_cols = np.arange(n_real, n_real + n_art)
 
     a_ext = np.zeros((m, n_real + n_art))
     a_ext[:, :n] = a * sign[:, None]
-    basis: list[int] = []
-    slack_at = n
-    art_at = n_real
-    for i, rel in enumerate(std_relations):
-        if rel is Relation.LE:
-            a_ext[i, slack_at] = 1.0
-            basis.append(slack_at)
-            slack_at += 1
-        elif rel is Relation.GE:
-            a_ext[i, slack_at] = -1.0
-            slack_at += 1
-            a_ext[i, art_at] = 1.0
-            basis.append(art_at)
-            art_at += 1
-        else:
-            a_ext[i, art_at] = 1.0
-            basis.append(art_at)
-            art_at += 1
+    a_ext[slack_rows, slack_cols] = slack_sign[slack_rows]
+    a_ext[art_rows, art_cols] = 1.0
+    basis = np.zeros(m, dtype=np.intp)
+    basis[slack_rows] = slack_cols
+    basis[art_rows] = art_cols
 
     phase2_costs = np.zeros(n_real)
     phase2_costs[:n] = problem.objective
@@ -333,10 +333,7 @@ def solve(problem: LpProblem, start: Sequence[int] | None = None) -> LpSolution:
     if phase2_start is None and n_art > 0:
         phase1_costs = np.zeros(n_real + n_art)
         phase1_costs[n_real:] = -1.0
-        state = _Simplex(a_ext, b_std, phase1_costs, basis, phase=1)
-        status = state.run()
-        if status == "cycled":
-            raise state.cycle_error()
+        status, state = _optimize(_Simplex(a_ext, b_std, phase1_costs, basis, phase=1), n)
         if status != "optimal":
             raise ArithmeticError("phase 1 is bounded by construction")
         infeasibility = float(state.levels()[state.basis >= n_real].sum())
@@ -363,7 +360,7 @@ def solve(problem: LpProblem, start: Sequence[int] | None = None) -> LpSolution:
 
     if phase2_start is None:
         phase2_start = _Simplex(a_ext[:, :n_real], b_std, phase2_costs, basis, phase=2)
-    status, state = _phase2(phase2_start, n)
+    status, state = _optimize(phase2_start, n)
     pivots += state.pivots
     if status == "unbounded":
         return LpSolution(status=LpStatus.UNBOUNDED, pivots=pivots)

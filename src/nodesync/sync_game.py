@@ -190,7 +190,7 @@ def cautious_failure(epsilon: Sequence[float]) -> float:
     return math.prod(epsilon)
 
 
-def build_ns_lp(spec: GameSpec) -> LpProblem:
+def _ns_lp(tables: _Tables) -> LpProblem:
     """Linear program for the best correlated equilibrium.
 
     One variable per profile probability; the objective is the expected
@@ -200,11 +200,6 @@ def build_ns_lp(spec: GameSpec) -> LpProblem:
     The objective and the constraint matrix are the read-only profile
     tables themselves, uncopied.
     """
-    return _ns_lp(_tables(spec))
-
-
-def _ns_lp(tables: _Tables) -> LpProblem:
-    # tables.a and tables.total are read-only, so the LP keeps them uncopied.
     rows = tables.a.shape[0]
     rhs = np.zeros(rows)
     rhs[0] = 1.0

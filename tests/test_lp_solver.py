@@ -8,7 +8,7 @@ import pytest
 from bruteforce import brute_force_solve, random_feasible_problem, random_problem
 from nodesync import lp_solver
 from nodesync.lp_solver import LpProblem, LpStatus, Relation, _Simplex, solve
-from nodesync.sync_game import GameSpec, best_pure_profile, build_ns_lp, solve_ns
+from nodesync.sync_game import GameSpec, _ns_lp, _tables, best_pure_profile, solve_ns
 
 LE, EQ, GE = Relation.LE, Relation.EQ, Relation.GE
 
@@ -289,7 +289,7 @@ def test_start_at_an_optimal_vertex_is_returned_exactly():
     spec = GameSpec.uniform(m, 0.2, 10.0, 5.0)
     best, value = best_pure_profile(spec)
     n = 1 << m
-    sol = solve(build_ns_lp(spec), start=[best.index] + list(range(n, n + 2 * m)))
+    sol = solve(_ns_lp(_tables(spec)), start=[best.index] + list(range(n, n + 2 * m)))
     assert np.array_equal(sol.x, np.eye(n)[best.index])
     assert sol.objective_value == value
 
@@ -330,9 +330,11 @@ def test_basis_solves_take_at_most_two_right_hand_sides(monkeypatch):
 
 
 def test_cold_two_phase_solve_costs_eight_basis_solves(monkeypatch):
-    # Phase 1 from the artificial basis: two pivots of a pricing and a
-    # [b | entering column] solve each (4), the pricing that finds no
-    # entering column (1) and the levels that show zero infeasibility (1).
+    # Phase 1 from the artificial basis (both rows need one): one pricing
+    # (1), whose entering column the relaxed run takes: two pivots of a
+    # [b | entering column] solve and a pricing each, the last pricing
+    # finding no entering column (4).  Then the levels of the final basis
+    # with the true bounds (1), which accept it and show zero infeasibility.
     # Phase 2 from phase 1's basis: one pricing (1); with no pivot, that
     # basis's levels are the answer (1).
     calls = _count_basis_solves(monkeypatch)
@@ -397,29 +399,94 @@ def test_relaxed_basis_infeasible_for_true_bounds_falls_back(monkeypatch):
         assert forced.pivots == 2 + pivots
 
 
-def test_relaxed_run_that_cycles_falls_back(monkeypatch):
-    # A pivot that leaves the basis as it was revisits it at once.  Made to
-    # happen on the relaxed bounds only, it sends phase 2 to the unrelaxed
-    # rerun from the start, which answers as the plain run does.
-    x, pivots = _plain_capped_sum()
+def _stuck_when_relaxed(monkeypatch, true_b):
+    """Make every pivot on a right-hand side other than true_b leave the
+    basis as it was, so that a relaxed run revisits its basis at once."""
     real = _Simplex.pivot
 
     def stuck_when_relaxed(self, row, col):
-        if np.array_equal(self.b, _CAPPED_SUM.rhs):
+        if np.array_equal(self.b, true_b):
             real(self, row, col)
         else:
             self.pivots += 1
 
     monkeypatch.setattr(_Simplex, "pivot", stuck_when_relaxed)
+
+
+def test_relaxed_run_that_cycles_falls_back(monkeypatch):
+    # A pivot that leaves the basis as it was revisits it at once.  Made to
+    # happen on the relaxed bounds only, it sends phase 2 to the unrelaxed
+    # rerun from the start, which answers as the plain run does.
+    x, pivots = _plain_capped_sum()
+    _stuck_when_relaxed(monkeypatch, _CAPPED_SUM.rhs)
     sol = solve(_CAPPED_SUM, start=[2, 3, 4])
     assert np.array_equal(sol.x, x)
     assert sol.pivots == 1 + pivots
 
 
+def _plain_two_row():
+    """Bland's rule on _TWO_ROW's true bounds, with no relaxation: phase 1
+    from the two artificials, then phase 2, whose start prices optimal
+    because x1 + x2 is fixed.  The maximizer and the phase-1 pivots."""
+    # x1, x2, the surplus of x1 >= 0.25, then the two artificials.
+    a_ext = np.array([[1.0, 1, 0, 1, 0], [1, 0, -1, 0, 1]])
+    phase1 = _Simplex(a_ext, _TWO_ROW.rhs, np.array([0.0, 0, 0, -1, -1]), [3, 4], phase=1)
+    assert phase1.run() == "optimal"
+    assert phase1.basis.max() < 3  # no artificial left to drive out
+    phase2 = _Simplex(a_ext[:, :3], _TWO_ROW.rhs, np.array([1.0, 1, 0]), phase1.basis, phase=2)
+    assert phase2.entering() is None
+    x = np.zeros(2)
+    structural = phase2.basis < 2
+    x[phase2.basis[structural]] = phase2.levels()[structural]
+    return x, phase1.pivots
+
+
+def test_relaxed_phase_1_that_cycles_falls_back(monkeypatch):
+    # Phase 1 runs on relaxed bounds first, as phase 2 does, and falls back
+    # the same way: its relaxed run, stuck, revisits its basis after one
+    # pivot, and the unrelaxed rerun from the artificial basis answers as
+    # the plain two-phase run does.
+    x, pivots = _plain_two_row()
+    _stuck_when_relaxed(monkeypatch, _TWO_ROW.rhs)
+    sol = solve(_TWO_ROW)
+    assert np.array_equal(sol.x, x)
+    assert sol.pivots == 1 + pivots
+
+
+def test_rows_start_on_slack_or_surplus_columns_with_nonnegative_levels(monkeypatch):
+    # Every row starts on its own slack or surplus column when that
+    # column's level there is nonnegative.  The game's 2m deviation rows
+    # have bound 0, so only its normalization row (==) needs an artificial.
+    built = []
+    real = _Simplex.__init__
+
+    def recording(self, a, b, costs, basis, phase):
+        built.append((phase, a.shape[1], list(basis)))
+        real(self, a, b, costs, basis, phase)
+
+    monkeypatch.setattr(_Simplex, "__init__", recording)
+    m = 8
+    spec = GameSpec.uniform(m, 0.2, 10.0, 5.0)
+    n = 1 << m
+    sol = solve(_ns_lp(_tables(spec)))
+    assert sol.objective_value == pytest.approx(solve_ns(spec).objective, abs=1e-9)
+    phase1 = [(cols, basis) for phase, cols, basis in built if phase == 1]
+    assert phase1[0] == (n + 2 * m + 1, [n + 2 * m] + list(range(n, n + 2 * m)))
+    assert all(cols == n + 2 * m + 1 for cols, _ in phase1)
+    # Only <= rows and zero-bound >= rows: the slack and surplus basis is
+    # feasible, so no phase 1 runs.
+    built.clear()
+    a = [[1, -1, 0], [0, 1, -1], [1, 1, 1]]
+    sol = solve(LpProblem([1, 2, 3], a, [GE, GE, LE], [0, 0, 1]))
+    assert sol.objective_value == pytest.approx(2.0, abs=1e-9)
+    assert built and all(phase == 2 for phase, _, _ in built)
+
+
 def test_basis_revisit_outside_the_relaxed_run_raises(monkeypatch):
-    # With no pivot ever changing the basis, the relaxed run cycles and so
-    # does the rerun, which has no fallback; phase 1 has none either.  Both
-    # raise instead of looping, and phase 1 does not call a cycle unbounded.
+    # With no pivot ever changing the basis, every relaxed run cycles and
+    # so does the unrelaxed rerun that follows it in either phase, which
+    # has no fallback.  Both phases raise instead of looping, and phase 1
+    # does not call a cycle unbounded.
     def stuck(self, row, col):
         self.pivots += 1
 

@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 
 from nodesync import lp_solver, sync_game
-from nodesync.lp_solver import Relation
+from nodesync.lp_solver import LpStatus, Relation
 from nodesync.sync_game import (
     MAX_NODES,
     CorrelatedDistribution,
     GameSpec,
     Profile,
+    _ns_lp,
+    _tables,
     best_pure_profile,
-    build_ns_lp,
     cautious_failure,
     is_correlated_equilibrium,
     solve_ns,
@@ -103,7 +104,7 @@ def test_utility_examples():
 
 def test_total_utility_under_uniform_parameters():
     # The LP objective is the table of profile totals.
-    total = build_ns_lp(_uniform(4)).objective
+    total = _ns_lp(_tables(_uniform(4))).objective
     assert total[Profile(bits=(0, 0, 0, 0)).index] == 0.0
     for k in (1, 2, 8):
         assert total[k] == pytest.approx(5.0)
@@ -115,7 +116,7 @@ def test_utility_table_matches_scalar_oracle_exactly():
     rng = np.random.default_rng(2206)
     for m in range(1, 13):
         spec = _random_spec(rng, m=m)
-        lp = build_ns_lp(spec)
+        lp = _ns_lp(_tables(spec))
         objective, rows = ns_lp_tables(spec)
         assert np.array(lp.objective).tobytes() == np.array(objective).tobytes()
         assert lp.a.shape[0] == 1 + len(rows)
@@ -145,7 +146,7 @@ def test_cautious_failure_values():
 
 
 def test_ns_lp_structure():
-    small = build_ns_lp(_uniform(1))
+    small = _ns_lp(_tables(_uniform(1)))
     assert small.n == 2
     assert small.a.shape == (3, 2)
     assert small.relations[0] is Relation.EQ
@@ -153,7 +154,7 @@ def test_ns_lp_structure():
     assert small.a[0].tolist() == [1.0, 1.0]
     assert small.rhs.tolist() == [1.0, 0.0, 0.0]
 
-    big = build_ns_lp(_uniform(8))
+    big = _ns_lp(_tables(_uniform(8)))
     assert big.n == 256
     assert big.a.shape == (17, 256)
 
@@ -175,7 +176,7 @@ def test_objective_is_a_plain_sum_in_profile_order():
     # cost 3 the two differ in the last bit, so this spec tells them apart.
     spec = GameSpec.uniform(m=8, epsilon=0.2, alpha=10.0, cost=3.0)
     report = solve_ns(spec)
-    g, total = report.distribution.g.tolist(), build_ns_lp(spec).objective.tolist()
+    g, total = report.distribution.g.tolist(), _ns_lp(_tables(spec)).objective.tolist()
     terms = [gk * tk for gk, tk in zip(g, total)]
     plain = 0.0
     for term in terms:
@@ -185,7 +186,7 @@ def test_objective_is_a_plain_sum_in_profile_order():
 
 
 def test_ns_lp_objective_vector_m2():
-    lp = build_ns_lp(_uniform(2))
+    lp = _ns_lp(_tables(_uniform(2)))
     assert lp.objective == pytest.approx((0.0, 5.0, 5.0, 0.0))
 
 
@@ -391,7 +392,7 @@ def test_solve_ns_without_pure_equilibrium_runs_phase_1(monkeypatch):
 
 def _highs_objective(optimize, spec):
     """The best correlated equilibrium's total utility, as HiGHS finds it."""
-    lp = build_ns_lp(spec)
+    lp = _ns_lp(_tables(spec))
     res = optimize.linprog(
         -lp.objective,
         A_ub=-lp.a[1:],
@@ -449,7 +450,7 @@ def _warm_pivots(spec):
     profile's point mass with the 2m surplus columns basic."""
     n = 1 << spec.m
     start = [best_pure_profile(spec)[0].index] + list(range(n, n + 2 * spec.m))
-    return lp_solver.solve(build_ns_lp(spec), start=start).pivots
+    return lp_solver.solve(_ns_lp(_tables(spec)), start=start).pivots
 
 
 @pytest.mark.parametrize("name", list(_HIGH_RATIO))
@@ -465,6 +466,13 @@ def test_solve_ns_high_profit_to_cost_sweep(name):
     # rule on the true bounds made up to 22,711.
     pivots = _warm_pivots(spec)
     assert pivots < 5000, f"{pivots} pivots"
+    # Cold, phase 1 starts the 2m deviation rows on their surplus columns
+    # and runs relaxed like phase 2: at most 1,333 pivots on these specs,
+    # where Bland's rule from 2m + 1 artificials made up to 4,918.
+    cold = lp_solver.solve(_ns_lp(_tables(spec)))
+    assert cold.status is LpStatus.OPTIMAL
+    assert cold.objective_value == pytest.approx(report.objective, abs=1e-9)
+    assert cold.pivots < 2000, f"{cold.pivots} cold pivots"
     try:
         from scipy import optimize
     except ImportError:
