@@ -29,7 +29,6 @@ from .sim_harness import (
     CautiousAll,
     Equilibrium,
     FullNode,
-    NetRunDetail,
     NetSimConfig,
     SyncReport,
     run_network_sim,
@@ -59,7 +58,6 @@ __all__ = [
     "LpProblem",
     "LpSolution",
     "LpStatus",
-    "NetRunDetail",
     "NetSimConfig",
     "Profile",
     "RateParams",

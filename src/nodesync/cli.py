@@ -29,8 +29,8 @@ from .sim_harness import (
     CautiousAll,
     Equilibrium,
     FullNode,
-    NetRunDetail,
     NetSimConfig,
+    SyncReport,
     simulate_detail,
 )
 from .sync_game import GameSpec, solve_ns
@@ -196,11 +196,10 @@ def _netsim_configs(args: argparse.Namespace) -> list[tuple[str, NetSimConfig]]:
     ]
 
 
-def _netsim_row(rep: int, label: str, detail: NetRunDetail) -> list:
-    report = detail.report
+def _netsim_row(rep: int, label: str, report: SyncReport) -> list:
     return (
         [rep, label, report.sync_success_rate, report.predicted_success, report.rounds_used]
-        + [detail.total_requests, detail.redundant_responses]
+        + [report.total_requests, report.redundant_responses]
         + list(report.per_node_failure)
     )
 

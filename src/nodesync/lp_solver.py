@@ -11,11 +11,12 @@ data, for the prices y = B^-T c_B and for B^-1 [b | a_j], so round-off
 cannot build up from pivot to pivot, and the answer is B^-1 b of the last
 basis.
 
-Phase 1 starts every row on its own slack or surplus column when that
-column's level there, b_i / (+-1), is nonnegative: every <= row once rows
-with a negative bound are negated, and every >= row whose bound is 0.
-Only == rows and >= rows with a positive bound get an artificial column,
-and a program without one skips phase 1.  A caller that already knows a
+Rows are kept as given.  Phase 1 starts every row on its own slack or
+surplus column when that column's level there, b_i / (+-1), is
+nonnegative: every <= row with b_i >= 0 and every >= row with b_i <= 0.
+Each other row, == rows included, gets an artificial column signed like
+b_i, whose level |b_i| is nonnegative, and a program without one skips
+phase 1.  A caller that already knows a
 feasible vertex may pass its basis as `start`.  A start of real
 (structural or slack/surplus) columns whose levels solve and, once tiny
 levels snap to zero, are all nonnegative skips phase 1; any other start
@@ -37,7 +38,8 @@ true b too, and one solve for its levels with the true b finishes the
 phase when none is negative.  When one is, or when round-off makes the
 relaxed run return to a basis it has visited, the phase reruns unrelaxed
 from the same start.  A cycle in that rerun raises ArithmeticError
-instead of running forever.
+instead of running forever, and so does a float overflow or invalid
+value anywhere in a phase.
 """
 
 from __future__ import annotations
@@ -246,23 +248,32 @@ def _optimize(start: _Simplex, n: int) -> tuple[str, _Simplex]:
     """Either phase from a feasible basis (see the module notes): the status
     and the final state, whose `pivots` count every pivot of the phase.  A
     start that prices optimal is returned as it is, with no relaxed data
-    built."""
-    col = start.entering()
-    if col is None:
-        return "optimal", start
-    relaxed = _Simplex(start.a, _relaxed_b(start, n), start.costs, start.basis, start.phase)
-    status = relaxed.run(col)
-    if status == "unbounded":
-        # The ray of the last basis (B^-1 a_col <= 0) does not depend on b,
-        # and the start is feasible for the true b: that program is
-        # unbounded too.
-        return status, relaxed
-    if status == "optimal":
-        final = _Simplex(start.a, start.b, start.costs, relaxed.basis, start.phase)
-        if final.feasible():
-            final.pivots = relaxed.pivots
-            return status, final
-    status = start.run(col)
+    built.  Overflow or an invalid value anywhere in the phase raises
+    ArithmeticError."""
+    relaxed = None
+    try:
+        with np.errstate(invalid="raise", over="raise"):
+            col = start.entering()
+            if col is None:
+                return "optimal", start
+            relaxed = _Simplex(start.a, _relaxed_b(start, n), start.costs, start.basis, start.phase)
+            status = relaxed.run(col)
+            if status == "unbounded":
+                # The ray of the last basis (B^-1 a_col <= 0) does not depend
+                # on b, and the start is feasible for the true b: that
+                # program is unbounded too.
+                return status, relaxed
+            if status == "optimal":
+                final = _Simplex(start.a, start.b, start.costs, relaxed.basis, start.phase)
+                if final.feasible():
+                    final.pivots = relaxed.pivots
+                    return status, final
+            status = start.run(col)
+    except FloatingPointError as exc:
+        pivots = start.pivots + (relaxed.pivots if relaxed is not None else 0)
+        raise ArithmeticError(
+            f"{exc} in phase {start.phase} after {pivots} pivots ({len(start.basis)} rows)"
+        ) from exc
     if status == "cycled":
         raise ArithmeticError(
             f"simplex cycled in phase {start.phase} after {start.pivots} pivots "
@@ -281,35 +292,26 @@ def solve(problem: LpProblem, start: Sequence[int] | None = None) -> LpSolution:
     naming an artificial column, a singular basis, or a negative basic
     level is ignored and phase 1 runs as without it.
     """
-    a, b, relations = problem.a, problem.rhs, problem.relations
+    a, b = problem.a, problem.rhs
     m, n = a.shape
 
-    # Rows with a negative right-hand side are negated, and their relation
-    # swapped, so every basic level starts nonnegative.  A slack column keeps
-    # its value under the negation, so `start` numbers the same columns.
-    flip = b < 0
-    sign = np.where(flip, -1.0, 1.0)
-    b_std = b * sign
-    swap = {Relation.LE: Relation.GE, Relation.GE: Relation.LE, Relation.EQ: Relation.EQ}
-    std_relations = [swap[rel] if f else rel for rel, f in zip(relations, flip)]
-
     # Each inequality row has a slack (+1, <=) or surplus (-1, >=) column.
-    # A row starts on it when its level there, b_i / (+-1), is nonnegative:
-    # every <= row and every >= row whose bound is 0.  Each other row starts
-    # on an artificial column of its own.
+    # A row starts on it when its level there, b_i / (+-1), is nonnegative.
+    # Each other row starts on an artificial column of its own, signed like
+    # b_i so that the artificial's level |b_i| is nonnegative too.
     sign_of = {Relation.LE: 1.0, Relation.GE: -1.0, Relation.EQ: 0.0}
-    slack_sign = np.array([sign_of[rel] for rel in std_relations])
+    slack_sign = np.array([sign_of[rel] for rel in problem.relations])
     slack_rows = slack_sign.nonzero()[0]
-    art_rows = ((slack_sign == 0.0) | (slack_sign * b_std < 0.0)).nonzero()[0]
+    art_rows = ((slack_sign == 0.0) | (slack_sign * b < 0.0)).nonzero()[0]
     n_real = n + len(slack_rows)
     n_art = len(art_rows)
     slack_cols = np.arange(n, n_real)
     art_cols = np.arange(n_real, n_real + n_art)
 
     a_ext = np.zeros((m, n_real + n_art))
-    a_ext[:, :n] = a * sign[:, None]
+    a_ext[:, :n] = a
     a_ext[slack_rows, slack_cols] = slack_sign[slack_rows]
-    a_ext[art_rows, art_cols] = 1.0
+    a_ext[art_rows, art_cols] = np.where(b[art_rows] < 0.0, -1.0, 1.0)
     basis = np.zeros(m, dtype=np.intp)
     basis[slack_rows] = slack_cols
     basis[art_rows] = art_cols
@@ -323,7 +325,7 @@ def solve(problem: LpProblem, start: Sequence[int] | None = None) -> LpSolution:
             # The phase-2 state on the start basis is its own test: a
             # singular basis fails to solve for its levels, and a feasible
             # one has none below zero once tiny levels snap to zero.
-            phase2_start = _Simplex(a_ext[:, :n_real], b_std, phase2_costs, cols, phase=2)
+            phase2_start = _Simplex(a_ext[:, :n_real], b, phase2_costs, cols, phase=2)
             try:
                 if not phase2_start.feasible():
                     phase2_start = None
@@ -333,7 +335,7 @@ def solve(problem: LpProblem, start: Sequence[int] | None = None) -> LpSolution:
     if phase2_start is None and n_art > 0:
         phase1_costs = np.zeros(n_real + n_art)
         phase1_costs[n_real:] = -1.0
-        status, state = _optimize(_Simplex(a_ext, b_std, phase1_costs, basis, phase=1), n)
+        status, state = _optimize(_Simplex(a_ext, b, phase1_costs, basis, phase=1), n)
         if status != "optimal":
             raise ArithmeticError("phase 1 is bounded by construction")
         infeasibility = float(state.levels()[state.basis >= n_real].sum())
@@ -354,12 +356,12 @@ def solve(problem: LpProblem, start: Sequence[int] | None = None) -> LpSolution:
             else:
                 keep[i] = False
         a_ext = a_ext[keep]
-        b_std = b_std[keep]
+        b = b[keep]
         basis = state.basis[keep]
         pivots = state.pivots
 
     if phase2_start is None:
-        phase2_start = _Simplex(a_ext[:, :n_real], b_std, phase2_costs, basis, phase=2)
+        phase2_start = _Simplex(a_ext[:, :n_real], b, phase2_costs, basis, phase=2)
     status, state = _optimize(phase2_start, n)
     pivots += state.pivots
     if status == "unbounded":
@@ -369,7 +371,7 @@ def solve(problem: LpProblem, start: Sequence[int] | None = None) -> LpSolution:
     structural = state.basis < n
     x[state.basis[structural]] = state.levels()[structural]
     x[(x < 0) & (x > -PIVOT_TOL)] = 0.0
-    _check_feasible(a, b, relations, x)
+    _check_feasible(problem, x)
     return LpSolution(
         status=LpStatus.OPTIMAL,
         x=x,
@@ -378,13 +380,12 @@ def solve(problem: LpProblem, start: Sequence[int] | None = None) -> LpSolution:
     )
 
 
-def _check_feasible(
-    a: np.ndarray, b: np.ndarray, relations: Sequence[Relation], x: np.ndarray
-) -> None:
-    """Raise on the first row of `a x (relation) b` that x violates."""
+def _check_feasible(problem: LpProblem, x: np.ndarray) -> None:
+    """Raise on the first row of the problem's constraints that x violates."""
     if x.min(initial=0.0) < -PIVOT_TOL:
         raise ArithmeticError(f"solution has a negative coordinate: {x.min()}")
-    values = a @ x
+    b, relations = problem.rhs, problem.relations
+    values = problem.a @ x
     le = np.array([rel is Relation.LE for rel in relations], dtype=bool)
     ge = np.array([rel is Relation.GE for rel in relations], dtype=bool)
     bad = np.where(

@@ -101,19 +101,15 @@ class SyncReport:
     per_node_failure entries are measured over the rounds in which the node
     received at least one routed request; a node that was never requested
     reports NaN and is left out of the product-form prediction.
+    total_requests counts every routed request, and redundant_responses
+    every successful response beyond the first one a partial node gets in
+    a round.
     """
 
     per_node_failure: tuple[float, ...]
     sync_success_rate: float
     predicted_success: float
     rounds_used: int
-
-
-@dataclass(frozen=True)
-class NetRunDetail:
-    """SyncReport plus the request/redundancy accounting of one run."""
-
-    report: SyncReport
     total_requests: int
     redundant_responses: int
 
@@ -152,7 +148,9 @@ def _fail_series(
     return carried + backlog_inflow > capacity
 
 
-def simulate_detail(config: NetSimConfig) -> NetRunDetail:
+def simulate_detail(config: NetSimConfig) -> SyncReport:
+    """Simulate the configured rounds and report realized and predicted
+    synchronization success."""
     m = len(config.full_nodes)
     rounds = config.rounds
     profiles = _routing_matrix(config)
@@ -188,21 +186,15 @@ def simulate_detail(config: NetSimConfig) -> NetRunDetail:
             per_node.append(float("nan"))
     predicted_success = 1.0 - predicted if any_measured else float("nan")
 
-    report = SyncReport(
+    return SyncReport(
         per_node_failure=tuple(per_node),
         sync_success_rate=sync_success_rate,
         predicted_success=predicted_success,
         rounds_used=rounds,
-    )
-    return NetRunDetail(
-        report=report,
         total_requests=int(bits.sum(dtype=np.int64)),
         redundant_responses=int(np.maximum(success_counts - 1, 0).sum(dtype=np.int64)),
     )
 
 
-def run_network_sim(config: NetSimConfig) -> SyncReport:
-    """Simulate the configured rounds and report realized and predicted
-    synchronization success."""
-    return simulate_detail(config).report
+run_network_sim = simulate_detail
 

@@ -126,16 +126,22 @@ class _Tables(NamedTuple):
 
     bits: np.ndarray  # B[k, i]: profile k sends to node i
     total: np.ndarray  # T[k]: sum of the m utilities under profile k
-    a: np.ndarray  # (2m + 1, 2^m) LP matrix, see _lp_matrix
+    # (2m + 1, 2^m) LP matrix.  Row 0 is the normalization row of ones.
+    # Row 1 + 2i (skip) and row 2 + 2i (send) hold what node i gains under
+    # profile k by keeping its decision instead of switching, on the
+    # profiles where it plays that decision, and 0 elsewhere.
+    a: np.ndarray
 
 
 def _tables(spec: GameSpec) -> _Tables:
     """Bit matrix, totals and LP matrix for all 2^m profiles.
 
     A sender's share is its success weight 1 - epsilon_i over the weight sum
-    of all senders; a non-sender earns nothing.  Weight sums and totals are
-    accumulated node by node in ascending order, so every entry carries the
-    same rounding as a scalar left-to-right loop over the nodes.
+    of all senders; a non-sender earns nothing, so node i's keep gain is its
+    utility where it sends and 0.0 minus the utility it would earn by
+    sending where it skips.  Weight sums and totals are accumulated node by
+    node in ascending order, so every entry carries the same rounding as a
+    scalar left-to-right loop over the nodes.
     """
     m = spec.m
     index = np.arange(1 << m)
@@ -143,41 +149,25 @@ def _tables(spec: GameSpec) -> _Tables:
     weight_sum = np.zeros(1)
     for eps in spec.epsilon:
         weight_sum = np.concatenate([weight_sum, weight_sum + (1.0 - eps)])
-    utility = np.zeros((1 << m, m))
+    a = np.zeros((2 * m + 1, 1 << m))
+    a[0] = 1.0
     total = np.zeros(1 << m)
     with np.errstate(over="ignore"):  # rejected below
         for i in range(m):
             send = bits[:, i]
+            utility = a[2 + 2 * i]
             share = (1.0 - spec.epsilon[i]) / weight_sum[send]
-            utility[send, i] = spec.alpha[i] * share - spec.cost[i]
-            total += utility[:, i]
+            utility[send] = spec.alpha[i] * share - spec.cost[i]
+            total += utility
+            # The flipped profile of a sender skips, so its entry is 0.0 - 0.0.
+            a[1 + 2 * i] = 0.0 - utility[index ^ (1 << i)]
     # A utility lies in [-cost, alpha] and a keep gain is plus or minus one
     # utility, so only the sums over the m nodes can leave the float range.
     if not np.isfinite(total).all():
         raise ValueError("the game's utility totals overflow floats at these profits and costs")
-    a = _lp_matrix(_keep_gains(utility), bits)
     total.flags.writeable = False
     a.flags.writeable = False
     return _Tables(bits=bits, total=total, a=a)
-
-
-def _keep_gains(utility: np.ndarray) -> np.ndarray:
-    """G[k, i] = U[k, i] - U[k ^ (1 << i), i]: what decision i gains under
-    profile k by keeping its action instead of switching."""
-    n, m = utility.shape
-    flipped = np.arange(n)[:, None] ^ (1 << np.arange(m))
-    return utility - np.take_along_axis(utility, flipped, axis=0)
-
-
-def _lp_matrix(gains: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """(2m + 1, 2^m) LP matrix.  Row 0 is the normalization row of ones;
-    deviation row 1 + 2i + held carries decision i's keep gain on the
-    profiles where it plays `held`, and 0 elsewhere."""
-    gains, sends = gains.T, bits.T
-    a = np.ones((2 * gains.shape[0] + 1, gains.shape[1]))
-    a[1::2] = np.where(sends, 0.0, gains)
-    a[2::2] = np.where(sends, gains, 0.0)
-    return a
 
 
 def cautious_failure(epsilon: Sequence[float]) -> float:
@@ -256,8 +246,8 @@ def solve_ns(spec: GameSpec) -> DecisionReport:
             f"solver output fails the equilibrium check by {check.max_violation}"
         )
     marginals = tuple(float(g[tables.bits[:, i]].sum()) for i in range(spec.m))
-    # Iterating the array keeps a plain left-to-right sum in profile order.
-    objective = float(sum(g * tables.total))
+    # cumsum keeps a plain left-to-right sum in profile order.
+    objective = float(np.cumsum(g * tables.total)[-1])
     return DecisionReport(
         distribution=dist,
         objective=objective,

@@ -234,6 +234,25 @@ def test_game_with_finite_tables_answers_at_extreme_inputs():
     assert run_cli(args) == (0, "eps1,p_1,p_2,objective,marginal_1,marginal_2\n0.5,0,0,0.0,0.0,0.0\n")
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ["--m", "8", "--eps1", "0.5", "--alpha", "1e300", "--cost", "1e299"],
+        ["--m", "12", "--eps1", "0.5", "--alpha", "1e307", "--cost", "1e306"],
+    ],
+)
+def test_overflow_inside_the_simplex_is_a_solver_failure(spec, capfd):
+    # Finite tables whose prices overflow in the pivot loop: the call
+    # answers or fails as a solver failure, never as an input error, and
+    # no numpy warning escapes (pytest turns warnings into errors).
+    code = main(["decide"] + spec)
+    out, err = capfd.readouterr()
+    assert code in (0, 2), err
+    if code == 2:
+        assert out == ""
+        assert err.startswith("nodesync: failure: ") and err.count("\n") == 1, err
+
+
 def test_overflowing_threshold_gap_is_one_clean_error(capfd):
     # Valid thresholds, so the walks run; no warning of the order check
     # may reach stderr before the fit's error line.

@@ -148,6 +148,30 @@ def test_tuple_and_array_built_problems_solve_identically():
     assert optimal >= 20
 
 
+def test_negated_rows_solve_identically():
+    # Rows are kept as given, and IEEE rounding is symmetric under sign
+    # changes, so a row multiplied by -1, with its relation swapped,
+    # changes no pivot and no bit of x.  (Only an exact zero can change its
+    # sign; none does on these programs.)
+    swap = {LE: GE, GE: LE, EQ: EQ}
+    rng = np.random.default_rng(515)
+    negated_bounds = 0
+    for _ in range(300):
+        prob = random_problem(rng)
+        flip = rng.random(len(prob.relations)) < 0.5
+        sign = np.where(flip, -1.0, 1.0)
+        relations = tuple(swap[rel] if f else rel for rel, f in zip(prob.relations, flip))
+        negated = LpProblem(prob.objective, prob.a * sign[:, None], relations, prob.rhs * sign)
+        negated_bounds += bool((negated.rhs < 0).any())
+        want, got = solve(prob), solve(negated)
+        assert got.status is want.status
+        assert got.pivots == want.pivots
+        if want.status is LpStatus.OPTIMAL:
+            assert got.x.tobytes() == want.x.tobytes()
+            assert got.objective_value == want.objective_value
+    assert negated_bounds > 150
+
+
 def test_deterministic_resolve():
     rng = np.random.default_rng(77)
     for _ in range(20):
@@ -479,6 +503,13 @@ def test_rows_start_on_slack_or_surplus_columns_with_nonnegative_levels(monkeypa
     a = [[1, -1, 0], [0, 1, -1], [1, 1, 1]]
     sol = solve(LpProblem([1, 2, 3], a, [GE, GE, LE], [0, 0, 1]))
     assert sol.objective_value == pytest.approx(2.0, abs=1e-9)
+    assert built and all(phase == 2 for phase, _, _ in built)
+    # A >= row with a negative bound starts on its surplus column at a
+    # positive level, so negative bounds on >= rows alone run no phase 1
+    # either: maximize x + 2y  subject to  x + y <= 4  and  x - y >= -2.
+    built.clear()
+    sol = solve(LpProblem([1, 2], [[1, 1], [1, -1]], [LE, GE], [4, -2]))
+    assert sol.objective_value == pytest.approx(7.0, abs=1e-9)
     assert built and all(phase == 2 for phase, _, _ in built)
 
 

@@ -86,8 +86,8 @@ def test_equilibrium_single_sender_requests():
     assert detail.total_requests == 2 * 2000
     assert detail.redundant_responses == 0
     # Nodes outside the equilibrium support never see a request.
-    assert math.isnan(detail.report.per_node_failure[1])
-    assert math.isnan(detail.report.per_node_failure[2])
+    assert math.isnan(detail.per_node_failure[1])
+    assert math.isnan(detail.per_node_failure[2])
 
 
 def _cautious_and_equilibrium(spec, **kwargs):
@@ -106,7 +106,7 @@ def test_equilibrium_sends_everywhere_when_costs_vanish():
 def test_strategy_dominance_on_shared_seeds():
     spec = GameSpec.uniform(3, 0.2, 10.0, 5.0)
     cautious, equilibrium = _cautious_and_equilibrium(spec, n_partial=2, rounds=20_000)
-    assert cautious.report.sync_success_rate >= equilibrium.report.sync_success_rate
+    assert cautious.sync_success_rate >= equilibrium.sync_success_rate
     assert equilibrium.total_requests <= cautious.total_requests
     assert equilibrium.redundant_responses <= cautious.redundant_responses
 
