@@ -370,7 +370,7 @@ def solve(problem: LpProblem, start: Sequence[int] | None = None) -> LpSolution:
     x = np.zeros(n)
     structural = state.basis < n
     x[state.basis[structural]] = state.levels()[structural]
-    x[(x < 0) & (x > -PIVOT_TOL)] = 0.0
+    x[(x <= 0) & (x > -PIVOT_TOL)] = 0.0
     _check_feasible(problem, x)
     return LpSolution(
         status=LpStatus.OPTIMAL,

@@ -6,10 +6,24 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15  # splitmix64 increment
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+
+
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    """numpy's SeedSequence hash constants init * mult**k mod 2**32, k <= n."""
+    consts = [init * pow(mult, k, 1 << 32) & 0xFFFFFFFF for k in range(n + 1)]
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+# The hash steps through the same constants whatever it hashes.  Mixing a
+# pool of four words takes 4 + 4 * 3 hash calls; PCG64 draws 8 pool words.
+_MIX_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_DRAW_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
 
 
 def splitmix64(state: int) -> int:
-    """Avalanche finalizer of the splitmix64 generator."""
+    """Avalanche finalizer of the splitmix64 generator; elementwise on uint64 arrays."""
     z = state & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -31,3 +45,42 @@ def derive_seed(master_seed: int, index: int) -> int:
 def make_rng(seed: int) -> np.random.Generator:
     """PCG64 stream for a 64-bit seed."""
     return np.random.Generator(np.random.PCG64(seed & _MASK64))
+
+
+def _hashmix(words: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """numpy's SeedSequence hashmix of row i of `words` with consts i and i + 1."""
+    words = (words ^ consts[:-1]) * consts[1:]
+    return words ^ (words >> 16)
+
+
+def _pcg64_states(seeds: np.ndarray) -> list[dict]:
+    """`bit_generator.state` of make_rng(seed) per uint64 seed: numpy's documented
+    SeedSequence pool hash, vectorised, then PCG64's setseq step.  numpy pads a
+    one-word seed with the hash of 0, so every seed hashes as two 32-bit words."""
+    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
+    pool[0], pool[1] = seeds & 0xFFFFFFFF, seeds >> 32
+    pool = _hashmix(pool, _MIX_HASH[:5])
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        hashed = _hashmix(pool[src], _MIX_HASH[4 + 3 * src : 8 + 3 * src])
+        mixed = pool[dst] * np.uint32(0xCA01F9DD) - hashed * np.uint32(0x4973F715)
+        pool[dst] = mixed ^ (mixed >> 16)
+    words = _hashmix(np.tile(pool, (2, 1)), _DRAW_HASH).astype(np.uint64)
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in (words[0::2] | words[1::2] << 32).T.tolist():
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
+def fill_streams(master_seed: int, first: int, out: np.ndarray) -> None:
+    """Fill row j of the 2-D `out` with the doubles of make_rng(derive_seed(
+    master_seed, first + j)).random, setting each row's PCG64 state in turn."""
+    index = np.arange(first + 1, first + len(out) + 1, dtype=np.uint64)
+    seeds = splitmix64(np.uint64(master_seed & _MASK64) + index * np.uint64(_GOLDEN))
+    rng = np.random.Generator(np.random.PCG64(0))
+    for row, state in zip(out, _pcg64_states(seeds)):
+        rng.bit_generator.state = state
+        rng.random(out=row)

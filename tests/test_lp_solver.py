@@ -183,6 +183,23 @@ def test_deterministic_resolve():
             assert np.array_equal(first.x, second.x)
 
 
+def test_optimal_x_has_no_negative_zero():
+    # Zero right-hand sides make degenerate vertices, where a basic level of
+    # exactly zero can carry the sign of its pivot.
+    rng = np.random.default_rng(2_000)
+    degenerate = 0
+    for draw in range(2_000):
+        prob = (random_problem if draw % 2 else random_feasible_problem)(rng)
+        if draw % 4 < 2:
+            rhs = np.where(rng.random(len(prob.rhs)) < 0.5, 0.0, prob.rhs)
+            prob = LpProblem(prob.objective, prob.a, prob.relations, rhs)
+        sol = solve(prob)
+        if sol.status is LpStatus.OPTIMAL:
+            assert not np.signbit(sol.x[sol.x == 0.0]).any()
+            degenerate += draw % 4 < 2
+    assert degenerate > 300
+
+
 def test_objective_scaling_keeps_argmax():
     rng = np.random.default_rng(123)
     scaled_checked = 0

@@ -256,6 +256,19 @@ def test_estimate_tail_equals_independent_walks():
     assert estimates[1].hits == sum(s > 5 for s in sups)
 
 
+@pytest.mark.parametrize("lam, mu", [(3.0, 6.0), (200.0, 240.0)])
+@pytest.mark.parametrize("master_seed", [-1, 2**64 + 3])
+def test_estimate_tail_matches_independent_walks_across_batches(monkeypatch, lam, mu, master_seed):
+    params = RateParams(lam=lam, mu=mu)
+    runs, horizon, gammas = 53, 80, [0, 2, 5]
+    # 6-walk batches: eight full ones, then one of 5.
+    monkeypatch.setattr(qm, "_BLOCK", 6 * horizon + 7)
+    estimates = estimate_tail(params, gammas, runs=runs, horizon=horizon, master_seed=master_seed)
+    sups = [_walk_sup(params, horizon, make_rng(derive_seed(master_seed, i))) for i in range(runs)]
+    assert [est.hits for est in estimates] == [sum(s > g for s in sups) for g in gammas]
+    assert 0 < estimates[0].hits < runs
+
+
 def test_estimate_tail_independent_of_batch_size(monkeypatch):
     params = RateParams(lam=3.0, mu=6.0)
     baseline = estimate_tail(params, [1, 4], runs=300, horizon=100, master_seed=3)

@@ -1,0 +1,40 @@
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+import nodesync.queue_model as qm
+from nodesync.seeding import _pcg64_states, derive_seed, fill_streams, make_rng
+
+
+def test_stream_states_match_numpy_seeding():
+    rng = np.random.default_rng(16)
+    seeds = np.concatenate([
+        np.array([0, 1, 2**32 - 1, 2**32, 2**64 - 1], dtype=np.uint64),
+        rng.integers(0, 2**32, size=2_000, dtype=np.uint64),
+        rng.integers(0, 2**64 - 1, size=8_000, dtype=np.uint64, endpoint=True),
+    ])
+    want = [np.random.PCG64(int(seed)).state for seed in seeds]
+    assert _pcg64_states(seeds) == want
+
+
+@pytest.mark.parametrize("master_seed, first", [(-1, 0), (0, 7), (2**64 + 5, 1_000_003)])
+def test_fill_streams_equals_per_walk_streams(master_seed, first):
+    rows = 3_400
+    children = [derive_seed(master_seed, first + j) for j in range(rows)]
+    rngs = [make_rng(child) for child in children]
+    states = _pcg64_states(np.array(children, dtype=np.uint64))
+    assert states == [rng.bit_generator.state for rng in rngs]
+    out = np.empty((rows, 6))
+    fill_streams(master_seed, first, out)
+    assert np.array_equal(out, np.array([rng.random(6) for rng in rngs]))
+
+
+def test_fill_streams_takes_any_batch_height():
+    horizon = 5_000
+    for rows in range(1, qm._BLOCK // horizon + 1):
+        first = 40 * rows
+        out = np.empty((rows, 2 * horizon))
+        fill_streams(11, first, out)
+        for j, row in enumerate(out):
+            assert np.array_equal(row, make_rng(derive_seed(11, first + j)).random(2 * horizon))
