@@ -238,18 +238,6 @@ def _cmd_netsim(args: argparse.Namespace, writer) -> None:
             writer.writerow(footer)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=42, help="master seed (default 42)")
-    parser.add_argument("--out", default=_STDOUT, help="output CSV path, '-' for stdout")
-    parser.add_argument("--config", default=None, help="flat key=value config file; flags override it")
-    parser.add_argument(
-        "--reps",
-        type=int,
-        default=20,
-        help="repetitions for statistical subcommands (default 20); deterministic subcommands ignore it",
-    )
-
-
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """A fresh parser tree: the top-level parser and each subcommand's parser.
 
@@ -258,9 +246,19 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     """
     parser = _Parser(prog="nodesync", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
-    registry: dict[str, argparse.ArgumentParser] = {}
+    # The flags every subcommand takes, shared by each subcommand's parser.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=42, help="master seed (default 42)")
+    common.add_argument("--out", default=_STDOUT, help="output CSV path, '-' for stdout")
+    common.add_argument("--config", default=None, help="flat key=value config file; flags override it")
+    common.add_argument(
+        "--reps",
+        type=int,
+        default=20,
+        help="repetitions for statistical subcommands (default 20); deterministic subcommands ignore it",
+    )
 
-    p = subs.add_parser("decay", help="tabulate the tail decay-rate surface")
+    p = subs.add_parser("decay", parents=[common], help="tabulate the tail decay-rate surface")
     p.add_argument("--lam", type=float, default=3.0)
     p.add_argument("--x-min", type=float, default=0.0)
     p.add_argument("--x-max", type=float, default=1.0)
@@ -268,59 +266,47 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--gap-min", type=float, default=0.0)
     p.add_argument("--gap-max", type=float, default=10.0)
     p.add_argument("--gap-steps", type=int, default=51)
-    _add_common(p)
     p.set_defaults(func=_cmd_decay)
-    registry["decay"] = p
 
-    p = subs.add_parser("tail", help="Monte Carlo tail probabilities and the fitted decay slope")
+    p = subs.add_parser("tail", parents=[common], help="Monte Carlo tail probabilities and the fitted decay slope")
     p.add_argument("--lam", type=float, default=3.0)
     p.add_argument("--mu", type=float, default=6.0)
     p.add_argument("--gammas", type=_float_list, default=(3, 4, 5, 6, 7, 8, 9, 10))
     p.add_argument("--runs", type=int, default=5000, help="walks per repetition")
     p.add_argument("--horizon", type=int, default=5000)
-    _add_common(p)
     p.set_defaults(func=_cmd_tail)
-    registry["tail"] = p
 
-    p = subs.add_parser("capacity", help="minimum capacity meeting each failure tolerance")
+    p = subs.add_parser("capacity", parents=[common], help="minimum capacity meeting each failure tolerance")
     p.add_argument("--lam", type=float, default=3.0)
     p.add_argument("--mu", type=float, default=6.0)
     p.add_argument("--epsilons", type=_float_list, default=(0.01, 0.05, 0.1, 0.2, 0.5, 1.0))
-    _add_common(p)
     p.set_defaults(func=_cmd_capacity)
-    registry["capacity"] = p
 
-    p = subs.add_parser("rate", help="minimum response rate meeting each failure tolerance")
+    p = subs.add_parser("rate", parents=[common], help="minimum response rate meeting each failure tolerance")
     p.add_argument("--lam", type=float, default=3.0)
     p.add_argument("--gamma", type=float, default=10.0)
     p.add_argument("--epsilons", type=_float_list, default=(0.01, 0.05, 0.1, 0.2, 0.5, 1.0))
-    _add_common(p)
     p.set_defaults(func=_cmd_rate)
-    registry["rate"] = p
 
-    p = subs.add_parser("decide", help="equilibrium request decisions over a tolerance sweep")
+    p = subs.add_parser("decide", parents=[common], help="equilibrium request decisions over a tolerance sweep")
     p.add_argument("--m", type=int, default=8)
     p.add_argument("--eps1", type=_float_list, default=tuple(round(0.1 * i, 1) for i in range(1, 10)))
     p.add_argument("--eps-rest", type=float, default=0.2)
     p.add_argument("--epsilon", type=_float_list, default=None, help="full tolerance vector; disables the eps1 sweep")
     p.add_argument("--alpha", type=_float_list, default=(10.0,))
     p.add_argument("--cost", type=_float_list, default=(5.0,))
-    _add_common(p)
     p.set_defaults(func=_cmd_decide)
-    registry["decide"] = p
 
-    p = subs.add_parser("sweep", help="maximized total utility over a parameter sweep")
+    p = subs.add_parser("sweep", parents=[common], help="maximized total utility over a parameter sweep")
     p.add_argument("--param", choices=("alpha", "cost"), default="alpha")
     p.add_argument("--values", type=_float_list, default=tuple(float(v) for v in range(1, 11)))
     p.add_argument("--m", type=int, default=8)
     p.add_argument("--eps", type=_float_list, default=(0.2,))
     p.add_argument("--alpha", type=float, default=10.0, help="fixed alpha when sweeping cost")
     p.add_argument("--cost", type=float, default=5.0, help="fixed cost when sweeping alpha")
-    _add_common(p)
     p.set_defaults(func=_cmd_sweep)
-    registry["sweep"] = p
 
-    p = subs.add_parser("netsim", help="round-based network simulation of request strategies")
+    p = subs.add_parser("netsim", parents=[common], help="round-based network simulation of request strategies")
     p.add_argument("--m", type=int, default=3)
     p.add_argument("--lam", type=_float_list, default=(3.0,))
     p.add_argument("--mu", type=_float_list, default=(6.0,))
@@ -331,11 +317,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--eps", type=_float_list, default=(0.2,))
     p.add_argument("--alpha", type=_float_list, default=(10.0,))
     p.add_argument("--cost", type=_float_list, default=(5.0,))
-    _add_common(p)
     p.set_defaults(func=_cmd_netsim)
-    registry["netsim"] = p
 
-    return parser, registry
+    return parser, subs.choices
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -382,13 +366,12 @@ def _shared_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
 
 def main(argv: Sequence[str] | None = None) -> int:
     raw_argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser, registry = _shared_parser()
+    parser, subcommands = _shared_parser()
     try:
         args = parser.parse_args(raw_argv)
         if args.config is not None:
-            command = raw_argv[0]
-            tokens = _config_tokens(registry[command], _read_config(args.config), args.config)
-            args = parser.parse_args([command] + tokens + raw_argv[1:])
+            tokens = _config_tokens(subcommands[args.command], _read_config(args.config), args.config)
+            args = parser.parse_args([args.command] + tokens + raw_argv[1:])
         _dispatch(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1

@@ -97,8 +97,9 @@ class LpProblem:
     """maximize objective . x  subject to  a x (relations) rhs  and  x >= 0.
 
     Row i reads  a[i] . x (relations[i]) rhs[i].  `objective`, `a` and `rhs`
-    are stored as read-only float64 arrays and `relations` as a tuple, so
-    the number of variables is len(objective) and of rows len(relations).
+    are stored as read-only float64 arrays, every entry finite, and
+    `relations` as a tuple, so the number of variables is len(objective)
+    and of rows len(relations).
     """
 
     objective: np.ndarray
@@ -123,6 +124,9 @@ class LpProblem:
             )
         if not all(isinstance(rel, Relation) for rel in self.relations):
             raise ValueError(f"relations must be Relation members, got {self.relations}")
+        for name in ("objective", "a", "rhs"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} has a non-finite entry; every coefficient must be finite")
 
     @property
     def n(self) -> int:
@@ -209,8 +213,9 @@ class _Simplex:
             fresh = self._solve(self.matrix, rhs)
             direction = fresh[:, 1]
             # Round-off grows with the column's largest entry; a pivot on
-            # round-off would leave the basis singular.
-            open_rows = (direction > PIVOT_TOL * max(1.0, direction.max())).nonzero()[0]
+            # round-off would leave the basis singular.  A program with no
+            # rows has an empty column, and every such direction is a ray.
+            open_rows = (direction > PIVOT_TOL * max(1.0, direction.max(initial=0.0))).nonzero()[0]
             if open_rows.size == 0:
                 return "unbounded"
             # Ties must be recognized exactly (degenerate rows carry an
@@ -372,10 +377,11 @@ def solve(problem: LpProblem, start: Sequence[int] | None = None) -> LpSolution:
     x[state.basis[structural]] = state.levels()[structural]
     x[(x <= 0) & (x > -PIVOT_TOL)] = 0.0
     _check_feasible(problem, x)
+    # "+ 0.0" turns a sum of -0.0 terms (a negative cost at x = 0) into 0.0.
     return LpSolution(
         status=LpStatus.OPTIMAL,
         x=x,
-        objective_value=float(np.dot(problem.objective, x)),
+        objective_value=float(np.dot(problem.objective, x)) + 0.0,
         pivots=pivots,
     )
 

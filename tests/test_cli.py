@@ -415,6 +415,16 @@ def test_parser_defaults_are_immutable():
     assert float_lists == 14
 
 
+def test_every_subcommand_takes_the_common_flags():
+    parser, subcommands = cli.build_parser()
+    assert sorted(subcommands) == ["capacity", "decay", "decide", "netsim", "rate", "sweep", "tail"]
+    for name, sub in subcommands.items():
+        args = parser.parse_args([name, "--seed", "3", "--out", "x", "--config", "c", "--reps", "2"])
+        assert (args.command, args.seed, args.out, args.config, args.reps) == (name, 3, "x", "c", 2)
+        tokens = cli._config_tokens(sub, {"seed": "3", "reps": "2", "out": "-"}, "f")
+        assert tokens == ["--seed", "3", "--reps", "2", "--out", "-"], name
+
+
 def test_byte_identical_reruns():
     for args in (
         ["tail", "--runs", "150", "--horizon", "80", "--reps", "2"],

@@ -75,6 +75,29 @@ def test_validation_distinct_from_infeasible():
             LpProblem(objective, a, relations, rhs)
 
 
+@pytest.mark.parametrize("field", ["objective", "a", "rhs"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_data_is_rejected_by_name(field, bad):
+    data = {"objective": [1.0, 2.0], "a": [[1.0, 1.0]], "rhs": [4.0]}
+    data[field] = np.array(data[field])
+    data[field].flat[-1] = bad
+    with pytest.raises(ValueError, match=f"^{field} has a non-finite entry"):
+        LpProblem(data["objective"], data["a"], (LE,), data["rhs"])
+
+
+def test_program_with_no_rows():
+    # x >= 0 is the only constraint: any positive cost is unbounded, and
+    # otherwise x = 0 is optimal, with a signless zero objective.
+    for objective in ([1.0], [1.0, -2.0]):
+        sol = solve(LpProblem(objective, np.zeros((0, len(objective))), [], []))
+        assert sol.status is LpStatus.UNBOUNDED
+    for objective in ([-1.0], [0.0]):
+        sol = solve(LpProblem(objective, np.zeros((0, 1)), [], []))
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.x.tolist() == [0.0] and not np.signbit(sol.x).any()
+        assert sol.objective_value == 0.0 and not np.signbit(sol.objective_value)
+
+
 def test_row_cap_enforced():
     with pytest.raises(ValueError):
         LpProblem((1.0,), np.ones((4097, 1)), (LE,) * 4097, np.ones(4097))
