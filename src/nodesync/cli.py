@@ -48,12 +48,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _float_list(text: str) -> tuple[float, ...]:
+    # argparse shows an ArgumentTypeError's own text; any other error from a
+    # type= function becomes a generic "invalid value" message.
     try:
         values = tuple(float(part) for part in text.split(",") if part.strip() != "")
     except ValueError as exc:
-        raise ValueError(f"expected comma-separated numbers, got {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
     if not values:
-        raise ValueError(f"expected at least one number, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected at least one number, got {text!r}")
     return values
 
 

@@ -1,10 +1,10 @@
 """Monte Carlo model of a full node's synchronization request queue.
 
 Arrivals and responses are independent Poisson counts per unit time slot.
-The module tracks both the reflected backlog (Lindley recursion) and the
-unreflected cumulative arrivals-minus-responses walk, and estimates the
-probability that the running supremum of the walk exceeds a capacity
-threshold.
+The module tracks the unreflected cumulative arrivals-minus-responses walk
+and estimates the probability that the running supremum of the walk
+exceeds a capacity threshold.  The reflected backlog (Lindley recursion)
+is sim_harness's, which draws its per-round counts from poisson_counts.
 """
 
 from __future__ import annotations
@@ -27,8 +27,11 @@ MAX_VECTOR_RATE = 50_000.0
 # Poisson inversion counts the CDF entries below each uniform over the head
 # of the table that holds _HEAD_MASS of the mass; beyond it, and for tables
 # whose head exceeds _MAX_HEAD entries, it binary-searches the table.
-# On a 2-core x86 VM with 256 x 5000 uniforms, counting beat the binary
-# search up to heads of about 130 entries (rate 100) and lost beyond.
+# On a 2-core x86 VM with the 26 x 5000 block that estimate_tail inverts,
+# counting beat the binary search up to heads of about 250 entries (8.4 vs
+# 13.5 ms at rate 130, 10.3 vs 11.3 ms at rate 200) and lost from rate 300
+# (15.2 vs 11.6 ms); _MAX_HEAD = 128 sends rates above about 95 to the
+# search, where it is slower.  The cut-off changes no draw.
 # estimate_tail holds _BLOCK // horizon walks (at least one) and
 # poisson_counts draws in pieces of _BLOCK, so an inversion call sees at most
 # _BLOCK uniforms (1 MiB of doubles) unless one walk is longer; they stay in

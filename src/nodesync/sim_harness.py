@@ -16,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .seeding import derive_seed, make_rng
+from .seeding import derive_seed, fill_streams, make_rng
 from .queue_model import RateParams, check_sampling_rate, poisson_counts
 from .sync_game import GameSpec, solve_ns
 
@@ -80,7 +80,7 @@ class NetSimConfig:
         if len(self.full_nodes) == 0:
             raise ValueError("need at least one full node")
         if len(self.full_nodes) > 63:
-            # Request profiles are stored as int64 bit masks, one bit per node.
+            # Equilibrium profiles are decoded as int64 bit masks, one bit per node.
             raise ValueError(f"at most 63 full nodes are supported, got {len(self.full_nodes)}")
         if self.n_partial < 1:
             raise ValueError(f"need at least one partial node, got {self.n_partial}")
@@ -114,21 +114,17 @@ class SyncReport:
     redundant_responses: int
 
 
-def _routing_matrix(config: NetSimConfig) -> np.ndarray:
-    """Profile index sampled per (partial node, round)."""
+def _routing_bits(config: NetSimConfig) -> np.ndarray:
+    """(partial, node, round) request flags.  Partial node j samples its profiles
+    from child stream j of the routing root; fill_streams sets them in one batch."""
     m = len(config.full_nodes)
     if isinstance(config.strategy, CautiousAll):
-        return np.full((config.n_partial, config.rounds), (1 << m) - 1, dtype=np.int64)
+        return np.ones((config.n_partial, m, config.rounds), dtype=bool)
     cumulative = config.strategy.cumulative
-    profiles = np.empty((config.n_partial, config.rounds), dtype=np.int64)
-    routing_root = derive_seed(config.master_seed, _ROUTING_STREAMS)
-    for j in range(config.n_partial):
-        rng = make_rng(derive_seed(routing_root, j))
-        u = rng.random(config.rounds)
-        profiles[j] = np.minimum(
-            np.searchsorted(cumulative, u, side="right"), (1 << m) - 1
-        )
-    return profiles
+    u = np.empty((config.n_partial, config.rounds))
+    fill_streams(derive_seed(config.master_seed, _ROUTING_STREAMS), 0, u)
+    profiles = np.minimum(np.searchsorted(cumulative, u, side="right"), len(cumulative) - 1)
+    return (profiles[:, None, :] & (1 << np.arange(m))[None, :, None]) != 0
 
 
 def _fail_series(
@@ -153,11 +149,7 @@ def simulate_detail(config: NetSimConfig) -> SyncReport:
     synchronization success."""
     m = len(config.full_nodes)
     rounds = config.rounds
-    profiles = _routing_matrix(config)
-
-    # (partial, node, round) routing bits and per-node routed totals
-    node_ids = np.arange(m, dtype=np.int64)
-    bits = ((profiles[:, None, :] >> node_ids[None, :, None]) & 1).astype(bool)
+    bits = _routing_bits(config)
     routed = bits.sum(axis=0, dtype=np.int64)
 
     arrival_root = derive_seed(config.master_seed, _ARRIVAL_STREAMS)

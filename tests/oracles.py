@@ -3,8 +3,9 @@
 Each function here is the plain form of a quantity the package computes by
 a faster path: a Poisson draw by sequential search of the CDF, a block of
 draws by one binary search per uniform, the backlog walk's supremum in
-int64, a request profile's per-decision utility and total, and the
-reflected queue's per-round overflow flags by Lindley's recursion.  The
+int64, a request profile's per-decision utility and total, the reflected
+queue's per-round overflow flags by Lindley's recursion, and a network's
+routing flags from one generator per partial node.  The
 arithmetic is the same operation for operation, so the tests demand exact
 equality with the fast paths, not a tolerance.
 """
@@ -17,6 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from nodesync.queue_model import MAX_SCALAR_RATE, RateParams, _poisson_cdf
+from nodesync.seeding import derive_seed, make_rng
+from nodesync.sim_harness import _ROUTING_STREAMS, CautiousAll, NetSimConfig
 from nodesync.sync_game import GameSpec, Profile
 
 
@@ -157,3 +160,23 @@ def fail_series(inflow: Sequence[int], responses: Sequence[int], capacity: int) 
         fails.append(q + arrived > capacity)
         q = step_queue(q, arrived, served)
     return fails
+
+
+def routing_bits(config: NetSimConfig) -> np.ndarray:
+    """(partial, node, round) request flags.  Every profile index is an int64
+    bit mask: all ones under CautiousAll, and under Equilibrium the first
+    profile whose cumulative probability exceeds a uniform from partial node
+    j's own generator make_rng(derive_seed(routing root, j)).  Node i's flag
+    is bit i of the mask."""
+    m = len(config.full_nodes)
+    if isinstance(config.strategy, CautiousAll):
+        profiles = np.full((config.n_partial, config.rounds), (1 << m) - 1, dtype=np.int64)
+    else:
+        cumulative = config.strategy.cumulative
+        profiles = np.empty((config.n_partial, config.rounds), dtype=np.int64)
+        routing_root = derive_seed(config.master_seed, _ROUTING_STREAMS)
+        for j in range(config.n_partial):
+            u = make_rng(derive_seed(routing_root, j)).random(config.rounds)
+            profiles[j] = np.minimum(np.searchsorted(cumulative, u, side="right"), (1 << m) - 1)
+    node_ids = np.arange(m, dtype=np.int64)
+    return ((profiles[:, None, :] >> node_ids[None, :, None]) & 1).astype(bool)

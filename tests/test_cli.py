@@ -292,6 +292,10 @@ def test_invalid_input_writes_no_rows(tmp_path):
         ["rate", "--gamma", "nan"],
         ["decay", "--lam", "nan"],
         ["decay", "--x-max", "inf"],
+        ["decide", "--alpha", "1,2"],
+        ["decay", "--x-min", "1", "--x-max", "0"],
+        ["tail", "--reps", "0"],
+        ["netsim", "--reps", "0"],
         *_OVERFLOW_CALLS,
     ):
         assert run_cli(args) == (1, ""), args
@@ -466,7 +470,21 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     assert run_cli(["tail", "--config", str(cfg)])[0] == 1
     cfg.write_text("no equals sign\n")
     assert run_cli(["tail", "--config", str(cfg)])[0] == 1
+    cfg.write_text("config = x\n")
+    assert run_cli(["tail", "--config", str(cfg)])[0] == 1
     assert run_cli(["tail", "--config", str(tmp_path / "missing.cfg")])[0] == 1
+
+
+def test_bad_number_lists_are_named_on_stderr(tmp_path, capsys):
+    cfg = tmp_path / "gammas.cfg"
+    cfg.write_text("gammas = 1,x\n")
+    for args, message in (
+        (["decide", "--eps1", "a"], "argument --eps1: expected comma-separated numbers, got 'a'"),
+        (["decide", "--eps1", ","], "argument --eps1: expected at least one number, got ','"),
+        (["tail", "--config", str(cfg)], "argument --gammas: expected comma-separated numbers, got '1,x'"),
+    ):
+        assert run_cli(args) == (1, ""), args
+        assert capsys.readouterr().err.endswith(f"error: {message}\n"), args
 
 
 def test_program_imports_no_scipy():

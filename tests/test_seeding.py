@@ -18,6 +18,11 @@ def test_stream_states_match_numpy_seeding():
     assert _pcg64_states(seeds) == want
 
 
+def test_derive_seed_rejects_negative_index():
+    with pytest.raises(ValueError):
+        derive_seed(1, -1)
+
+
 @pytest.mark.parametrize("master_seed, first", [(-1, 0), (0, 7), (2**64 + 5, 1_000_003)])
 def test_fill_streams_equals_per_walk_streams(master_seed, first):
     rows = 3_400

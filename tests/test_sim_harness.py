@@ -13,11 +13,12 @@ from nodesync.sim_harness import (
     FullNode,
     NetSimConfig,
     _fail_series,
+    _routing_bits,
     run_network_sim,
     simulate_detail,
 )
 from nodesync.sync_game import GameSpec
-from oracles import fail_series
+from oracles import fail_series, routing_bits
 
 
 def _config(m=3, lam=3.0, mu=6.0, capacity=4, n_partial=1, rounds=5000, strategy=None, seed=42):
@@ -135,6 +136,31 @@ def test_config_validation():
     spec = GameSpec.uniform(2, 0.2, 10.0, 5.0)
     with pytest.raises(ValueError):
         _config(m=3, strategy=Equilibrium(spec=spec))
+
+
+def test_routing_bits_match_per_partial_streams():
+    rng = np.random.default_rng(18)
+    mixed = 0
+    for m in range(1, 7):
+        strategies = [CautiousAll()]
+        for _ in range(3):
+            spec = GameSpec(
+                m=m,
+                epsilon=tuple(float(v) for v in rng.uniform(0.05, 0.95, size=m)),
+                alpha=tuple(float(v) for v in rng.uniform(0.5, 20.0, size=m)),
+                cost=tuple(float(v) for v in rng.uniform(0.0, 12.0, size=m)),
+            )
+            strategies.append(Equilibrium(spec=spec))
+            mixed += np.count_nonzero(np.diff(strategies[-1].cumulative, prepend=0.0)) > 1
+        for strategy in strategies:
+            for n_partial in range(1, 5):
+                for seed in (0, 7, -3):
+                    config = _config(m=m, n_partial=n_partial, rounds=257, strategy=strategy, seed=seed)
+                    bits = _routing_bits(config)
+                    assert bits.dtype == bool and bits.shape == (n_partial, m, 257)
+                    assert np.array_equal(bits, routing_bits(config))
+    # Some equilibria spread their mass, so the profile search is exercised.
+    assert mixed >= 3
 
 
 def test_fail_series_closed_form_matches_lindley_loop():
