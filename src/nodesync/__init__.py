@@ -27,7 +27,6 @@ from .queue_model import (
 from .seeding import derive_seed, make_rng, splitmix64
 from .sim_harness import (
     CautiousAll,
-    Equilibrium,
     FullNode,
     NetSimConfig,
     SyncReport,
@@ -52,7 +51,6 @@ __all__ = [
     "CorrelatedDistribution",
     "DecayPoint",
     "DecisionReport",
-    "Equilibrium",
     "FullNode",
     "GameSpec",
     "LpProblem",

@@ -27,7 +27,6 @@ from .queue_model import RateParams, TailEstimate, estimate_tail, fit_decay_slop
 from .seeding import derive_seed
 from .sim_harness import (
     CautiousAll,
-    Equilibrium,
     FullNode,
     NetSimConfig,
     SyncReport,
@@ -168,8 +167,8 @@ def _cmd_sweep(args: argparse.Namespace, writer) -> None:
 
 def _netsim_configs(args: argparse.Namespace) -> list[tuple[str, NetSimConfig]]:
     """The labelled configurations one rep runs, at --seed: cautious,
-    equilibrium, or both for --strategy compare.  The equilibrium strategy
-    is one object per call, so every rep shares its solve."""
+    equilibrium, or both for --strategy compare.  The game is solved here,
+    once per call, after the inputs are checked and before any rep runs."""
     m = args.m
     lams = _broadcast(args.lam, m, "lam")
     mus = _broadcast(args.mu, m, "mu")
@@ -180,9 +179,11 @@ def _netsim_configs(args: argparse.Namespace) -> list[tuple[str, NetSimConfig]]:
         FullNode(params=RateParams(lam=lam, mu=mu), capacity=int(cap))
         for lam, mu, cap in zip(lams, mus, gammas)
     )
-    strategies = []
+    cautious = NetSimConfig(full_nodes=nodes, n_partial=args.n_partial, strategy=CautiousAll(),
+                            rounds=args.rounds, master_seed=args.seed)
+    runs = []
     if args.strategy in ("cautious", "compare"):
-        strategies.append(("cautious", CautiousAll()))
+        runs.append(("cautious", cautious))
     if args.strategy in ("equilibrium", "compare"):
         spec = GameSpec(
             m=m,
@@ -190,12 +191,8 @@ def _netsim_configs(args: argparse.Namespace) -> list[tuple[str, NetSimConfig]]:
             alpha=_broadcast(args.alpha, m, "alpha"),
             cost=_broadcast(args.cost, m, "cost"),
         )
-        strategies.append(("equilibrium", Equilibrium(spec=spec)))
-    return [
-        (label, NetSimConfig(full_nodes=nodes, n_partial=args.n_partial, strategy=strategy,
-                             rounds=args.rounds, master_seed=args.seed))
-        for label, strategy in strategies
-    ]
+        runs.append(("equilibrium", replace(cautious, strategy=solve_ns(spec).distribution)))
+    return runs
 
 
 def _netsim_row(rep: int, label: str, report: SyncReport) -> list:

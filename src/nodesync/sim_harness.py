@@ -11,14 +11,13 @@ independent by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Union
 
 import numpy as np
 
 from .seeding import derive_seed, fill_streams, make_rng
 from .queue_model import RateParams, check_sampling_rate, poisson_counts
-from .sync_game import GameSpec, solve_ns
+from .sync_game import CorrelatedDistribution
 
 # Stream purposes under the master seed; each node or partial then gets its
 # own child stream per purpose.
@@ -32,25 +31,8 @@ class CautiousAll:
     """Send a request to every connected full node, every round."""
 
 
-@dataclass(frozen=True)
-class Equilibrium:
-    """Sample each round's request profile from the solved equilibrium."""
-
-    spec: GameSpec
-
-    @cached_property
-    def cumulative(self) -> np.ndarray:
-        """Cumulative profile probabilities of the solved equilibrium.
-
-        Solved on first use, so every run that shares this strategy object
-        shares one solve; the array is read-only for the same reason.
-        """
-        cumulative = np.cumsum(solve_ns(self.spec).distribution.g)
-        cumulative.flags.writeable = False
-        return cumulative
-
-
-Strategy = Union[CautiousAll, Equilibrium]
+# Under a CorrelatedDistribution every round's request profile is sampled from it.
+Strategy = Union[CautiousAll, CorrelatedDistribution]
 
 
 @dataclass(frozen=True)
@@ -80,18 +62,20 @@ class NetSimConfig:
         if len(self.full_nodes) == 0:
             raise ValueError("need at least one full node")
         if len(self.full_nodes) > 63:
-            # Equilibrium profiles are decoded as int64 bit masks, one bit per node.
+            # A distribution's profiles are decoded as int64 node masks, one bit per node.
             raise ValueError(f"at most 63 full nodes are supported, got {len(self.full_nodes)}")
         if self.n_partial < 1:
             raise ValueError(f"need at least one partial node, got {self.n_partial}")
         if self.rounds < 1:
             raise ValueError(f"need at least one round, got {self.rounds}")
-        if isinstance(self.strategy, Equilibrium):
-            if self.strategy.spec.m != len(self.full_nodes):
+        if isinstance(self.strategy, CorrelatedDistribution):
+            if self.strategy.m != len(self.full_nodes):
                 raise ValueError(
-                    f"strategy is for m={self.strategy.spec.m} nodes, "
-                    f"config has {len(self.full_nodes)}"
+                    f"strategy is for m={self.strategy.m} nodes, config has {len(self.full_nodes)}"
                 )
+        elif not isinstance(self.strategy, CautiousAll):
+            name = type(self.strategy).__name__
+            raise ValueError(f"strategy must be CautiousAll or a CorrelatedDistribution, got {name}")
 
 
 @dataclass(frozen=True)
@@ -120,7 +104,7 @@ def _routing_bits(config: NetSimConfig) -> np.ndarray:
     m = len(config.full_nodes)
     if isinstance(config.strategy, CautiousAll):
         return np.ones((config.n_partial, m, config.rounds), dtype=bool)
-    cumulative = config.strategy.cumulative
+    cumulative = np.cumsum(config.strategy.g)
     u = np.empty((config.n_partial, config.rounds))
     fill_streams(derive_seed(config.master_seed, _ROUTING_STREAMS), 0, u)
     profiles = np.minimum(np.searchsorted(cumulative, u, side="right"), len(cumulative) - 1)

@@ -88,6 +88,8 @@ class CorrelatedDistribution:
         object.__setattr__(self, "g", g)
         if g.shape != (1 << self.m,):
             raise ValueError(f"need {1 << self.m} probabilities, got shape {g.shape}")
+        if not np.isfinite(g).all():
+            raise ValueError("probabilities must be finite")
         if g.min(initial=0.0) < 0:
             raise ValueError(f"probabilities must be nonnegative, min is {g.min()}")
         if abs(g.sum() - 1.0) > 1e-9:

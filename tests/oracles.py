@@ -164,15 +164,15 @@ def fail_series(inflow: Sequence[int], responses: Sequence[int], capacity: int) 
 
 def routing_bits(config: NetSimConfig) -> np.ndarray:
     """(partial, node, round) request flags.  Every profile index is an int64
-    bit mask: all ones under CautiousAll, and under Equilibrium the first
-    profile whose cumulative probability exceeds a uniform from partial node
-    j's own generator make_rng(derive_seed(routing root, j)).  Node i's flag
-    is bit i of the mask."""
+    bit mask: all ones under CautiousAll, and under a CorrelatedDistribution
+    the first profile whose cumulative probability exceeds a uniform from
+    partial node j's own generator make_rng(derive_seed(routing root, j)).
+    Node i's flag is bit i of the mask."""
     m = len(config.full_nodes)
     if isinstance(config.strategy, CautiousAll):
         profiles = np.full((config.n_partial, config.rounds), (1 << m) - 1, dtype=np.int64)
     else:
-        cumulative = config.strategy.cumulative
+        cumulative = np.cumsum(config.strategy.g)
         profiles = np.empty((config.n_partial, config.rounds), dtype=np.int64)
         routing_root = derive_seed(config.master_seed, _ROUTING_STREAMS)
         for j in range(config.n_partial):

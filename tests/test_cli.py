@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import nodesync
-from nodesync import cli, sim_harness
+from nodesync import cli
 from nodesync.cli import main
 from nodesync.queue_model import RateParams, estimate_tail
 from nodesync.sync_game import GameSpec, best_pure_profile, is_correlated_equilibrium, solve_ns
@@ -370,13 +370,31 @@ def test_netsim_solves_each_spec_once(monkeypatch):
         calls.append(spec)
         return solve_ns(spec)
 
-    monkeypatch.setattr(sim_harness, "solve_ns", counting_solve_ns)
+    monkeypatch.setattr(cli, "solve_ns", counting_solve_ns)
     args = ["netsim", "--rounds", "50", "--reps", "4", "--strategy", "compare"]
     assert run_cli(args)[0] == 0
     assert len(calls) == 1
     # The solve is shared within one call only: a second call solves again.
     assert run_cli(args)[0] == 0
     assert len(calls) == 2
+
+
+def test_netsim_solves_before_simulating(monkeypatch):
+    simulated = []
+    simulate_detail = cli.simulate_detail
+
+    def failing_solve_ns(spec):
+        raise ArithmeticError("no solve")
+
+    def counting_simulate_detail(config):
+        simulated.append(config)
+        return simulate_detail(config)
+
+    monkeypatch.setattr(cli, "solve_ns", failing_solve_ns)
+    monkeypatch.setattr(cli, "simulate_detail", counting_simulate_detail)
+    args = ["netsim", "--rounds", "50", "--reps", "2", "--strategy", "compare"]
+    assert run_cli(args) == (2, "")
+    assert simulated == []
 
 
 def test_parser_is_built_once_and_reuse_leaks_no_state(tmp_path, monkeypatch):

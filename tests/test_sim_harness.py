@@ -9,7 +9,6 @@ from nodesync.queue_model import RateParams
 from nodesync.seeding import make_rng
 from nodesync.sim_harness import (
     CautiousAll,
-    Equilibrium,
     FullNode,
     NetSimConfig,
     _fail_series,
@@ -17,7 +16,7 @@ from nodesync.sim_harness import (
     run_network_sim,
     simulate_detail,
 )
-from nodesync.sync_game import GameSpec
+from nodesync.sync_game import CorrelatedDistribution, GameSpec, Profile, solve_ns
 from oracles import fail_series, routing_bits
 
 
@@ -82,7 +81,7 @@ def test_cautious_request_count_is_exact():
 
 def test_equilibrium_single_sender_requests():
     spec = GameSpec.uniform(3, 0.2, 10.0, 5.0)
-    config = _config(n_partial=2, rounds=2000, strategy=Equilibrium(spec=spec))
+    config = _config(n_partial=2, rounds=2000, strategy=solve_ns(spec).distribution)
     detail = simulate_detail(config)
     assert detail.total_requests == 2 * 2000
     assert detail.redundant_responses == 0
@@ -94,7 +93,7 @@ def test_equilibrium_single_sender_requests():
 def _cautious_and_equilibrium(spec, **kwargs):
     """Cautious and equilibrium runs of one configuration on the same seed."""
     cautious = simulate_detail(_config(**kwargs))
-    equilibrium = simulate_detail(_config(strategy=Equilibrium(spec=spec), **kwargs))
+    equilibrium = simulate_detail(_config(strategy=solve_ns(spec).distribution, **kwargs))
     return cautious, equilibrium
 
 
@@ -135,7 +134,23 @@ def test_config_validation():
         )
     spec = GameSpec.uniform(2, 0.2, 10.0, 5.0)
     with pytest.raises(ValueError):
-        _config(m=3, strategy=Equilibrium(spec=spec))
+        _config(m=3, strategy=solve_ns(spec).distribution)
+
+
+def test_a_game_spec_is_not_a_strategy():
+    with pytest.raises(ValueError, match="GameSpec"):
+        _config(m=3, strategy=GameSpec.uniform(3, 0.2, 10.0, 5.0))
+
+
+def test_any_distribution_routes():
+    profile = Profile((0, 1, 0))
+    config = _config(n_partial=3, rounds=400, strategy=CorrelatedDistribution.point_mass(profile))
+    bits = _routing_bits(config)
+    assert bits.shape == (3, 3, 400)
+    assert (bits == np.array(profile.bits, dtype=bool)[:, None]).all()
+    detail = simulate_detail(config)
+    assert detail.total_requests == 3 * 400
+    assert math.isnan(detail.per_node_failure[0]) and math.isnan(detail.per_node_failure[2])
 
 
 def test_routing_bits_match_per_partial_streams():
@@ -150,8 +165,8 @@ def test_routing_bits_match_per_partial_streams():
                 alpha=tuple(float(v) for v in rng.uniform(0.5, 20.0, size=m)),
                 cost=tuple(float(v) for v in rng.uniform(0.0, 12.0, size=m)),
             )
-            strategies.append(Equilibrium(spec=spec))
-            mixed += np.count_nonzero(np.diff(strategies[-1].cumulative, prepend=0.0)) > 1
+            strategies.append(solve_ns(spec).distribution)
+            mixed += np.count_nonzero(np.diff(np.cumsum(strategies[-1].g), prepend=0.0)) > 1
         for strategy in strategies:
             for n_partial in range(1, 5):
                 for seed in (0, 7, -3):

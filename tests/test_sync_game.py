@@ -224,8 +224,15 @@ def test_is_correlated_equilibrium_dimension_check():
     dist = CorrelatedDistribution.point_mass(Profile(bits=(1, 0)))
     with pytest.raises(ValueError):
         is_correlated_equilibrium(dist, _uniform(3))
-    # Wrong shape, a negative entry, and a sum off 1.
-    for g in ((0.5, 0.5), (1.5, -0.5, 0.0, 0.0), (0.25, 0.25, 0.25, 0.2)):
+    # Wrong shape, a negative entry, a sum off 1, and entries that are not finite.
+    nan = float("nan")
+    for g in (
+        (0.5, 0.5),
+        (1.5, -0.5, 0.0, 0.0),
+        (0.25, 0.25, 0.25, 0.2),
+        (nan, nan, nan, nan),
+        (1.0, nan, 0.0, 0.0),
+    ):
         with pytest.raises(ValueError):
             CorrelatedDistribution(m=2, g=np.array(g))
 
