@@ -40,7 +40,6 @@ from .sync_game import (
     GameSpec,
     Profile,
     best_pure_profile,
-    cautious_failure,
     is_correlated_equilibrium,
     solve_ns,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "TailEstimate",
     "ToleranceSpec",
     "best_pure_profile",
-    "cautious_failure",
     "decay_surface",
     "derive_seed",
     "effective_capacity",

@@ -110,8 +110,6 @@ def _cmd_tail(args: argparse.Namespace, writer) -> None:
     estimates = _merge_tail(
         [estimate_tail(params, args.gammas, args.runs, args.horizon, seed) for seed in seeds]
     )
-    if all(est.hits == 0 for est in estimates):
-        raise RuntimeError("every threshold had zero hits; nothing to fit")
     fit = fit_decay_slope(estimates)
     if fit.n_excluded:
         print(f"note: {fit.n_excluded} zero-hit thresholds excluded from the fit", file=sys.stderr)

@@ -10,6 +10,7 @@ independent by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -61,9 +62,6 @@ class NetSimConfig:
     def __post_init__(self) -> None:
         if len(self.full_nodes) == 0:
             raise ValueError("need at least one full node")
-        if len(self.full_nodes) > 63:
-            # A distribution's profiles are decoded as int64 node masks, one bit per node.
-            raise ValueError(f"at most 63 full nodes are supported, got {len(self.full_nodes)}")
         if self.n_partial < 1:
             raise ValueError(f"need at least one partial node, got {self.n_partial}")
         if self.rounds < 1:
@@ -144,30 +142,18 @@ def simulate_detail(config: NetSimConfig) -> SyncReport:
         served = poisson_counts(node.params.mu, rounds, make_rng(derive_seed(response_root, i)))
         fails[i] = _fail_series(ambient + routed[i], served, node.capacity)
 
-    successes = bits & ~fails[None, :, :]
-    success_counts = successes.sum(axis=1, dtype=np.int64)
-    sync_success_rate = float(successes.any(axis=1).mean())
-
-    per_node = []
-    predicted = 1.0
-    any_measured = False
-    for i in range(m):
-        requested = routed[i] > 0
-        if requested.any():
-            p_fail = float(fails[i, requested].mean())
-            per_node.append(p_fail)
-            predicted *= p_fail
-            any_measured = True
-        else:
-            per_node.append(float("nan"))
-    predicted_success = 1.0 - predicted if any_measured else float("nan")
+    success_counts = (bits & ~fails[None]).sum(axis=1, dtype=np.int64)
+    requested = routed > 0
+    with np.errstate(invalid="ignore"):  # a never-requested node reports 0/0 = NaN
+        per_node = ((fails & requested).sum(axis=1) / requested.sum(axis=1)).tolist()
+    measured = [p for p in per_node if not math.isnan(p)]
 
     return SyncReport(
         per_node_failure=tuple(per_node),
-        sync_success_rate=sync_success_rate,
-        predicted_success=predicted_success,
+        sync_success_rate=float((success_counts > 0).mean()),
+        predicted_success=1.0 - math.prod(measured) if measured else float("nan"),
         rounds_used=rounds,
-        total_requests=int(bits.sum(dtype=np.int64)),
+        total_requests=int(routed.sum()),
         redundant_responses=int(np.maximum(success_counts - 1, 0).sum(dtype=np.int64)),
     )
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,7 +110,6 @@ class DecisionReport:
     objective: float
     marginals: tuple[float, ...]
     chosen_profile: Profile
-    cautious_failure: float
 
 
 class CeCheck(NamedTuple):
@@ -170,16 +169,6 @@ def _tables(spec: GameSpec) -> _Tables:
     total.flags.writeable = False
     a.flags.writeable = False
     return _Tables(bits=bits, total=total, a=a)
-
-
-def cautious_failure(epsilon: Sequence[float]) -> float:
-    """Failure probability when requesting from every node: the product of
-    the per-node failure tolerances."""
-    if len(epsilon) == 0:
-        raise ValueError("epsilon must be nonempty")
-    if any(not 0 < e < 1 for e in epsilon):
-        raise ValueError(f"failure tolerances must be in (0, 1), got {tuple(epsilon)}")
-    return math.prod(epsilon)
 
 
 def _ns_lp(tables: _Tables) -> LpProblem:
@@ -255,7 +244,6 @@ def solve_ns(spec: GameSpec) -> DecisionReport:
         objective=objective,
         marginals=marginals,
         chosen_profile=_extract_profile(g, tables),
-        cautious_failure=cautious_failure(spec.epsilon),
     )
 
 

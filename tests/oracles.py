@@ -4,8 +4,9 @@ Each function here is the plain form of a quantity the package computes by
 a faster path: a Poisson draw by sequential search of the CDF, a block of
 draws by one binary search per uniform, the backlog walk's supremum in
 int64, a request profile's per-decision utility and total, the reflected
-queue's per-round overflow flags by Lindley's recursion, and a network's
-routing flags from one generator per partial node.  The
+queue's per-round overflow flags by Lindley's recursion, a network's
+routing flags from one generator per partial node, its full nodes'
+overflow flags, and its report by a loop over the nodes.  The
 arithmetic is the same operation for operation, so the tests demand exact
 equality with the fast paths, not a tolerance.
 """
@@ -19,7 +20,14 @@ import numpy as np
 
 from nodesync.queue_model import MAX_SCALAR_RATE, RateParams, _poisson_cdf
 from nodesync.seeding import derive_seed, make_rng
-from nodesync.sim_harness import _ROUTING_STREAMS, CautiousAll, NetSimConfig
+from nodesync.sim_harness import (
+    _ARRIVAL_STREAMS,
+    _RESPONSE_STREAMS,
+    _ROUTING_STREAMS,
+    CautiousAll,
+    NetSimConfig,
+    SyncReport,
+)
 from nodesync.sync_game import GameSpec, Profile
 
 
@@ -180,3 +188,51 @@ def routing_bits(config: NetSimConfig) -> np.ndarray:
             profiles[j] = np.minimum(np.searchsorted(cumulative, u, side="right"), (1 << m) - 1)
     node_ids = np.arange(m, dtype=np.int64)
     return ((profiles[:, None, :] >> node_ids[None, :, None]) & 1).astype(bool)
+
+
+def node_fails(config: NetSimConfig, routed: np.ndarray) -> np.ndarray:
+    """(node, round) overflow flags.  Node i's ambient and response counts
+    invert the uniforms of its own generators under the arrival and
+    response roots; the routed requests join the ambient ones, and the
+    round-by-round Lindley loop flags the overflows."""
+    arrival_root = derive_seed(config.master_seed, _ARRIVAL_STREAMS)
+    response_root = derive_seed(config.master_seed, _RESPONSE_STREAMS)
+    fails = np.empty((len(config.full_nodes), config.rounds), dtype=bool)
+    for i, node in enumerate(config.full_nodes):
+        u_arrival = make_rng(derive_seed(arrival_root, i)).random(config.rounds)
+        u_response = make_rng(derive_seed(response_root, i)).random(config.rounds)
+        ambient = poisson_inverse(node.params.lam, u_arrival)
+        served = poisson_inverse(node.params.mu, u_response)
+        fails[i] = fail_series((ambient + routed[i]).tolist(), served.tolist(), node.capacity)
+    return fails
+
+
+def sync_report(bits: np.ndarray, fails: np.ndarray) -> SyncReport:
+    """The report from (partial, node, round) request flags and (node,
+    round) overflow flags.  A partial node syncs in a round when one of its
+    requests meets no overflow.  Node by node, the failure rate is taken
+    over the rounds it was requested in (NaN if none), and the predicted
+    success is one minus the product of the measured rates (NaN if none)."""
+    successes = bits & ~fails[None, :, :]
+    success_counts = successes.sum(axis=1, dtype=np.int64)
+    routed = bits.sum(axis=0, dtype=np.int64)
+    per_node = []
+    predicted = 1.0
+    any_measured = False
+    for i in range(fails.shape[0]):
+        requested = routed[i] > 0
+        if requested.any():
+            p_fail = float(fails[i, requested].mean())
+            per_node.append(p_fail)
+            predicted *= p_fail
+            any_measured = True
+        else:
+            per_node.append(float("nan"))
+    return SyncReport(
+        per_node_failure=tuple(per_node),
+        sync_success_rate=float(successes.any(axis=1).mean()),
+        predicted_success=1.0 - predicted if any_measured else float("nan"),
+        rounds_used=fails.shape[1],
+        total_requests=int(bits.sum(dtype=np.int64)),
+        redundant_responses=int(np.maximum(success_counts - 1, 0).sum(dtype=np.int64)),
+    )

@@ -76,7 +76,7 @@ def test_tail_exit_codes():
     bad_rates = ["tail", "--lam", "5", "--mu", "4", "--runs", "10", "--horizon", "10", "--reps", "1"]
     assert run_cli(bad_rates)[0] == 1
     all_zero = ["tail", "--runs", "40", "--horizon", "60", "--reps", "1", "--gammas", "500,600"]
-    assert run_cli(all_zero)[0] == 2
+    assert run_cli(all_zero)[0] == 1
     unknown_flag = ["tail", "--nope", "1"]
     assert run_cli(unknown_flag)[0] == 1
 
@@ -191,11 +191,16 @@ def test_netsim_rejects_fractional_capacity():
 
 
 def test_netsim_full_node_limit():
-    # Profiles are int64 bit masks, so 64 nodes is invalid input, not a crash.
-    assert run_cli(["netsim", "--m", "64", "--rounds", "10", "--reps", "1"]) == (1, "")
-    code, out = run_cli(["netsim", "--m", "63", "--rounds", "20", "--reps", "1"])
+    # Send-to-all builds no profile masks, so it takes any number of full
+    # nodes; only the game, and so the equilibrium strategy, stops at m = 12.
+    code, out = run_cli(["netsim", "--m", "64", "--rounds", "20", "--reps", "1"])
     assert code == 0
-    assert out.split("\n")[1].startswith("0,cautious,")
+    lines = out.split("\n")
+    assert [c for c in lines[0].split(",") if c.startswith("failure_")] == [
+        f"failure_{i}" for i in range(1, 65)
+    ]
+    assert lines[1].startswith("0,cautious,")
+    assert run_cli(["netsim", "--m", "64", "--strategy", "compare", "--rounds", "20", "--reps", "1"]) == (1, "")
 
 
 # Inputs that pass the range checks but whose answers leave the float range.
@@ -272,6 +277,7 @@ def test_invalid_input_writes_no_rows(tmp_path):
         ["tail", "--lam", "60000", "--mu", "70000", "--runs", "2", "--horizon", "3", "--reps", "1"],
         ["tail", "--runs", "200", "--horizon", "100", "--reps", "1", "--gammas", "0"],
         ["tail", "--runs", "200", "--horizon", "100", "--reps", "1", "--gammas", "0,500"],
+        ["tail", "--runs", "40", "--horizon", "60", "--reps", "1", "--gammas", "500,600"],
         ["netsim", "--mu", "60000", "--rounds", "10", "--reps", "1"],
         ["decay", "--lam", "-1"],
         ["capacity", "--epsilons", "0.1,-1"],

@@ -17,7 +17,7 @@ from nodesync.sim_harness import (
     simulate_detail,
 )
 from nodesync.sync_game import CorrelatedDistribution, GameSpec, Profile, solve_ns
-from oracles import fail_series, routing_bits
+from oracles import fail_series, node_fails, routing_bits, sync_report
 
 
 def _config(m=3, lam=3.0, mu=6.0, capacity=4, n_partial=1, rounds=5000, strategy=None, seed=42):
@@ -176,6 +176,61 @@ def test_routing_bits_match_per_partial_streams():
                     assert np.array_equal(bits, routing_bits(config))
     # Some equilibria spread their mass, so the profile search is exercised.
     assert mixed >= 3
+
+
+def _assert_report_matches_oracle(config):
+    bits = routing_bits(config)
+    got = simulate_detail(config)
+    # repr prints every float exactly and NaN as nan, so equal reprs mean
+    # equal fields, NaN positions included.
+    assert repr(got) == repr(sync_report(bits, node_fails(config, bits.sum(axis=0))))
+    return got
+
+
+def test_report_matches_node_loop():
+    rng = np.random.default_rng(20)
+    seen = {"nan": 0, "saturated": 0, "no_prediction": 0}
+    for m in range(1, 6):
+        strategies = [
+            CautiousAll(),
+            CorrelatedDistribution.point_mass(Profile.from_index(0, m)),
+            CorrelatedDistribution.point_mass(Profile.from_index(1, m)),
+        ]
+        for _ in range(2):
+            spec = GameSpec(
+                m=m,
+                epsilon=tuple(float(v) for v in rng.uniform(0.05, 0.95, size=m)),
+                alpha=tuple(float(v) for v in rng.uniform(0.5, 20.0, size=m)),
+                cost=tuple(float(v) for v in rng.uniform(0.0, 12.0, size=m)),
+            )
+            strategies.append(solve_ns(spec).distribution)
+        for strategy in strategies:
+            for n_partial in range(1, 5):
+                nodes = tuple(
+                    FullNode(
+                        params=RateParams(lam=float(lam), mu=float(lam + gap)),
+                        capacity=int(rng.choice([0, 1, 4, 10**9])),
+                    )
+                    for lam, gap in rng.uniform(0.5, 6.0, size=(m, 2))
+                )
+                config = NetSimConfig(
+                    full_nodes=nodes,
+                    n_partial=n_partial,
+                    strategy=strategy,
+                    rounds=200,
+                    master_seed=int(rng.integers(-100, 100)),
+                )
+                got = _assert_report_matches_oracle(config)
+                seen["nan"] += any(math.isnan(p) for p in got.per_node_failure)
+                seen["saturated"] += 1.0 in got.per_node_failure
+                seen["no_prediction"] += math.isnan(got.predicted_success)
+    assert min(seen.values()) > 0, seen
+    # Six overloaded nodes: their failure rates are near 1, so the predicted
+    # success keeps the last bits of the product, which depend on the order
+    # of its factors.
+    got = _assert_report_matches_oracle(_config(m=6, lam=3.0, mu=4.0, capacity=5, n_partial=2, rounds=200))
+    fails = got.per_node_failure
+    assert 1.0 - math.prod(fails) != 1.0 - math.prod(reversed(fails))
 
 
 def test_fail_series_closed_form_matches_lindley_loop():

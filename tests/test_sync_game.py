@@ -16,7 +16,6 @@ from nodesync.sync_game import (
     _ns_lp,
     _tables,
     best_pure_profile,
-    cautious_failure,
     is_correlated_equilibrium,
     solve_ns,
 )
@@ -132,17 +131,6 @@ def test_utility_table_matches_scalar_oracle_exactly():
                 dist = CorrelatedDistribution(m=m, g=g)
                 check = is_correlated_equilibrium(dist, spec)
                 assert check.max_violation == ce_violation(g, spec)
-
-
-def test_cautious_failure_values():
-    assert cautious_failure((0.3,)) == pytest.approx(0.3)
-    assert cautious_failure((0.2, 0.2, 0.2)) == pytest.approx(0.008)
-    eps = (0.4, 0.7, 0.9)
-    assert cautious_failure(eps) < min(eps)
-    with pytest.raises(ValueError):
-        cautious_failure(())
-    with pytest.raises(ValueError):
-        cautious_failure((0.2, 1.0))
 
 
 def test_ns_lp_structure():
@@ -278,7 +266,6 @@ def test_solve_ns_uniform_boundary_value():
     report = solve_ns(_uniform(8))
     assert report.objective == pytest.approx(5.0, abs=1e-8)
     assert sum(report.chosen_profile.bits) == 1
-    assert report.cautious_failure == pytest.approx(0.2**8)
 
 
 def test_solve_ns_report_consistency_on_random_specs():
