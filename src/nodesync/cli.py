@@ -30,7 +30,7 @@ from .sim_harness import (
     FullNode,
     NetSimConfig,
     SyncReport,
-    simulate_detail,
+    simulate,
 )
 from .sync_game import GameSpec, solve_ns
 
@@ -226,8 +226,9 @@ def _cmd_netsim(args: argparse.Namespace, writer) -> None:
     )
     by_label: dict[str, list[list]] = {}
     for rep, seed in enumerate(seeds):
-        for label, config in runs:
-            row = _netsim_row(rep, label, simulate_detail(replace(config, master_seed=seed)))
+        reports = simulate([replace(config, master_seed=seed) for _, config in runs])
+        for (label, _), report in zip(runs, reports):
+            row = _netsim_row(rep, label, report)
             writer.writerow(row)
             by_label.setdefault(label, []).append(row)
     for label in sorted(by_label):

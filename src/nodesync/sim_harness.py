@@ -5,14 +5,17 @@ traffic plus the requests routed to it each round; a routed request fails
 when the post-arrival backlog exceeds the node's capacity.  A partial node
 synchronizes in a round when at least one of its routed requests succeeds.
 Full nodes use independent streams, so their failure processes are
-independent by construction.
+independent by construction.  The strategies of one rep share each full
+node's series: `simulate` draws them once and runs every strategy's routed
+requests through the same draw, so their reports are a paired comparison
+on common random numbers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -109,39 +112,32 @@ def _routing_bits(config: NetSimConfig) -> np.ndarray:
     return (profiles[:, None, :] & (1 << np.arange(m))[None, :, None]) != 0
 
 
-def _fail_series(
-    backlog_inflow: np.ndarray, responses: np.ndarray, capacity: int
-) -> np.ndarray:
+def _fail_series(inflow: np.ndarray, responses: np.ndarray, capacity: int) -> np.ndarray:
     """Per-round overflow flags of one reflected queue, starting empty.
 
     Round t's requests overflow when the carried backlog plus the round's
     inflow exceeds the capacity.  The carried backlog follows Lindley's
     recursion q_t = max(q_{t-1} + x_t, 0) with x_t = inflow_t - responses_t,
     whose closed form is q_t = S_t - min(0, min_{s<=t} S_s) for the partial
-    sums S_t of x (Lindley 1952).
+    sums S_t of x (Lindley 1952).  The backlog is built in the walk's own
+    buffer, which then holds q_{t-1} + inflow_t for every round after the
+    first.
     """
-    walk = np.cumsum(backlog_inflow - responses)
-    backlog = walk - np.minimum(np.minimum.accumulate(walk), 0)
-    carried = np.concatenate(([0], backlog[:-1]))
-    return carried + backlog_inflow > capacity
+    walk = np.subtract(inflow, responses)
+    np.cumsum(walk, out=walk)
+    floor = np.minimum.accumulate(walk)
+    np.minimum(floor, 0, out=floor)
+    walk -= floor
+    walk[:-1] += inflow[1:]
+    fails = np.empty(len(walk), dtype=bool)
+    fails[0] = inflow[0] > capacity
+    np.greater(walk[:-1], capacity, out=fails[1:])
+    return fails
 
 
-def simulate_detail(config: NetSimConfig) -> SyncReport:
-    """Simulate the configured rounds and report realized and predicted
-    synchronization success."""
-    m = len(config.full_nodes)
-    rounds = config.rounds
-    bits = _routing_bits(config)
-    routed = bits.sum(axis=0, dtype=np.int64)
-
-    arrival_root = derive_seed(config.master_seed, _ARRIVAL_STREAMS)
-    response_root = derive_seed(config.master_seed, _RESPONSE_STREAMS)
-    fails = np.empty((m, rounds), dtype=bool)
-    for i, node in enumerate(config.full_nodes):
-        ambient = poisson_counts(node.params.lam, rounds, make_rng(derive_seed(arrival_root, i)))
-        served = poisson_counts(node.params.mu, rounds, make_rng(derive_seed(response_root, i)))
-        fails[i] = _fail_series(ambient + routed[i], served, node.capacity)
-
+def _report(bits: np.ndarray, routed: np.ndarray, fails: np.ndarray) -> SyncReport:
+    """The report of one strategy from its (partial, node, round) request
+    flags, their per-node sums and the (node, round) overflow flags."""
     success_counts = (bits & ~fails[None]).sum(axis=1, dtype=np.int64)
     requested = routed > 0
     with np.errstate(invalid="ignore"):  # a never-requested node reports 0/0 = NaN
@@ -152,10 +148,45 @@ def simulate_detail(config: NetSimConfig) -> SyncReport:
         per_node_failure=tuple(per_node),
         sync_success_rate=float((success_counts > 0).mean()),
         predicted_success=1.0 - math.prod(measured) if measured else float("nan"),
-        rounds_used=rounds,
+        rounds_used=fails.shape[1],
         total_requests=int(routed.sum()),
         redundant_responses=int(np.maximum(success_counts - 1, 0).sum(dtype=np.int64)),
     )
+
+
+def simulate(configs: Sequence[NetSimConfig]) -> list[SyncReport]:
+    """Simulate the strategies of one rep on shared full-node traffic.
+
+    The configurations may differ only in their strategy.  Each full node's
+    ambient and service series is drawn once and every strategy's routed
+    requests join the same draw, so the reports are a paired comparison
+    (common random numbers), each equal to the strategy's own run.
+    """
+    if len({(c.full_nodes, c.n_partial, c.rounds, c.master_seed) for c in configs}) != 1:
+        raise ValueError("simulate takes one or more configurations that differ only in strategy")
+    first = configs[0]
+    rounds = first.rounds
+    bits = [_routing_bits(config) for config in configs]
+    # int32 sums hold any partial count whose flags fit in memory, and keep a
+    # two-strategy rep's peak memory at that of one int64 strategy.
+    routed = [flags.sum(axis=0, dtype=np.int32) for flags in bits]
+
+    arrival_root = derive_seed(first.master_seed, _ARRIVAL_STREAMS)
+    response_root = derive_seed(first.master_seed, _RESPONSE_STREAMS)
+    fails = np.empty((len(configs), len(first.full_nodes), rounds), dtype=bool)
+    for i, node in enumerate(first.full_nodes):
+        ambient = poisson_counts(node.params.lam, rounds, make_rng(derive_seed(arrival_root, i)))
+        served = poisson_counts(node.params.mu, rounds, make_rng(derive_seed(response_root, i)))
+        for k, requests in enumerate(routed):
+            fails[k, i] = _fail_series(ambient + requests[i], served, node.capacity)
+
+    return [_report(*arrays) for arrays in zip(bits, routed, fails)]
+
+
+def simulate_detail(config: NetSimConfig) -> SyncReport:
+    """Simulate the configured rounds and report realized and predicted
+    synchronization success."""
+    return simulate([config])[0]
 
 
 run_network_sim = simulate_detail

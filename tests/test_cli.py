@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import nodesync
-from nodesync import cli
+from nodesync import cli, sim_harness
 from nodesync.cli import main
 from nodesync.queue_model import RateParams, estimate_tail
 from nodesync.sync_game import GameSpec, best_pure_profile, is_correlated_equilibrium, solve_ns
@@ -334,7 +334,7 @@ def test_failure_after_some_rows_writes_nothing(tmp_path, monkeypatch):
     for name, args in (
         ("solve_ns", ["decide", "--m", "3", "--eps1", "0.1,0.5"]),
         ("solve_ns", ["sweep", "--m", "3", "--values", "1,2"]),
-        ("simulate_detail", ["netsim", "--strategy", "compare", "--rounds", "50", "--reps", "1"]),
+        ("simulate", ["netsim", "--strategy", "compare", "--rounds", "50", "--reps", "2"]),
     ):
         with monkeypatch.context() as patch:
             calls = _fail_on_second_call(patch, name)
@@ -352,19 +352,19 @@ def test_failure_after_some_rows_writes_nothing(tmp_path, monkeypatch):
 
 
 def test_out_of_memory_is_a_clean_error(monkeypatch, capsys):
-    def no_memory(config):
+    def no_memory(configs):
         raise MemoryError()
 
-    monkeypatch.setattr(cli, "simulate_detail", no_memory)
+    monkeypatch.setattr(cli, "simulate", no_memory)
     assert main(["netsim", "--rounds", "10", "--reps", "1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "nodesync: error: out of memory\n"
 
-    def no_memory_for(config):
+    def no_memory_for(configs):
         raise MemoryError("Unable to allocate 8.0 GiB for an array")
 
-    monkeypatch.setattr(cli, "simulate_detail", no_memory_for)
+    monkeypatch.setattr(cli, "simulate", no_memory_for)
     assert main(["netsim", "--rounds", "10", "--reps", "1"]) == 1
     assert capsys.readouterr().err == "nodesync: error: Unable to allocate 8.0 GiB for an array\n"
 
@@ -387,21 +387,36 @@ def test_netsim_solves_each_spec_once(monkeypatch):
 
 def test_netsim_solves_before_simulating(monkeypatch):
     simulated = []
-    simulate_detail = cli.simulate_detail
+    simulate = cli.simulate
 
     def failing_solve_ns(spec):
         raise ArithmeticError("no solve")
 
-    def counting_simulate_detail(config):
-        simulated.append(config)
-        return simulate_detail(config)
+    def counting_simulate(configs):
+        simulated.append(configs)
+        return simulate(configs)
 
     monkeypatch.setattr(cli, "solve_ns", failing_solve_ns)
-    monkeypatch.setattr(cli, "simulate_detail", counting_simulate_detail)
+    monkeypatch.setattr(cli, "simulate", counting_simulate)
     args = ["netsim", "--rounds", "50", "--reps", "2", "--strategy", "compare"]
     assert run_cli(args) == (2, "")
     assert simulated == []
 
+
+def test_netsim_compare_draws_each_node_once_per_rep(monkeypatch):
+    draws = []
+    poisson_counts = sim_harness.poisson_counts
+
+    def counting_poisson_counts(rate, n, rng):
+        draws.append(rate)
+        return poisson_counts(rate, n, rng)
+
+    monkeypatch.setattr(sim_harness, "poisson_counts", counting_poisson_counts)
+    args = ["netsim", "--strategy", "compare", "--m", "4", "--rounds", "50", "--reps", "3"]
+    assert run_cli(args)[0] == 0
+    # Both strategies of a rep share each node's ambient and service series:
+    # 2 * m draws per rep, not 4 * m.
+    assert len(draws) == 3 * 2 * 4
 
 def test_parser_is_built_once_and_reuse_leaks_no_state(tmp_path, monkeypatch):
     builds = []

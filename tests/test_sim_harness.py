@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from nodesync.sim_harness import (
     _fail_series,
     _routing_bits,
     run_network_sim,
+    simulate,
     simulate_detail,
 )
 from nodesync.sync_game import CorrelatedDistribution, GameSpec, Profile, solve_ns
@@ -233,6 +235,65 @@ def test_report_matches_node_loop():
     assert 1.0 - math.prod(fails) != 1.0 - math.prod(reversed(fails))
 
 
+def test_simulate_matches_each_strategy_alone():
+    rng = np.random.default_rng(21)
+    for m in range(1, 6):
+        strategies = [
+            CautiousAll(),
+            CorrelatedDistribution.point_mass(Profile.from_index(0, m)),
+            CorrelatedDistribution.point_mass(Profile.from_index(1, m)),
+        ]
+        for _ in range(2):
+            spec = GameSpec(
+                m=m,
+                epsilon=tuple(float(v) for v in rng.uniform(0.05, 0.95, size=m)),
+                alpha=tuple(float(v) for v in rng.uniform(0.5, 20.0, size=m)),
+                cost=tuple(float(v) for v in rng.uniform(0.0, 12.0, size=m)),
+            )
+            strategies.append(solve_ns(spec).distribution)
+        # Mass on every profile, so the strategies' routed counts differ
+        # on requested nodes.
+        strategies.append(CorrelatedDistribution(m=m, g=rng.dirichlet(np.ones(1 << m))))
+        for n_partial in range(1, 5):
+            for rounds in (200, 1):
+                nodes = tuple(
+                    FullNode(
+                        params=RateParams(lam=float(lam), mu=float(lam + gap)),
+                        capacity=int(rng.choice([0, 1, 4, 10**9])),
+                    )
+                    for lam, gap in rng.uniform(0.5, 6.0, size=(m, 2))
+                )
+                base = NetSimConfig(
+                    full_nodes=nodes,
+                    n_partial=n_partial,
+                    strategy=CautiousAll(),
+                    rounds=rounds,
+                    master_seed=int(rng.integers(-100, 100)),
+                )
+                configs = [replace(base, strategy=strategy) for strategy in strategies]
+                assert repr(simulate(configs)) == repr([simulate_detail(c) for c in configs])
+
+
+def test_simulate_takes_one_rep():
+    base = _config(rounds=50)
+    spec = GameSpec.uniform(3, 0.2, 10.0, 5.0)
+    equilibrium = replace(base, strategy=solve_ns(spec).distribution)
+    assert len(simulate([base, equilibrium, base])) == 3
+    other_nodes = replace(
+        base, full_nodes=base.full_nodes[:2] + (FullNode(params=RateParams(lam=3.0, mu=6.0), capacity=5),)
+    )
+    for other in (
+        other_nodes,
+        replace(base, n_partial=2),
+        replace(base, rounds=51),
+        replace(base, master_seed=43),
+    ):
+        with pytest.raises(ValueError, match="differ only in strategy"):
+            simulate([equilibrium, other])
+    with pytest.raises(ValueError):
+        simulate([])
+
+
 def test_fail_series_closed_form_matches_lindley_loop():
     rng = make_rng(1952)
     for _ in range(300):
@@ -248,6 +309,22 @@ def test_fail_series_closed_form_matches_lindley_loop():
     assert _fail_series(inflow, np.full(50, 2), 6).all()
     # Capacity 0 with nothing routed never overflows.
     assert not _fail_series(np.zeros(20, dtype=np.int64), np.full(20, 3), 0).any()
+
+
+def test_fail_series_edges_match_lindley_loop():
+    rng = make_rng(2021)
+    cases = [(np.array([a]), np.array([b]), c) for a in (0, 1, 5) for b in (0, 3) for c in (0, 1, 4, 10**20)]
+    for rounds in (2, 3, 50, 400):
+        for capacity in (0, 10**20):
+            inflow = rng.poisson(float(rng.uniform(0.0, 8.0)), rounds)
+            served = rng.poisson(float(rng.uniform(0.0, 8.0)), rounds)
+            cases.append((inflow, served, capacity))
+    # A backlog far above the int32 range stays below a capacity above int64.
+    cases.append((np.full(30, 2**40), np.zeros(30, dtype=np.int64), 10**20))
+    for inflow, served, capacity in cases:
+        got = _fail_series(inflow, served, capacity)
+        assert got.dtype == bool and got.shape == inflow.shape
+        assert got.tolist() == fail_series(inflow.tolist(), served.tolist(), capacity)
 
 
 def test_saturated_nodes_fail_every_round():
