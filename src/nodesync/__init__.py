@@ -31,7 +31,7 @@ from .sim_harness import (
     NetSimConfig,
     SyncReport,
     run_network_sim,
-    simulate_detail,
+    simulate,
 )
 from .sync_game import (
     CeCheck,
@@ -76,7 +76,7 @@ __all__ = [
     "poisson_counts",
     "rate_function",
     "run_network_sim",
-    "simulate_detail",
+    "simulate",
     "solve_ns",
     "splitmix64",
 ]

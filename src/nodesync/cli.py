@@ -224,16 +224,14 @@ def _cmd_netsim(args: argparse.Namespace, writer) -> None:
         + ["total_requests", "redundant_responses"]
         + [f"failure_{i + 1}" for i in range(args.m)]
     )
-    by_label: dict[str, list[list]] = {}
+    rows = []
     for rep, seed in enumerate(seeds):
         reports = simulate([replace(config, master_seed=seed) for _, config in runs])
-        for (label, _), report in zip(runs, reports):
-            row = _netsim_row(rep, label, report)
-            writer.writerow(row)
-            by_label.setdefault(label, []).append(row)
-    for label in sorted(by_label):
-        for footer in _netsim_footers(label, by_label[label]):
-            writer.writerow(footer)
+        rows.extend(_netsim_row(rep, label, report) for (label, _), report in zip(runs, reports))
+    writer.writerows(rows)
+    # Rows alternate over runs, whose labels are already in sorted order.
+    for k, (label, _) in enumerate(runs):
+        writer.writerows(_netsim_footers(label, rows[k :: len(runs)]))
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:

@@ -375,7 +375,7 @@ def solve(problem: LpProblem, start: Sequence[int] | None = None) -> LpSolution:
     x = np.zeros(n)
     structural = state.basis < n
     x[state.basis[structural]] = state.levels()[structural]
-    x[(x <= 0) & (x > -PIVOT_TOL)] = 0.0
+    x[(x <= 0) & (x >= -PIVOT_TOL)] = 0.0
     _check_feasible(problem, x)
     # "+ 0.0" turns a sum of -0.0 terms (a negative cost at x = 0) into 0.0.
     return LpSolution(

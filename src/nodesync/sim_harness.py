@@ -8,7 +8,8 @@ Full nodes use independent streams, so their failure processes are
 independent by construction.  The strategies of one rep share each full
 node's series: `simulate` draws them once and runs every strategy's routed
 requests through the same draw, so their reports are a paired comparison
-on common random numbers.
+on common random numbers.  `run_network_sim` is `simulate` for one
+configuration.
 """
 
 from __future__ import annotations
@@ -183,11 +184,7 @@ def simulate(configs: Sequence[NetSimConfig]) -> list[SyncReport]:
     return [_report(*arrays) for arrays in zip(bits, routed, fails)]
 
 
-def simulate_detail(config: NetSimConfig) -> SyncReport:
-    """Simulate the configured rounds and report realized and predicted
+def run_network_sim(config: NetSimConfig) -> SyncReport:
+    """Simulate one configuration and report realized and predicted
     synchronization success."""
     return simulate([config])[0]
-
-
-run_network_sim = simulate_detail
-

@@ -228,8 +228,7 @@ def solve_ns(spec: GameSpec) -> DecisionReport:
             f"equilibrium program reported {solution.status.value}; "
             "the equilibrium polytope is never empty"
         )
-    g = np.clip(np.asarray(solution.x, dtype=float), 0.0, None)
-    g /= g.sum()
+    g = solution.x / solution.x.sum()
     dist = CorrelatedDistribution(m=spec.m, g=g)
     check = _ce_check(g, tables, tol=1e-8)
     if not check.ok:

@@ -7,7 +7,16 @@ import pytest
 
 from bruteforce import brute_force_solve, random_feasible_problem, random_problem
 from nodesync import lp_solver
-from nodesync.lp_solver import LpProblem, LpStatus, Relation, _Simplex, solve
+from nodesync.lp_solver import (
+    FEAS_TOL,
+    PIVOT_TOL,
+    LpProblem,
+    LpStatus,
+    Relation,
+    _check_feasible,
+    _Simplex,
+    solve,
+)
 from nodesync.sync_game import GameSpec, _ns_lp, _tables, best_pure_profile, solve_ns
 
 LE, EQ, GE = Relation.LE, Relation.EQ, Relation.GE
@@ -588,3 +597,39 @@ def test_singular_basis_error_names_phase_and_pivots():
     state = _Simplex(a_ext, np.ones(2), np.zeros(2), [0, 1], phase=1)
     with pytest.raises(ArithmeticError, match=r"singular in phase 1 after 0 pivots"):
         state.levels()
+
+
+def test_check_feasible_names_the_violated_row():
+    # x0 <= 0, -x1 >= 0 and x2 == 0: each row holds at exactly FEAS_TOL and
+    # fails at twice that.
+    prob = LpProblem([0, 0, 0], np.diag([1.0, -1.0, 1.0]), [LE, GE, EQ], [0, 0, 0])
+    _check_feasible(prob, np.full(3, FEAS_TOL))
+    for row in range(3):
+        x = np.zeros(3)
+        x[row] = 2 * FEAS_TOL
+        with pytest.raises(ArithmeticError, match=rf"violates constraint {row}: "):
+            _check_feasible(prob, x)
+
+
+def test_check_feasible_rejects_a_coordinate_below_the_snap():
+    prob = LpProblem([0], [[1]], [LE], [1])
+    _check_feasible(prob, np.array([-PIVOT_TOL]))
+    with pytest.raises(ArithmeticError, match="negative coordinate"):
+        _check_feasible(prob, np.array([-2 * PIVOT_TOL]))
+
+
+def test_level_at_minus_pivot_tol_snaps_to_zero(monkeypatch):
+    # The largest negative level that the check lets through must be
+    # snapped, or the answer keeps a negative coordinate.
+    class Final:
+        basis = np.array([0, 1])
+        pivots = 0
+
+        def levels(self):
+            return np.array([-PIVOT_TOL, 1.0])
+
+    monkeypatch.setattr(lp_solver, "_optimize", lambda start, n: ("optimal", Final()))
+    sol = solve(LpProblem([0, 1], [[1, 1], [0, 1]], [LE, LE], [1, 1]))
+    assert sol.status is LpStatus.OPTIMAL
+    assert list(sol.x) == [0.0, 1.0]
+    assert not np.signbit(sol.x).any()

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import nodesync
+from nodesync import sim_harness
 from nodesync.queue_model import RateParams
 from nodesync.seeding import make_rng
 from nodesync.sim_harness import (
@@ -16,7 +19,6 @@ from nodesync.sim_harness import (
     _routing_bits,
     run_network_sim,
     simulate,
-    simulate_detail,
 )
 from nodesync.sync_game import CorrelatedDistribution, GameSpec, Profile, solve_ns
 from oracles import fail_series, node_fails, routing_bits, sync_report
@@ -77,14 +79,14 @@ def test_seed_determinism_and_sensitivity():
 
 def test_cautious_request_count_is_exact():
     config = _config(n_partial=4, rounds=1000)
-    detail = simulate_detail(config)
+    detail = run_network_sim(config)
     assert detail.total_requests == 4 * 3 * 1000
 
 
 def test_equilibrium_single_sender_requests():
     spec = GameSpec.uniform(3, 0.2, 10.0, 5.0)
     config = _config(n_partial=2, rounds=2000, strategy=solve_ns(spec).distribution)
-    detail = simulate_detail(config)
+    detail = run_network_sim(config)
     assert detail.total_requests == 2 * 2000
     assert detail.redundant_responses == 0
     # Nodes outside the equilibrium support never see a request.
@@ -94,8 +96,8 @@ def test_equilibrium_single_sender_requests():
 
 def _cautious_and_equilibrium(spec, **kwargs):
     """Cautious and equilibrium runs of one configuration on the same seed."""
-    cautious = simulate_detail(_config(**kwargs))
-    equilibrium = simulate_detail(_config(strategy=solve_ns(spec).distribution, **kwargs))
+    cautious = run_network_sim(_config(**kwargs))
+    equilibrium = run_network_sim(_config(strategy=solve_ns(spec).distribution, **kwargs))
     return cautious, equilibrium
 
 
@@ -150,7 +152,7 @@ def test_any_distribution_routes():
     bits = _routing_bits(config)
     assert bits.shape == (3, 3, 400)
     assert (bits == np.array(profile.bits, dtype=bool)[:, None]).all()
-    detail = simulate_detail(config)
+    detail = run_network_sim(config)
     assert detail.total_requests == 3 * 400
     assert math.isnan(detail.per_node_failure[0]) and math.isnan(detail.per_node_failure[2])
 
@@ -182,7 +184,7 @@ def test_routing_bits_match_per_partial_streams():
 
 def _assert_report_matches_oracle(config):
     bits = routing_bits(config)
-    got = simulate_detail(config)
+    got = run_network_sim(config)
     # repr prints every float exactly and NaN as nan, so equal reprs mean
     # equal fields, NaN positions included.
     assert repr(got) == repr(sync_report(bits, node_fails(config, bits.sum(axis=0))))
@@ -271,7 +273,7 @@ def test_simulate_matches_each_strategy_alone():
                     master_seed=int(rng.integers(-100, 100)),
                 )
                 configs = [replace(base, strategy=strategy) for strategy in strategies]
-                assert repr(simulate(configs)) == repr([simulate_detail(c) for c in configs])
+                assert repr(simulate(configs)) == repr([run_network_sim(c) for c in configs])
 
 
 def test_simulate_takes_one_rep():
@@ -292,6 +294,18 @@ def test_simulate_takes_one_rep():
             simulate([equilibrium, other])
     with pytest.raises(ValueError):
         simulate([])
+
+
+def test_package_exports_one_simulation_routine():
+    assert [name for name in nodesync.__all__ if not hasattr(nodesync, name)] == []
+    assert "simulate" in nodesync.__all__ and nodesync.simulate is simulate
+    public = {
+        name
+        for name, obj in vars(sim_harness).items()
+        if inspect.isfunction(obj) and obj.__module__ == sim_harness.__name__ and name[0] != "_"
+    }
+    assert public == {"simulate", "run_network_sim"}
+    assert run_network_sim.__name__ == "run_network_sim"
 
 
 def test_fail_series_closed_form_matches_lindley_loop():

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from nodesync import lp_solver, sync_game
-from nodesync.lp_solver import LpStatus, Relation
+from nodesync.cli import main
+from nodesync.lp_solver import LpSolution, LpStatus, Relation
 from nodesync.sync_game import (
     MAX_NODES,
     CorrelatedDistribution,
     GameSpec,
     Profile,
+    _best_pure_index,
     _ns_lp,
     _tables,
     best_pure_profile,
@@ -386,6 +388,41 @@ def test_solve_ns_without_pure_equilibrium_runs_phase_1(monkeypatch):
         got = solve_ns(spec)
         assert got.objective == pytest.approx(want.objective, abs=1e-8)
         assert is_correlated_equilibrium(got.distribution, spec, tol=1e-8).ok
+
+
+def test_best_pure_index_raises_when_every_profile_has_a_gain_to_switch():
+    # Node 0's skip row gets a keep gain just below the -1e-9 tolerance in
+    # every column.
+    tables = _tables(_uniform(2))
+    a = tables.a.copy()
+    a[1] = -2e-9
+    with pytest.raises(LookupError, match="no pure-profile"):
+        _best_pure_index(tables._replace(a=a))
+
+
+_FAILED_SOLVES = {
+    "infeasible": (
+        LpSolution(status=LpStatus.INFEASIBLE),
+        "equilibrium program reported infeasible",
+    ),
+    # Nobody sends, although each node would earn alpha - cost > 0 alone.
+    "non_equilibrium": (
+        LpSolution(status=LpStatus.OPTIMAL, x=np.array([1.0, 0.0, 0.0, 0.0]), objective_value=0.0),
+        "fails the equilibrium check",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FAILED_SOLVES))
+def test_solve_ns_rejects_a_bad_answer(name, monkeypatch, capsys):
+    answer, message = _FAILED_SOLVES[name]
+    monkeypatch.setattr(lp_solver, "solve", lambda problem, start=None: answer)
+    with pytest.raises(RuntimeError, match=message):
+        solve_ns(GameSpec.uniform(2, 0.2, 10.0, 1.0))
+    code = main(["decide", "--m", "2", "--alpha", "10", "--cost", "1"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert message in err
 
 
 def _highs_objective(optimize, spec):
