@@ -171,10 +171,8 @@ def _netsim_configs(args: argparse.Namespace) -> list[tuple[str, NetSimConfig]]:
     lams = _broadcast(args.lam, m, "lam")
     mus = _broadcast(args.mu, m, "mu")
     gammas = _broadcast(args.gamma, m, "gamma")
-    if any(not (math.isfinite(cap) and cap == int(cap)) for cap in gammas):
-        raise ValueError(f"capacities must be finite whole numbers of requests, got {gammas}")
     nodes = tuple(
-        FullNode(params=RateParams(lam=lam, mu=mu), capacity=int(cap))
+        FullNode(params=RateParams(lam=lam, mu=mu), capacity=cap)
         for lam, mu, cap in zip(lams, mus, gammas)
     )
     cautious = NetSimConfig(full_nodes=nodes, n_partial=args.n_partial, strategy=CautiousAll(),

@@ -90,16 +90,33 @@ class SlopeFit:
     n_excluded: int
 
 
+def check_sampling_rate(rate: float) -> None:
+    """Reject rates whose CDF table is not built for sampling."""
+    if not 0 < rate <= MAX_VECTOR_RATE:
+        raise ValueError(f"rate must be in (0, {MAX_VECTOR_RATE}] for sampling, got {rate}")
+
+
 @lru_cache(maxsize=None)
-def _poisson_cdf(rate: float) -> np.ndarray:
-    """Partial sums F_k = P(X <= k) for X ~ Poisson(rate).
+def _poisson_table(rate: float) -> tuple[np.ndarray, int, np.dtype]:
+    """Inversion table of X ~ Poisson(rate): the read-only partial sums
+    F_k = P(X <= k), the length of their head, and the count type.
 
     For small rates the sums are accumulated with the classic recurrence
     p_{k+1} = p_k * rate/(k+1) starting from exp(-rate); for large rates
     exp(-rate) underflows, so each term is computed in log space instead.
     Accumulation stops once the partial sum is a floating-point fixed point,
     which for the supported rates happens at or next to 1.0.
+
+    The head, which the comparison count covers, runs up to and including
+    the first F_k >= _HEAD_MASS.  It is zero when that is longer than
+    _MAX_HEAD entries: every uniform then goes to the binary search, which
+    is cheaper there than one pass over all uniforms per entry.  The count
+    type is the narrowest signed integer type holding +-(len(F) - 1), so
+    that a difference of two draws from the table cannot wrap.  The rate is
+    checked first; the cache keeps no exception, so a bad rate raises on
+    every call.
     """
+    check_sampling_rate(rate)
     if rate <= MAX_SCALAR_RATE:
         p = math.exp(-rate)
         total = p
@@ -113,40 +130,21 @@ def _poisson_cdf(rate: float) -> np.ndarray:
                 break
             total = new_total
             sums.append(total)
-        return np.array(sums)
-    hi = int(rate + 12.0 * math.sqrt(rate) + 20.0)
-    log_rate = math.log(rate)
-    log_pmf = [k * log_rate - rate - math.lgamma(k + 1) for k in range(hi + 1)]
-    return np.cumsum(np.exp(log_pmf))
-
-
-@lru_cache(maxsize=None)
-def _head_length(rate: float) -> int:
-    """Entries of rate's CDF table that the comparison count covers: up to
-    and including the first F_k >= _HEAD_MASS.  Zero when that head is longer
-    than _MAX_HEAD entries: every uniform then goes to the binary search,
-    which is cheaper there than one pass over all uniforms per entry."""
-    cdf = _poisson_cdf(rate)
+        cdf = np.array(sums)
+    else:
+        hi = int(rate + 12.0 * math.sqrt(rate) + 20.0)
+        log_rate = math.log(rate)
+        log_pmf = [k * log_rate - rate - math.lgamma(k + 1) for k in range(hi + 1)]
+        cdf = np.cumsum(np.exp(log_pmf))
+    cdf.flags.writeable = False
     head = min(int(np.searchsorted(cdf, _HEAD_MASS, side="left")) + 1, len(cdf))
-    return head if head <= _MAX_HEAD else 0
-
-
-def _count_dtype(table_len: int) -> np.dtype:
-    """Narrowest signed integer type holding +-(table_len - 1), so that a
-    difference of two draws from the table cannot wrap."""
-    return np.min_scalar_type(-table_len)
+    return cdf, head if head <= _MAX_HEAD else 0, np.min_scalar_type(-len(cdf))
 
 
 def _walk_dtype(horizon: int, table_len: int) -> type:
     """Integer type of the running sums of `horizon` arrival-minus-response
     steps, each at most table_len - 1 in size."""
     return np.int32 if horizon * (table_len - 1) < 2**31 else np.int64
-
-
-def check_sampling_rate(rate: float) -> None:
-    """Reject rates whose CDF table is not built for sampling."""
-    if not 0 < rate <= MAX_VECTOR_RATE:
-        raise ValueError(f"rate must be in (0, {MAX_VECTOR_RATE}] for sampling, got {rate}")
 
 
 def _poisson_inverse(rate: float, u: np.ndarray) -> np.ndarray:
@@ -160,10 +158,8 @@ def _poisson_inverse(rate: float, u: np.ndarray) -> np.ndarray:
     in the narrowest signed integer type that holds +-(len(F) - 1).  Every
     head entry is one pass over u, so callers pass blocks of _BLOCK or less.
     """
-    check_sampling_rate(rate)
-    cdf = _poisson_cdf(rate)
-    head = _head_length(rate)
-    counts = np.zeros(u.shape, dtype=_count_dtype(len(cdf)))
+    cdf, head, dtype = _poisson_table(rate)
+    counts = np.zeros(u.shape, dtype=dtype)
     above = np.empty(u.shape, dtype=bool)
     for f in cdf[:head]:
         np.greater(u, f, out=above)
@@ -198,7 +194,7 @@ def _walk_sups(params: RateParams, uniforms: np.ndarray) -> np.ndarray:
     horizon = uniforms.shape[1] // 2
     arrivals = _poisson_inverse(params.lam, uniforms[:, :horizon])
     responses = _poisson_inverse(params.mu, uniforms[:, horizon:])
-    table_len = max(len(_poisson_cdf(params.lam)), len(_poisson_cdf(params.mu)))
+    table_len = max(len(_poisson_table(params.lam)[0]), len(_poisson_table(params.mu)[0]))
     walks = np.cumsum(arrivals - responses, axis=1, dtype=_walk_dtype(horizon, table_len))
     return np.maximum(walks.max(axis=1), 0)
 

@@ -15,6 +15,7 @@ configuration.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -42,14 +43,19 @@ Strategy = Union[CautiousAll, CorrelatedDistribution]
 
 @dataclass(frozen=True)
 class FullNode:
-    """Ambient traffic rates and response capacity of one full node."""
+    """Ambient traffic rates and response capacity of one full node.  The
+    capacity is a finite, whole, nonnegative number of requests, stored as
+    an int."""
 
     params: RateParams
     capacity: int
 
     def __post_init__(self) -> None:
-        if self.capacity < 0:
-            raise ValueError(f"capacity must be nonnegative, got {self.capacity}")
+        cap = self.capacity
+        whole = isinstance(cap, numbers.Integral) or (math.isfinite(cap) and cap == int(cap))
+        if not (whole and cap >= 0):
+            raise ValueError(f"capacity must be a nonnegative whole number of requests, got {cap}")
+        object.__setattr__(self, "capacity", int(cap))
         # Both rates are sampled every round.
         check_sampling_rate(self.params.lam)
         check_sampling_rate(self.params.mu)
@@ -64,6 +70,7 @@ class NetSimConfig:
     master_seed: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "full_nodes", tuple(self.full_nodes))
         if len(self.full_nodes) == 0:
             raise ValueError("need at least one full node")
         if self.n_partial < 1:

@@ -78,13 +78,16 @@ class Profile:
 
 @dataclass(frozen=True)
 class CorrelatedDistribution:
-    """Probability distribution over all 2^m profiles, indexed by encoding."""
+    """Probability distribution over all 2^m profiles, indexed by encoding.
+    `g` is kept as a read-only float64 copy, so changing the caller's array
+    after the checks changes nothing here."""
 
     m: int
     g: np.ndarray
 
     def __post_init__(self) -> None:
-        g = np.asarray(self.g, dtype=float)
+        g = np.array(self.g, dtype=np.float64)
+        g.flags.writeable = False
         object.__setattr__(self, "g", g)
         if g.shape != (1 << self.m,):
             raise ValueError(f"need {1 << self.m} probabilities, got shape {g.shape}")

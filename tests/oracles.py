@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from nodesync.queue_model import MAX_SCALAR_RATE, RateParams, _poisson_cdf
+from nodesync.queue_model import MAX_SCALAR_RATE, RateParams, _poisson_table
 from nodesync.seeding import derive_seed, make_rng
 from nodesync.sim_harness import (
     _ARRIVAL_STREAMS,
@@ -61,7 +61,7 @@ def poisson_inverse(rate: float, u: np.ndarray) -> np.ndarray:
     """Poisson(rate) draws from uniforms: the smallest k with u <= F_k of the
     package's CDF table, by binary search, clipped to the table's last
     entry."""
-    cdf = _poisson_cdf(rate)
+    cdf = _poisson_table(rate)[0]
     return np.minimum(np.searchsorted(cdf, u, side="left"), len(cdf) - 1)
 
 

@@ -93,7 +93,7 @@ def test_poisson_inverse_equals_binary_search_oracle(rate):
     # Seeded uniforms plus every point where a comparison could go the other
     # way: each table entry, its neighbours in both directions, and the ends
     # of the uniform range.
-    cdf = qm._poisson_cdf(rate)
+    cdf, _, dtype = qm._poisson_table(rate)
     u = np.concatenate(
         [
             make_rng(17).random(200_000),
@@ -105,26 +105,47 @@ def test_poisson_inverse_equals_binary_search_oracle(rate):
     )
     draws = qm._poisson_inverse(rate, u)
     assert np.array_equal(draws, poisson_inverse(rate, u))
-    assert draws.dtype == qm._count_dtype(len(cdf))
+    assert draws.dtype == dtype
     # A strided two-dimensional view, as the walk passes its halves, inverts
     # alike.
     grid = make_rng(18).random((300, 900))[:, 100:800]
     assert np.array_equal(qm._poisson_inverse(rate, grid), poisson_inverse(rate, grid))
 
 
-def test_head_length_cutoff():
+def test_table_head_cutoff():
     # The exactness rates above cover both sides of the cut-off: 90 is
     # counted over its whole head, 200 goes to the binary search alone.
-    assert 0 < qm._head_length(90.0) <= qm._MAX_HEAD
-    assert qm._head_length(200.0) == 0
+    assert 0 < qm._poisson_table(90.0)[1] <= qm._MAX_HEAD
+    assert qm._poisson_table(200.0)[1] == 0
 
 
-def test_count_dtype_holds_table_range():
-    for table_len in (2, 27, 36, 117, 128, 129, 146, 3678, 52_704, 40_000):
-        info = np.iinfo(qm._count_dtype(table_len))
-        assert info.min <= -(table_len - 1) and table_len - 1 <= info.max
-    assert qm._count_dtype(27) == np.int8
-    assert qm._count_dtype(146) == np.int16
+def test_table_count_type_holds_table_range():
+    # Table lengths 2 to 52,704, with 128 and 129 (rates 35.6 and 36) on
+    # either side of the int8 limit; rates 30.5, 200 and 50,000 have 117,
+    # 390 and 52,704 entries.
+    dtypes = {}
+    for rate in (1e-9, 3.0, 6.0, 30.5, 35.6, 36.0, 200.0, 3000.0, 40_000.0, 50_000.0):
+        cdf, _, dtype = qm._poisson_table(rate)
+        info = np.iinfo(dtype)
+        assert info.min <= -(len(cdf) - 1) and len(cdf) - 1 <= info.max
+        dtypes[rate] = dtype
+    assert dtypes[30.5] == dtypes[35.6] == np.int8
+    assert dtypes[36.0] == dtypes[200.0] == np.int16
+    assert dtypes[50_000.0] == np.int32
+
+
+def test_poisson_table_is_built_once_per_rate():
+    before = qm._poisson_table.cache_info().misses
+    u = make_rng(5).random(1000)
+    for _ in range(100):
+        qm._poisson_inverse(7.125, u)
+    assert qm._poisson_table.cache_info().misses == before + 1
+    # Every caller shares the cached table, so no caller can write to it.
+    assert not qm._poisson_table(7.125)[0].flags.writeable
+    # A rejected rate is never cached: it raises on every call.
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            qm._poisson_inverse(50_001.0, u)
 
 
 def test_walk_dtype_width_rule():

@@ -141,6 +141,25 @@ def test_config_validation():
         _config(m=3, strategy=solve_ns(spec).distribution)
 
 
+def test_full_node_capacity_is_a_whole_nonnegative_int():
+    # NaN and inf would never overflow, and 4.5 would act as 4.
+    params = RateParams(lam=3.0, mu=6.0)
+    for bad in (math.nan, math.inf, 4.5, -1):
+        with pytest.raises(ValueError, match="capacity"):
+            FullNode(params=params, capacity=bad)
+    for good in (4, 4.0, np.int64(4)):
+        capacity = FullNode(params=params, capacity=good).capacity
+        assert capacity == 4 and type(capacity) is int
+
+
+def test_a_list_of_full_nodes_runs_as_a_tuple():
+    node = FullNode(params=RateParams(lam=3.0, mu=6.0), capacity=4)
+    kwargs = dict(n_partial=2, strategy=CautiousAll(), rounds=500, master_seed=7)
+    listed = NetSimConfig(full_nodes=[node] * 3, **kwargs)
+    assert listed.full_nodes == (node,) * 3
+    assert run_network_sim(listed) == run_network_sim(NetSimConfig(full_nodes=(node,) * 3, **kwargs))
+
+
 def test_a_game_spec_is_not_a_strategy():
     with pytest.raises(ValueError, match="GameSpec"):
         _config(m=3, strategy=GameSpec.uniform(3, 0.2, 10.0, 5.0))

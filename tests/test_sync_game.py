@@ -227,6 +227,17 @@ def test_is_correlated_equilibrium_dimension_check():
             CorrelatedDistribution(m=2, g=np.array(g))
 
 
+def test_distribution_keeps_a_read_only_copy():
+    # A source array set to NaN after the checks would route nothing.
+    source = np.full(4, 0.25)
+    dist = CorrelatedDistribution(m=2, g=source)
+    source[:] = np.nan
+    assert dist.g.tolist() == [0.25] * 4
+    assert dist.g.dtype == np.float64 and not dist.g.flags.writeable
+    with pytest.raises(ValueError):
+        dist.g[0] = 1.0
+
+
 def test_best_pure_profile_examples():
     profile, value = best_pure_profile(GameSpec(m=1, epsilon=(0.2,), alpha=(10.0,), cost=(5.0,)))
     assert profile.bits == (1,)
