@@ -80,15 +80,13 @@ class LpStatus(enum.Enum):
 
 
 def _frozen(values: Sequence | np.ndarray, ndim: int) -> np.ndarray:
-    """`values` as a read-only float64 array of `ndim` dimensions.  A
-    read-only float64 array is kept as it is (a view stays a view); anything
-    else is copied once, so no caller can change the data afterwards."""
-    arr = np.asarray(values, dtype=np.float64)
+    """`values` as a private, read-only float64 copy of `ndim` dimensions.
+    A read-only array is copied too: as a view it still sees writes to its
+    base, and no caller may change the data afterwards."""
+    arr = np.array(values, dtype=np.float64)
     if arr.ndim != ndim:
         raise ValueError(f"expected a {ndim}-D array, got shape {arr.shape}")
-    if arr.flags.writeable:
-        arr = arr.copy()
-        arr.flags.writeable = False
+    arr.flags.writeable = False
     return arr
 
 
@@ -97,9 +95,9 @@ class LpProblem:
     """maximize objective . x  subject to  a x (relations) rhs  and  x >= 0.
 
     Row i reads  a[i] . x (relations[i]) rhs[i].  `objective`, `a` and `rhs`
-    are stored as read-only float64 arrays, every entry finite, and
-    `relations` as a tuple, so the number of variables is len(objective)
-    and of rows len(relations).
+    are each stored as one private, read-only float64 copy, every entry
+    finite, and `relations` as a tuple, so the number of variables is
+    len(objective) and of rows len(relations).
     """
 
     objective: np.ndarray

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import lp_solver
-from .lp_solver import LpProblem, LpStatus, Relation
+from .lp_solver import LpProblem, LpStatus, Relation, _frozen
 
 MAX_NODES = 12
 
@@ -27,7 +27,8 @@ SUPPORT_MASS = 1e-6
 
 @dataclass(frozen=True)
 class GameSpec:
-    """Per-node failure tolerances, profit scalars, and request costs."""
+    """Per-node failure tolerances, profit scalars, and request costs, each
+    stored as the spec's own tuple of floats."""
 
     m: int
     epsilon: tuple[float, ...]
@@ -37,7 +38,9 @@ class GameSpec:
     def __post_init__(self) -> None:
         if not 1 <= self.m <= MAX_NODES:
             raise ValueError(f"m must be in [1, {MAX_NODES}], got {self.m}")
-        for name, values in (("epsilon", self.epsilon), ("alpha", self.alpha), ("cost", self.cost)):
+        for name in ("epsilon", "alpha", "cost"):
+            values = tuple(float(v) for v in getattr(self, name))
+            object.__setattr__(self, name, values)
             if len(values) != self.m:
                 raise ValueError(f"{name} must have length m={self.m}, got {len(values)}")
         if any(not 0 < e < 1 for e in self.epsilon):
@@ -86,8 +89,7 @@ class CorrelatedDistribution:
     g: np.ndarray
 
     def __post_init__(self) -> None:
-        g = np.array(self.g, dtype=np.float64)
-        g.flags.writeable = False
+        g = _frozen(self.g, 1)
         object.__setattr__(self, "g", g)
         if g.shape != (1 << self.m,):
             raise ValueError(f"need {1 << self.m} probabilities, got shape {g.shape}")
@@ -121,24 +123,26 @@ class CeCheck(NamedTuple):
 
 
 class _Tables(NamedTuple):
-    """Everything the game needs about its 2^m profiles, row k = profile k.
+    """Everything the game needs about its 2^m profiles, index k = profile k.
 
     Built once per solve: the LP, the pure-profile start and the equilibrium
-    re-check all read from it.  `total` and `a` go into the LP as they are,
-    so both are read-only.
+    re-check all read from it.  `lp` is the program for the best correlated
+    equilibrium, with one variable per profile probability; its objective
+    holds the sum of the m utilities under each profile.  Row 0 of the
+    (2m + 1, 2^m) matrix `lp.a` is normalization (ones, == 1).  Each
+    decision i adds two >= 0 rows, one per ordered pair of actions (held,
+    alt): told to play `held`, switching to `alt` must not pay in
+    expectation.  Row 1 + 2i (skip) and row 2 + 2i (send) hold what node i
+    gains under profile k by keeping its decision instead of switching, on
+    the profiles where it plays that decision, and 0 elsewhere.
     """
 
     bits: np.ndarray  # B[k, i]: profile k sends to node i
-    total: np.ndarray  # T[k]: sum of the m utilities under profile k
-    # (2m + 1, 2^m) LP matrix.  Row 0 is the normalization row of ones.
-    # Row 1 + 2i (skip) and row 2 + 2i (send) hold what node i gains under
-    # profile k by keeping its decision instead of switching, on the
-    # profiles where it plays that decision, and 0 elsewhere.
-    a: np.ndarray
+    lp: LpProblem
 
 
 def _tables(spec: GameSpec) -> _Tables:
-    """Bit matrix, totals and LP matrix for all 2^m profiles.
+    """Bit matrix and equilibrium LP for all 2^m profiles.
 
     A sender's share is its success weight 1 - epsilon_i over the weight sum
     of all senders; a non-sender earns nothing, so node i's keep gain is its
@@ -169,26 +173,10 @@ def _tables(spec: GameSpec) -> _Tables:
     # utility, so only the sums over the m nodes can leave the float range.
     if not np.isfinite(total).all():
         raise ValueError("the game's utility totals overflow floats at these profits and costs")
-    total.flags.writeable = False
-    a.flags.writeable = False
-    return _Tables(bits=bits, total=total, a=a)
-
-
-def _ns_lp(tables: _Tables) -> LpProblem:
-    """Linear program for the best correlated equilibrium.
-
-    One variable per profile probability; the objective is the expected
-    total utility.  Besides normalization, each decision i contributes two
-    rows, one per ordered pair of actions (held, alt): conditional on being
-    told to play `held`, switching to `alt` must not pay in expectation.
-    The objective and the constraint matrix are the read-only profile
-    tables themselves, uncopied.
-    """
-    rows = tables.a.shape[0]
-    rhs = np.zeros(rows)
+    rhs = np.zeros(2 * m + 1)
     rhs[0] = 1.0
-    relations = (Relation.EQ,) + (Relation.GE,) * (rows - 1)
-    return LpProblem(tables.total, tables.a, relations, rhs)
+    relations = (Relation.EQ,) + (Relation.GE,) * (2 * m)
+    return _Tables(bits=bits, lp=LpProblem(total, a, relations, rhs))
 
 
 def is_correlated_equilibrium(
@@ -202,7 +190,7 @@ def is_correlated_equilibrium(
 
 def _ce_check(g: np.ndarray, tables: _Tables, tol: float) -> CeCheck:
     # Each row's expectation is summed in profile order (cumsum is sequential).
-    lhs = np.cumsum(tables.a[1:] * g, axis=1)[:, -1]
+    lhs = np.cumsum(tables.lp.a[1:] * g, axis=1)[:, -1]
     worst = max(0.0, float(-lhs.min()))
     return CeCheck(ok=worst <= tol, max_violation=worst)
 
@@ -220,12 +208,12 @@ def solve_ns(spec: GameSpec) -> DecisionReport:
     and the 2m surplus columns as basis, and the optimum is never below it.
     """
     tables = _tables(spec)
-    n = tables.total.shape[0]
+    n = tables.lp.n
     try:
         start = [_best_pure_index(tables)] + list(range(n, n + 2 * spec.m))
     except LookupError:
         start = None
-    solution = lp_solver.solve(_ns_lp(tables), start=start)
+    solution = lp_solver.solve(tables.lp, start=start)
     if solution.status is not LpStatus.OPTIMAL:
         raise RuntimeError(
             f"equilibrium program reported {solution.status.value}; "
@@ -240,7 +228,7 @@ def solve_ns(spec: GameSpec) -> DecisionReport:
         )
     marginals = tuple(float(g[tables.bits[:, i]].sum()) for i in range(spec.m))
     # cumsum keeps a plain left-to-right sum in profile order.
-    objective = float(np.cumsum(g * tables.total)[-1])
+    objective = float(np.cumsum(g * tables.lp.objective)[-1])
     return DecisionReport(
         distribution=dist,
         objective=objective,
@@ -253,8 +241,9 @@ def _extract_profile(g: np.ndarray, tables: _Tables) -> Profile:
     """Single decision vector for a distribution: among support profiles of
     maximum conditional total utility, take the most probable one, then the
     lowest encoding."""
+    total = tables.lp.objective
     support = g > SUPPORT_MASS
-    candidates = support & (tables.total >= tables.total[support].max() - 1e-9)
+    candidates = support & (total >= total[support].max() - 1e-9)
     top_mass = g[candidates].max()
     chosen = int(np.flatnonzero(candidates & (g >= top_mass - 1e-12))[0])
     return Profile.from_index(chosen, tables.bits.shape[1])
@@ -265,7 +254,7 @@ def best_pure_profile(spec: GameSpec) -> tuple[Profile, float]:
     correlated equilibrium.  The optimum of the LP is at least this good."""
     tables = _tables(spec)
     best = _best_pure_index(tables)
-    return Profile.from_index(best, spec.m), float(tables.total[best])
+    return Profile.from_index(best, spec.m), float(tables.lp.objective[best])
 
 
 def _best_pure_index(tables: _Tables) -> int:
@@ -286,7 +275,7 @@ def _best_pure_index(tables: _Tables) -> int:
     """
     # Column k of the deviation rows holds each decision's keep gain under
     # profile k, beside a 0 in the decision's other row.
-    stable = np.all(tables.a[1:] >= -1e-9, axis=0)
+    stable = np.all(tables.lp.a[1:] >= -1e-9, axis=0)
     if not stable.any():
         raise LookupError("no pure-profile correlated equilibrium exists for this spec")
-    return int(np.argmax(np.where(stable, tables.total, -np.inf)))
+    return int(np.argmax(np.where(stable, tables.lp.objective, -np.inf)))

@@ -17,7 +17,7 @@ from nodesync.lp_solver import (
     _Simplex,
     solve,
 )
-from nodesync.sync_game import GameSpec, _ns_lp, _tables, best_pure_profile, solve_ns
+from nodesync.sync_game import GameSpec, _tables, best_pure_profile, solve_ns
 
 LE, EQ, GE = Relation.LE, Relation.EQ, Relation.GE
 
@@ -123,9 +123,8 @@ def _as_tuples(prob):
 
 
 def _as_array_views(prob):
-    """Copy of prob whose matrix is a read-only array, the way the
-    equilibrium LP hands its matrix over, and whose vectors are writable
-    arrays."""
+    """Copy of prob whose matrix is a read-only array and whose vectors
+    are writable arrays."""
     a = np.array(prob.a)
     a.flags.writeable = False
     return LpProblem(np.array(prob.objective), a, prob.relations, np.array(prob.rhs))
@@ -148,15 +147,15 @@ def test_problem_stores_coefficients_as_read_only_float64():
             with pytest.raises(ValueError):
                 arr.flat[0] = 0.0
         assert prob.n == 2
-    # A writable array is copied, so changing it later cannot change the
-    # problem; a read-only view is kept as it is.
+    # Every array is copied, a read-only view included, so changing the
+    # caller's data later cannot change the problem.
     writable = np.array([[5.0, 6.0]])
     prob = LpProblem(source[0], view, (LE,), (1.0,))
     copied = LpProblem(source[0], writable, (LE,), (1.0,))
-    source[0, 0] = 99.0
+    source[:, 0] = 99.0
     writable[0, 0] = 99.0
     assert prob.objective.tolist() == [1.0, 2.0]
-    assert prob.a is view
+    assert prob.a is not view and prob.a.tolist() == [[3.0, 4.0]]
     assert copied.a is not writable and copied.a.tolist() == [[5.0, 6.0]]
     with pytest.raises(ValueError):
         LpProblem((1.0, 2.0), [1.0, 2.0], (LE,), (1.0,))  # a is 1-D
@@ -164,6 +163,19 @@ def test_problem_stores_coefficients_as_read_only_float64():
         LpProblem([[1.0, 2.0]], [[1.0, 2.0]], (LE,), (1.0,))  # objective is 2-D
     with pytest.raises(TypeError):
         LpProblem((1.0, 2.0), [[1.0, 2.0]], (LE,), (1.0,), n=2)  # n is not an argument
+
+
+def test_problem_ignores_writes_through_a_read_only_view():
+    # A read-only view still sees writes to its writable base array.
+    base = np.array([1.0, 1.0])
+    view = base.view()
+    view.flags.writeable = False
+    problem = LpProblem(view, [[1.0, 1.0]], (LE,), (1.0,))
+    base[0] = np.nan
+    assert problem.objective.tolist() == [1.0, 1.0]
+    sol = solve(problem)
+    assert sol.status is LpStatus.OPTIMAL
+    assert np.isfinite(sol.objective_value)
 
 
 def test_tuple_and_array_built_problems_solve_identically():
@@ -362,7 +374,7 @@ def test_start_at_an_optimal_vertex_is_returned_exactly():
     spec = GameSpec.uniform(m, 0.2, 10.0, 5.0)
     best, value = best_pure_profile(spec)
     n = 1 << m
-    sol = solve(_ns_lp(_tables(spec)), start=[best.index] + list(range(n, n + 2 * m)))
+    sol = solve(_tables(spec).lp, start=[best.index] + list(range(n, n + 2 * m)))
     assert np.array_equal(sol.x, np.eye(n)[best.index])
     assert sol.objective_value == value
 
@@ -541,7 +553,7 @@ def test_rows_start_on_slack_or_surplus_columns_with_nonnegative_levels(monkeypa
     m = 8
     spec = GameSpec.uniform(m, 0.2, 10.0, 5.0)
     n = 1 << m
-    sol = solve(_ns_lp(_tables(spec)))
+    sol = solve(_tables(spec).lp)
     assert sol.objective_value == pytest.approx(solve_ns(spec).objective, abs=1e-9)
     phase1 = [(cols, basis) for phase, cols, basis in built if phase == 1]
     assert phase1[0] == (n + 2 * m + 1, [n + 2 * m] + list(range(n, n + 2 * m)))

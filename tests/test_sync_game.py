@@ -8,14 +8,13 @@ import pytest
 
 from nodesync import lp_solver, sync_game
 from nodesync.cli import main
-from nodesync.lp_solver import LpSolution, LpStatus, Relation
+from nodesync.lp_solver import LpProblem, LpSolution, LpStatus, Relation
 from nodesync.sync_game import (
     MAX_NODES,
     CorrelatedDistribution,
     GameSpec,
     Profile,
     _best_pure_index,
-    _ns_lp,
     _tables,
     best_pure_profile,
     is_correlated_equilibrium,
@@ -57,6 +56,23 @@ def test_game_spec_validation():
     for alpha, cost in ((math.nan, 0.0), (math.inf, 0.0), (1.0, math.inf), (1.0, math.nan)):
         with pytest.raises(ValueError):
             GameSpec(m=1, epsilon=(0.5,), alpha=(alpha,), cost=(cost,))
+
+
+def test_game_spec_keeps_its_own_tuples():
+    epsilon, alpha, cost = [0.1, 0.2], np.array([10.0, 8.0]), [1, 2]
+    exact = GameSpec(m=2, epsilon=(0.1, 0.2), alpha=(10.0, 8.0), cost=(1.0, 2.0))
+    spec = GameSpec(m=2, epsilon=epsilon, alpha=alpha, cost=cost)
+    assert spec == exact and hash(spec) == hash(exact)
+    assert all(type(v) is float for v in spec.epsilon + spec.alpha + spec.cost)
+    want = solve_ns(exact)
+    # Invalid values written into the sources after the checks.
+    epsilon[0], alpha[0], cost[1] = 5.0, -1.0, math.nan
+    got = solve_ns(spec)
+    assert spec == exact
+    assert (got.objective, got.marginals, got.chosen_profile) == (
+        want.objective, want.marginals, want.chosen_profile
+    )
+    assert got.distribution.g.tobytes() == want.distribution.g.tobytes()
 
 
 def test_profile_roundtrip_and_validation():
@@ -105,7 +121,7 @@ def test_utility_examples():
 
 def test_total_utility_under_uniform_parameters():
     # The LP objective is the table of profile totals.
-    total = _ns_lp(_tables(_uniform(4))).objective
+    total = _tables(_uniform(4)).lp.objective
     assert total[Profile(bits=(0, 0, 0, 0)).index] == 0.0
     for k in (1, 2, 8):
         assert total[k] == pytest.approx(5.0)
@@ -117,7 +133,7 @@ def test_utility_table_matches_scalar_oracle_exactly():
     rng = np.random.default_rng(2206)
     for m in range(1, 13):
         spec = _random_spec(rng, m=m)
-        lp = _ns_lp(_tables(spec))
+        lp = _tables(spec).lp
         objective, rows = ns_lp_tables(spec)
         assert np.array(lp.objective).tobytes() == np.array(objective).tobytes()
         assert lp.a.shape[0] == 1 + len(rows)
@@ -136,7 +152,7 @@ def test_utility_table_matches_scalar_oracle_exactly():
 
 
 def test_ns_lp_structure():
-    small = _ns_lp(_tables(_uniform(1)))
+    small = _tables(_uniform(1)).lp
     assert small.n == 2
     assert small.a.shape == (3, 2)
     assert small.relations[0] is Relation.EQ
@@ -144,16 +160,14 @@ def test_ns_lp_structure():
     assert small.a[0].tolist() == [1.0, 1.0]
     assert small.rhs.tolist() == [1.0, 0.0, 0.0]
 
-    big = _ns_lp(_tables(_uniform(8)))
+    big = _tables(_uniform(8)).lp
     assert big.n == 256
     assert big.a.shape == (17, 256)
 
 
-def test_ns_lp_rows_are_read_only_views_of_one_matrix():
+def test_ns_lp_data_is_read_only():
     tables = sync_game._tables(_random_spec(np.random.default_rng(17), m=5))
-    lp = sync_game._ns_lp(tables)
-    # No copy: the LP holds the game's own tables, which no caller can write.
-    assert lp.a is tables.a and lp.objective is tables.total
+    lp = tables.lp
     assert lp.a.shape == (11, 32)
     for arr in (lp.objective, lp.a, lp.rhs):
         with pytest.raises(ValueError):
@@ -166,7 +180,7 @@ def test_objective_is_a_plain_sum_in_profile_order():
     # cost 3 the two differ in the last bit, so this spec tells them apart.
     spec = GameSpec.uniform(m=8, epsilon=0.2, alpha=10.0, cost=3.0)
     report = solve_ns(spec)
-    g, total = report.distribution.g.tolist(), _ns_lp(_tables(spec)).objective.tolist()
+    g, total = report.distribution.g.tolist(), _tables(spec).lp.objective.tolist()
     terms = [gk * tk for gk, tk in zip(g, total)]
     plain = 0.0
     for term in terms:
@@ -176,7 +190,7 @@ def test_objective_is_a_plain_sum_in_profile_order():
 
 
 def test_ns_lp_objective_vector_m2():
-    lp = _ns_lp(_tables(_uniform(2)))
+    lp = _tables(_uniform(2)).lp
     assert lp.objective == pytest.approx((0.0, 5.0, 5.0, 0.0))
 
 
@@ -405,10 +419,12 @@ def test_best_pure_index_raises_when_every_profile_has_a_gain_to_switch():
     # Node 0's skip row gets a keep gain just below the -1e-9 tolerance in
     # every column.
     tables = _tables(_uniform(2))
-    a = tables.a.copy()
+    lp = tables.lp
+    a = lp.a.copy()
     a[1] = -2e-9
+    edited = LpProblem(lp.objective, a, lp.relations, lp.rhs)
     with pytest.raises(LookupError, match="no pure-profile"):
-        _best_pure_index(tables._replace(a=a))
+        _best_pure_index(tables._replace(lp=edited))
 
 
 _FAILED_SOLVES = {
@@ -438,7 +454,7 @@ def test_solve_ns_rejects_a_bad_answer(name, monkeypatch, capsys):
 
 def _highs_objective(optimize, spec):
     """The best correlated equilibrium's total utility, as HiGHS finds it."""
-    lp = _ns_lp(_tables(spec))
+    lp = _tables(spec).lp
     res = optimize.linprog(
         -lp.objective,
         A_ub=-lp.a[1:],
@@ -496,7 +512,7 @@ def _warm_pivots(spec):
     profile's point mass with the 2m surplus columns basic."""
     n = 1 << spec.m
     start = [best_pure_profile(spec)[0].index] + list(range(n, n + 2 * spec.m))
-    return lp_solver.solve(_ns_lp(_tables(spec)), start=start).pivots
+    return lp_solver.solve(_tables(spec).lp, start=start).pivots
 
 
 @pytest.mark.parametrize("name", list(_HIGH_RATIO))
@@ -515,7 +531,7 @@ def test_solve_ns_high_profit_to_cost_sweep(name):
     # Cold, phase 1 starts the 2m deviation rows on their surplus columns
     # and runs relaxed like phase 2: at most 1,333 pivots on these specs,
     # where Bland's rule from 2m + 1 artificials made up to 4,918.
-    cold = lp_solver.solve(_ns_lp(_tables(spec)))
+    cold = lp_solver.solve(_tables(spec).lp)
     assert cold.status is LpStatus.OPTIMAL
     assert cold.objective_value == pytest.approx(report.objective, abs=1e-9)
     assert cold.pivots < 2000, f"{cold.pivots} cold pivots"
