@@ -18,9 +18,6 @@ import numpy as np
 
 from .seeding import fill_streams
 
-# Up to this rate the CDF table is built by the p_{k+1} = p_k * rate/(k+1)
-# recurrence; beyond it exp(-rate) underflows and log-space terms are used.
-MAX_SCALAR_RATE = 30.0
 # Table-size guard for the CDF (table length grows linearly in rate).
 MAX_VECTOR_RATE = 50_000.0
 
@@ -101,11 +98,12 @@ def _poisson_table(rate: float) -> tuple[np.ndarray, int, np.dtype]:
     """Inversion table of X ~ Poisson(rate): the read-only partial sums
     F_k = P(X <= k), the length of their head, and the count type.
 
-    For small rates the sums are accumulated with the classic recurrence
-    p_{k+1} = p_k * rate/(k+1) starting from exp(-rate); for large rates
-    exp(-rate) underflows, so each term is computed in log space instead.
-    Accumulation stops once the partial sum is a floating-point fixed point,
-    which for the supported rates happens at or next to 1.0.
+    One rule builds every table: F_k is the running sum of the terms
+    exp(k ln rate - rate - lgamma(k + 1)) for k = 0 .. hi, with
+    hi = int(rate + 12 sqrt(rate) + 20), so the table has hi + 1 entries.
+    The terms are taken in log space because exp(-rate) alone underflows to
+    zero above rate 745.  The table ends more than 12 standard deviations
+    above the mean, where F_k is within about 1e-10 of 1.0.
 
     The head, which the comparison count covers, runs up to and including
     the first F_k >= _HEAD_MASS.  It is zero when that is longer than
@@ -117,25 +115,10 @@ def _poisson_table(rate: float) -> tuple[np.ndarray, int, np.dtype]:
     every call.
     """
     check_sampling_rate(rate)
-    if rate <= MAX_SCALAR_RATE:
-        p = math.exp(-rate)
-        total = p
-        sums = [total]
-        k = 0
-        while True:
-            k += 1
-            p *= rate / k
-            new_total = total + p
-            if new_total == total and k > rate:
-                break
-            total = new_total
-            sums.append(total)
-        cdf = np.array(sums)
-    else:
-        hi = int(rate + 12.0 * math.sqrt(rate) + 20.0)
-        log_rate = math.log(rate)
-        log_pmf = [k * log_rate - rate - math.lgamma(k + 1) for k in range(hi + 1)]
-        cdf = np.cumsum(np.exp(log_pmf))
+    hi = int(rate + 12.0 * math.sqrt(rate) + 20.0)
+    log_rate = math.log(rate)
+    log_pmf = [k * log_rate - rate - math.lgamma(k + 1) for k in range(hi + 1)]
+    cdf = np.cumsum(np.exp(log_pmf))
     cdf.flags.writeable = False
     head = min(int(np.searchsorted(cdf, _HEAD_MASS, side="left")) + 1, len(cdf))
     return cdf, head if head <= _MAX_HEAD else 0, np.min_scalar_type(-len(cdf))

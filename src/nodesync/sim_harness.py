@@ -31,6 +31,19 @@ _ARRIVAL_STREAMS = 1
 _RESPONSE_STREAMS = 2
 _ROUTING_STREAMS = 3
 
+# Cap on the NumPy memory of one rep of `simulate`, which NetSimConfig
+# estimates before anything is allocated: per round, for m full nodes,
+# n_partial * (10 * m + 24) + 8 * m + 48 bytes.  Per partial node that is
+# 10 bytes per full node (request flags, and under an equilibrium strategy
+# their int64 decoding) and 24 for routing uniforms, profiles and success
+# counts; per full node, 8 for overflow flags and routed sums; and 48 for
+# the one full node's traffic series held at a time.  On compare runs (both
+# strategies on shared traffic) whose tracemalloc peaks ranged from 0.7 to
+# 184 MB, the estimate was 1.06 to 4.1 times the peak.  A larger run would
+# not raise MemoryError: the kernel kills the process when it touches the
+# pages.
+MAX_SIM_BYTES = 2**31
+
 
 @dataclass(frozen=True)
 class CautiousAll:
@@ -77,11 +90,17 @@ class NetSimConfig:
             raise ValueError(f"need at least one partial node, got {self.n_partial}")
         if self.rounds < 1:
             raise ValueError(f"need at least one round, got {self.rounds}")
+        m = len(self.full_nodes)
+        size = self.rounds * (self.n_partial * (10 * m + 24) + 8 * m + 48)
+        if size > MAX_SIM_BYTES:
+            raise ValueError(
+                f"{self.n_partial} partial nodes x {m} full nodes x {self.rounds} rounds "
+                f"would take about {size / 2**20:,.0f} MiB of arrays, over the "
+                f"{MAX_SIM_BYTES / 2**20:,.0f} MiB cap (MAX_SIM_BYTES)"
+            )
         if isinstance(self.strategy, CorrelatedDistribution):
-            if self.strategy.m != len(self.full_nodes):
-                raise ValueError(
-                    f"strategy is for m={self.strategy.m} nodes, config has {len(self.full_nodes)}"
-                )
+            if self.strategy.m != m:
+                raise ValueError(f"strategy is for m={self.strategy.m} nodes, config has {m}")
         elif not isinstance(self.strategy, CautiousAll):
             name = type(self.strategy).__name__
             raise ValueError(f"strategy must be CautiousAll or a CorrelatedDistribution, got {name}")

@@ -1,13 +1,13 @@
 """Scalar reference implementations of the vectorised model kernels.
 
 Each function here is the plain form of a quantity the package computes by
-a faster path: a Poisson draw by sequential search of the CDF, a block of
-draws by one binary search per uniform, the backlog walk's supremum in
-int64, a request profile's per-decision utility and total, the reflected
-queue's per-round overflow flags by Lindley's recursion, a network's
-routing flags from one generator per partial node, its full nodes'
-overflow flags, and its report by a loop over the nodes.  The
-arithmetic is the same operation for operation, so the tests demand exact
+a faster path: a Poisson draw by sequential search over its log-space
+CDF terms, a block of draws by one binary search per uniform, the backlog
+walk's supremum in int64, a request profile's per-decision utility and
+total, the reflected queue's per-round overflow flags by Lindley's
+recursion, a network's routing flags from one generator per partial node,
+its full nodes' overflow flags, and its report by a loop over the nodes.
+The arithmetic is the same operation for operation, so the tests demand exact
 equality with the fast paths, not a tolerance.
 """
 
@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from nodesync.queue_model import MAX_SCALAR_RATE, RateParams, _poisson_table
+from nodesync.queue_model import MAX_VECTOR_RATE, RateParams, _poisson_table
 from nodesync.seeding import derive_seed, make_rng
 from nodesync.sim_harness import (
     _ARRIVAL_STREAMS,
@@ -35,25 +35,27 @@ def sample_poisson(rate: float, rng: np.random.Generator) -> int:
     """One Poisson(rate) draw by inversion with sequential search.
 
     Takes a single uniform u from `rng` and walks the CDF partial sums
-    F_k (built by p_{k+1} = p_k * rate/(k+1) from exp(-rate)) to the
-    smallest k with u <= F_k.  The search stops at the last k whose partial
-    sum still grew, which is where the package's CDF table ends.
+    F_k, adding one log-space term exp(k ln rate - rate - lgamma(k + 1)) per
+    step, to the smallest k with u <= F_k.  The search stops at
+    k = int(rate + 12 sqrt(rate) + 20), where the package's CDF table ends.
+    Each term goes through numpy's exp, as the table's do: the C library's
+    exp rounds some of them differently in the last place.  The walk takes
+    about `rate` steps per draw.
     """
-    if not 0 < rate <= MAX_SCALAR_RATE:
-        raise ValueError(
-            f"rate must be in (0, {MAX_SCALAR_RATE}] for scalar sampling, got {rate}"
-        )
+    if not 0 < rate <= MAX_VECTOR_RATE:
+        raise ValueError(f"rate must be in (0, {MAX_VECTOR_RATE}] for sampling, got {rate}")
     u = float(rng.random())
-    p = math.exp(-rate)
-    total = p
+    hi = int(rate + 12.0 * math.sqrt(rate) + 20.0)
+    log_rate = math.log(rate)
+
+    def term(k: int) -> float:
+        return float(np.exp(k * log_rate - rate - math.lgamma(k + 1)))
+
     k = 0
-    while u > total:
-        p *= rate / (k + 1)
-        new_total = total + p
-        if new_total == total and k + 1 > rate:
-            break
+    total = term(0)
+    while u > total and k < hi:
         k += 1
-        total = new_total
+        total += term(k)
     return k
 
 

@@ -369,6 +369,23 @@ def test_out_of_memory_is_a_clean_error(monkeypatch, capsys):
     assert capsys.readouterr().err == "nodesync: error: Unable to allocate 8.0 GiB for an array\n"
 
 
+def test_netsim_over_the_memory_cap_is_a_clean_error(monkeypatch, capsys):
+    # A 1 MiB cap stands in for the real one, so nothing large is built even
+    # if the check were lost; simulate must not be reached either way.
+    def unreachable(configs):
+        raise AssertionError("simulate ran")
+
+    monkeypatch.setattr(sim_harness, "MAX_SIM_BYTES", 2**20)
+    monkeypatch.setattr(cli, "simulate", unreachable)
+    assert main(["netsim", "--n-partial", "10", "--rounds", "10000", "--reps", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "nodesync: error: 10 partial nodes x 3 full nodes x 10000 rounds would take "
+        "about 6 MiB of arrays, over the 1 MiB cap (MAX_SIM_BYTES)\n"
+    )
+
+
 def test_netsim_solves_each_spec_once(monkeypatch):
     calls = []
 

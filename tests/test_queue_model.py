@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -43,8 +44,9 @@ def test_sample_poisson_rejects_unsupported_rates():
     for rate in (0.0, -2.0, MAX_VECTOR_RATE * 1.01, float("nan")):
         with pytest.raises(ValueError):
             poisson_counts(rate, 10, rng)
-    with pytest.raises(ValueError):
-        sample_poisson(30.5, rng)
+    for rate in (0.0, MAX_VECTOR_RATE * 1.01):
+        with pytest.raises(ValueError):
+            sample_poisson(rate, rng)
 
 
 def test_sample_poisson_tiny_rate_is_almost_surely_zero():
@@ -70,11 +72,38 @@ def test_sample_poisson_deterministic_given_stream():
 
 
 def test_poisson_counts_matches_scalar_inversion():
-    for rate in (1e-9, 0.5, 3.0, 6.0, 17.25, 30.0):
-        block = poisson_counts(rate, 300, make_rng(11))
+    # The oracle walks about `rate` terms per draw, so the largest rate gets
+    # fewer draws.
+    for rate, n in ((1e-9, 300), (0.5, 300), (3.0, 300), (6.0, 300), (17.25, 300),
+                    (30.0, 300), (30.5, 300), (130.0, 300), (3000.0, 100)):
+        block = poisson_counts(rate, n, make_rng(11))
         rng = make_rng(11)
-        scalar = [sample_poisson(rate, rng) for _ in range(300)]
+        scalar = [sample_poisson(rate, rng) for _ in range(n)]
         assert block.tolist() == scalar
+
+
+# sha256 over the little-endian int64 draws poisson_counts(rate, 2**17,
+# make_rng(seed)) for seeds 0 to 7 in turn, at rates up to 30.  They were
+# recorded while these tables were still built by the p_{k+1} = p_k *
+# rate/(k+1) recurrence, and the log-space tables draw the same counts.
+_GOLDEN_DRAWS = {
+    1e-9: "2daeb1f36095b44b318410b3f4e8b5d989dcc7bb023d1426c492dab0a3053e74",
+    1e-3: "3b3ffb88fa21a69cb9621cb5eecfb14aa04a4e8cb3a415f005c82469b754cb72",
+    0.5: "fd621eedfb54ab30f733ffb15f353e88d4a40c830f7692c2c8c818475c843368",
+    3.0: "2793379354bc6e796d9df852877b60fba129f9c261bd87b0ff287ba6fefc6e52",
+    6.0: "6ecd375fd05c3d83d4ebe8b3e1e7e199f0ec3d14e36398e1b713e161b9e52329",
+    10.0: "ccb77d678a1f2c3d8101b0b24f61c2ccd7664941ad61695a810f3d779c811514",
+    29.9: "577e3b5d673f3303f40831c6f3685e070dfe5304ac15bdba7839da3914cf0b02",
+    30.0: "cedccdd01bebef135706e5cf4d222f5ac5da6879baf5f1858da02c495ce1a9e4",
+}
+
+
+@pytest.mark.parametrize("rate", sorted(_GOLDEN_DRAWS))
+def test_poisson_counts_keep_their_recorded_draws(rate):
+    digest = hashlib.sha256()
+    for seed in range(8):
+        digest.update(poisson_counts(rate, 2**17, make_rng(seed)).astype("<i8").tobytes())
+    assert digest.hexdigest() == _GOLDEN_DRAWS[rate]
 
 
 def test_estimate_tail_rejects_rates_beyond_table_guard():
@@ -120,7 +149,7 @@ def test_table_head_cutoff():
 
 
 def test_table_count_type_holds_table_range():
-    # Table lengths 2 to 52,704, with 128 and 129 (rates 35.6 and 36) on
+    # Table lengths 21 to 52,704, with 128 and 129 (rates 35.6 and 36) on
     # either side of the int8 limit; rates 30.5, 200 and 50,000 have 117,
     # 390 and 52,704 entries.
     dtypes = {}

@@ -141,6 +141,29 @@ def test_config_validation():
         _config(m=3, strategy=solve_ns(spec).distribution)
 
 
+def test_config_rejects_runs_over_the_memory_cap():
+    # Only configurations are built here: the size is checked before
+    # anything is allocated, and nothing is simulated.
+    def per_round(n_partial, m):
+        return n_partial * (10 * m + 24) + 8 * m + 48
+
+    cap = sim_harness.MAX_SIM_BYTES
+    with pytest.raises(ValueError, match=r"over the 2,048 MiB cap \(MAX_SIM_BYTES\)"):
+        _config(n_partial=100_000_000, rounds=5)
+    # One partial node over many rounds is bounded by its full nodes' series.
+    with pytest.raises(ValueError, match="MAX_SIM_BYTES"):
+        _config(n_partial=1, rounds=10**8)
+    rounds = cap // per_round(200, 3)
+    assert _config(n_partial=200, rounds=rounds).rounds == rounds
+    with pytest.raises(ValueError, match="MAX_SIM_BYTES"):
+        _config(n_partial=200, rounds=rounds + 1)
+    # The largest runs that the CLI checks and the benchmark times stay at
+    # least 50 times below the cap.
+    for n_partial, m, rounds in ((200, 3, 2000), (1, 3, 200_000), (1, 64, 200), (5, 6, 3000)):
+        assert 50 * per_round(n_partial, m) * rounds < cap
+        _config(n_partial=50 * n_partial, m=m, rounds=rounds)
+
+
 def test_full_node_capacity_is_a_whole_nonnegative_int():
     # NaN and inf would never overflow, and 4.5 would act as 4.
     params = RateParams(lam=3.0, mu=6.0)
