@@ -75,12 +75,20 @@ def _pcg64_states(seeds: np.ndarray) -> list[dict]:
     return states
 
 
-def fill_streams(master_seed: int, first: int, out: np.ndarray) -> None:
+def fill_streams(master_seed: int, first: int, out: np.ndarray, offset: int = 0) -> None:
     """Fill row j of the 2-D `out` with the doubles of make_rng(derive_seed(
-    master_seed, first + j)).random, setting each row's PCG64 state in turn."""
+    master_seed, first + j)).random, setting each row's PCG64 state in turn.
+
+    With `offset` > 0 the rows continue their streams: row j holds doubles
+    offset, offset + 1, ... of stream first + j, because each row's state is
+    advanced by `offset` steps (PCG64 spends one step per double) before it
+    is drawn.  A long series can so be drawn piece by piece without keeping
+    one generator per row alive."""
     index = np.arange(first + 1, first + len(out) + 1, dtype=np.uint64)
     seeds = splitmix64(np.uint64(master_seed & _MASK64) + index * np.uint64(_GOLDEN))
     rng = np.random.Generator(np.random.PCG64(0))
     for row, state in zip(out, _pcg64_states(seeds)):
         rng.bit_generator.state = state
+        if offset:
+            rng.bit_generator.advance(offset)
         rng.random(out=row)

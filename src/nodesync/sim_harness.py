@@ -10,6 +10,12 @@ node's series: `simulate` draws them once and runs every strategy's routed
 requests through the same draw, so their reports are a paired comparison
 on common random numbers.  `run_network_sim` is `simulate` for one
 configuration.
+
+`simulate` runs the rounds in chunks of at most _CHUNK, carrying every
+stream and queue backlog from one chunk to the next and summing integer
+counts, so its memory is flat in the number of rounds and its reports
+equal those of one pass.  MAX_SIM_BYTES bounds what one chunk holds:
+partial nodes times full nodes.
 """
 
 from __future__ import annotations
@@ -31,17 +37,26 @@ _ARRIVAL_STREAMS = 1
 _RESPONSE_STREAMS = 2
 _ROUTING_STREAMS = 3
 
+# Rounds simulated at a time; every array of `simulate` spans at most this
+# many rounds, so its memory does not grow with the number of rounds.
+_CHUNK = 2**15
+
 # Cap on the NumPy memory of one rep of `simulate`, which NetSimConfig
-# estimates before anything is allocated: per round, for m full nodes,
-# n_partial * (10 * m + 24) + 8 * m + 48 bytes.  Per partial node that is
-# 10 bytes per full node (request flags, and under an equilibrium strategy
-# their int64 decoding) and 24 for routing uniforms, profiles and success
-# counts; per full node, 8 for overflow flags and routed sums; and 48 for
-# the one full node's traffic series held at a time.  On compare runs (both
-# strategies on shared traffic) whose tracemalloc peaks ranged from 0.7 to
-# 184 MB, the estimate was 1.06 to 4.1 times the peak.  A larger run would
-# not raise MemoryError: the kernel kills the process when it touches the
-# pages.
+# estimates before anything is allocated.  Every array spans at most one
+# chunk of min(rounds, _CHUNK) rounds; per round of a chunk, for m full
+# nodes, the estimate is n_partial * (7 * m + 24) + 8 * m + 48 bytes.  Per
+# partial node that is 7 bytes per full node and 24 for routing uniforms,
+# profiles and sync flags; per full node, 8 for routed sums and overflow
+# flags; and 48 for the traffic series and Lindley walks.  The request
+# flags of two strategies and the successes counted from them take 3 of
+# the 7; the rest was fitted with tracemalloc, and covers what the other
+# terms miss when there are few partial nodes.  On compare runs (both
+# strategies on shared traffic) of 1 to 200 partial nodes, 1 to 12 full
+# nodes and 2,000 to 98,309 rounds, whose peaks ranged from 1.0 to 199 MB,
+# the estimate was 1.04 to 2.2 times the peak.  So the cap bounds partial
+# nodes times full nodes, and a run of any length fits once one chunk does.
+# A larger run would not raise MemoryError: the kernel kills the process
+# when it touches the pages.
 MAX_SIM_BYTES = 2**31
 
 
@@ -91,7 +106,7 @@ class NetSimConfig:
         if self.rounds < 1:
             raise ValueError(f"need at least one round, got {self.rounds}")
         m = len(self.full_nodes)
-        size = self.rounds * (self.n_partial * (10 * m + 24) + 8 * m + 48)
+        size = min(self.rounds, _CHUNK) * (self.n_partial * (7 * m + 24) + 8 * m + 48)
         if size > MAX_SIM_BYTES:
             raise ValueError(
                 f"{self.n_partial} partial nodes x {m} full nodes x {self.rounds} rounds "
@@ -126,59 +141,130 @@ class SyncReport:
     redundant_responses: int
 
 
-def _routing_bits(config: NetSimConfig) -> np.ndarray:
-    """(partial, node, round) request flags.  Partial node j samples its profiles
-    from child stream j of the routing root; fill_streams sets them in one batch."""
+def _routing_bits(config: NetSimConfig, start: int, count: int) -> np.ndarray:
+    """(partial, node, round) request flags of the `count` rounds from round
+    `start` on.  Partial node j samples its profiles from child stream j of
+    the routing root, continued at its `start`-th double; fill_streams sets
+    the streams in one batch.  The profiles are decoded node by node."""
     m = len(config.full_nodes)
     if isinstance(config.strategy, CautiousAll):
-        return np.ones((config.n_partial, m, config.rounds), dtype=bool)
+        return np.ones((config.n_partial, m, count), dtype=bool)
     cumulative = np.cumsum(config.strategy.g)
-    u = np.empty((config.n_partial, config.rounds))
-    fill_streams(derive_seed(config.master_seed, _ROUTING_STREAMS), 0, u)
-    profiles = np.minimum(np.searchsorted(cumulative, u, side="right"), len(cumulative) - 1)
-    return (profiles[:, None, :] & (1 << np.arange(m))[None, :, None]) != 0
+    u = np.empty((config.n_partial, count))
+    fill_streams(derive_seed(config.master_seed, _ROUTING_STREAMS), 0, u, start)
+    profiles = np.searchsorted(cumulative, u, side="right")
+    np.minimum(profiles, len(cumulative) - 1, out=profiles)
+    bits = np.empty((config.n_partial, m, count), dtype=bool)
+    for i in range(m):
+        bits[:, i] = profiles & (1 << i)
+    return bits
 
 
-def _fail_series(inflow: np.ndarray, responses: np.ndarray, capacity: int) -> np.ndarray:
-    """Per-round overflow flags of one reflected queue, starting empty.
+def _fail_series(
+    walk: np.ndarray,
+    responses: np.ndarray,
+    capacity: int,
+    backlog: np.ndarray,
+    floor: np.ndarray,
+    fails: np.ndarray,
+) -> None:
+    """Per-round overflow flags of reflected queues, one per row of `walk`,
+    which holds each queue's per-round inflow; the queues start with
+    `backlog` queued requests and share their per-round `responses`.
 
     Round t's requests overflow when the carried backlog plus the round's
     inflow exceeds the capacity.  The carried backlog follows Lindley's
-    recursion q_t = max(q_{t-1} + x_t, 0) with x_t = inflow_t - responses_t,
-    whose closed form is q_t = S_t - min(0, min_{s<=t} S_s) for the partial
-    sums S_t of x (Lindley 1952).  The backlog is built in the walk's own
-    buffer, which then holds q_{t-1} + inflow_t for every round after the
-    first.
+    recursion q_t = max(q_{t-1} + x_t, 0) from q_{-1} = backlog, with
+    x_t = inflow_t - responses_t, whose closed form is q_t = S_t - m_t for
+    the partial sums S_t = backlog + x_0 + ... + x_t and their floor
+    m_t = min(0, min_{s<=t} S_s) (Lindley 1952).  So round t overflows when
+    q_{t-1} + inflow_t = S_t + responses_t - m_{t-1} exceeds the capacity,
+    with m_{-1} = 0, and a series split at any round, the second part
+    started from the first's end backlog, flags the same rounds as one pass.
+
+    The flags are written to `fails` and the end backlogs q_{n-1} to
+    `backlog`; `walk` and `floor` (the same shape) are overwritten, so one
+    set of buffers serves every chunk of a run.
     """
-    walk = np.subtract(inflow, responses)
-    np.cumsum(walk, out=walk)
-    floor = np.minimum.accumulate(walk)
+    walk -= responses
+    walk[..., 0] += backlog
+    np.cumsum(walk, axis=-1, out=walk)
+    np.minimum.accumulate(walk, axis=-1, out=floor)
     np.minimum(floor, 0, out=floor)
-    walk -= floor
-    walk[:-1] += inflow[1:]
-    fails = np.empty(len(walk), dtype=bool)
-    fails[0] = inflow[0] > capacity
-    np.greater(walk[:-1], capacity, out=fails[1:])
-    return fails
+    np.subtract(walk[..., -1], floor[..., -1], out=backlog)
+    walk += responses
+    walk[..., 1:] -= floor[..., :-1]
+    np.greater(walk, capacity, out=fails)
 
 
-def _report(bits: np.ndarray, routed: np.ndarray, fails: np.ndarray) -> SyncReport:
-    """The report of one strategy from its (partial, node, round) request
-    flags, their per-node sums and the (node, round) overflow flags."""
-    success_counts = (bits & ~fails[None]).sum(axis=1, dtype=np.int64)
-    requested = routed > 0
-    with np.errstate(invalid="ignore"):  # a never-requested node reports 0/0 = NaN
-        per_node = ((fails & requested).sum(axis=1) / requested.sum(axis=1)).tolist()
-    measured = [p for p in per_node if not math.isnan(p)]
+class _Totals:
+    """Integer counts of one strategy's run, summed chunk by chunk: the
+    (partial, round) pairs that synced, the successful responses, the routed
+    requests, and per full node the requested rounds and those of them that
+    overflowed.  Every count stays below 2**53, so the report's divisions of
+    the totals give the floats that means over the whole run would."""
 
-    return SyncReport(
-        per_node_failure=tuple(per_node),
-        sync_success_rate=float((success_counts > 0).mean()),
-        predicted_success=1.0 - math.prod(measured) if measured else float("nan"),
-        rounds_used=fails.shape[1],
-        total_requests=int(routed.sum()),
-        redundant_responses=int(np.maximum(success_counts - 1, 0).sum(dtype=np.int64)),
-    )
+    def __init__(self, m: int) -> None:
+        self.synced = self.successes = self.requests = 0
+        self.failed = np.zeros(m, dtype=np.int64)
+        self.requested = np.zeros(m, dtype=np.int64)
+
+    def add(self, bits: np.ndarray, routed: np.ndarray, fails: np.ndarray) -> None:
+        """Count one chunk from its (partial, node, round) request flags,
+        their per-node sums and the (node, round) overflow flags."""
+        success = bits & ~fails[None]
+        self.synced += int(np.count_nonzero(success.any(axis=1)))
+        self.successes += int(np.count_nonzero(success))
+        self.requests += int(routed.sum(dtype=np.int64))
+        requested = routed > 0
+        self.failed += np.count_nonzero(fails & requested, axis=1)
+        self.requested += np.count_nonzero(requested, axis=1)
+
+    def report(self, n_partial: int, rounds: int) -> SyncReport:
+        """The report of `n_partial` partial nodes over `rounds` rounds."""
+        with np.errstate(invalid="ignore"):  # a never-requested node reports 0/0 = NaN
+            per_node = (self.failed / self.requested).tolist()
+        measured = [p for p in per_node if not math.isnan(p)]
+        return SyncReport(
+            per_node_failure=tuple(per_node),
+            sync_success_rate=self.synced / (n_partial * rounds),
+            predicted_success=1.0 - math.prod(measured) if measured else float("nan"),
+            rounds_used=rounds,
+            total_requests=self.requests,
+            # Every success beyond a pair's first is redundant.
+            redundant_responses=self.successes - self.synced,
+        )
+
+
+def _simulate_chunk(
+    configs: Sequence[NetSimConfig],
+    start: int,
+    streams: Sequence[tuple[FullNode, np.random.Generator, np.random.Generator]],
+    backlog: np.ndarray,
+    totals: Sequence[_Totals],
+    routed: np.ndarray,
+    fails: np.ndarray,
+    scratch: np.ndarray,
+) -> None:
+    """Run the rounds from round `start` on that the (strategy, node, round)
+    buffers `routed` and `fails` span: every strategy's routed requests join
+    each full node's ambient and service counts, drawn once from the node's
+    (arrival, response) generators in `streams`.  The (strategy, node)
+    `backlog` is carried over in place and each strategy's counts are added
+    to its totals.  The request flags are freed on return, before the next
+    chunk draws its own."""
+    count = fails.shape[-1]
+    bits = [_routing_bits(config, start, count) for config in configs]
+    for flags, sums in zip(bits, routed):
+        flags.sum(axis=0, out=sums)
+    walk, floor = scratch
+    for i, (node, arrivals, responses) in enumerate(streams):
+        ambient = poisson_counts(node.params.lam, count, arrivals)
+        served = poisson_counts(node.params.mu, count, responses)
+        np.add(ambient, routed[:, i], out=walk)
+        _fail_series(walk, served, node.capacity, backlog[:, i], floor, fails[:, i])
+    for total, arrays in zip(totals, zip(bits, routed, fails)):
+        total.add(*arrays)
 
 
 def simulate(configs: Sequence[NetSimConfig]) -> list[SyncReport]:
@@ -188,26 +274,38 @@ def simulate(configs: Sequence[NetSimConfig]) -> list[SyncReport]:
     ambient and service series is drawn once and every strategy's routed
     requests join the same draw, so the reports are a paired comparison
     (common random numbers), each equal to the strategy's own run.
+
+    The rounds run in chunks of _CHUNK.  Every stream continues from one
+    chunk to the next (the full nodes' generators are kept, the partial
+    nodes' routing streams advanced), each queue carries its backlog over,
+    and each strategy sums integer counts; the reports are those of one pass
+    over all rounds.  The routed sums, overflow flags and Lindley walks of a
+    chunk live in buffers allocated once per call, so that the allocator
+    does not hand them back to the system and fault them in again on
+    every chunk.
     """
     if len({(c.full_nodes, c.n_partial, c.rounds, c.master_seed) for c in configs}) != 1:
         raise ValueError("simulate takes one or more configurations that differ only in strategy")
     first = configs[0]
-    rounds = first.rounds
-    bits = [_routing_bits(config) for config in configs]
-    # int32 sums hold any partial count whose flags fit in memory, and keep a
-    # two-strategy rep's peak memory at that of one int64 strategy.
-    routed = [flags.sum(axis=0, dtype=np.int32) for flags in bits]
-
     arrival_root = derive_seed(first.master_seed, _ARRIVAL_STREAMS)
     response_root = derive_seed(first.master_seed, _RESPONSE_STREAMS)
-    fails = np.empty((len(configs), len(first.full_nodes), rounds), dtype=bool)
-    for i, node in enumerate(first.full_nodes):
-        ambient = poisson_counts(node.params.lam, rounds, make_rng(derive_seed(arrival_root, i)))
-        served = poisson_counts(node.params.mu, rounds, make_rng(derive_seed(response_root, i)))
-        for k, requests in enumerate(routed):
-            fails[k, i] = _fail_series(ambient + requests[i], served, node.capacity)
-
-    return [_report(*arrays) for arrays in zip(bits, routed, fails)]
+    streams = [
+        (node, make_rng(derive_seed(arrival_root, i)), make_rng(derive_seed(response_root, i)))
+        for i, node in enumerate(first.full_nodes)
+    ]
+    shape = (len(configs), len(streams), min(first.rounds, _CHUNK))
+    # int32 sums hold any partial count whose flags fit in memory.
+    routed = np.empty(shape, dtype=np.int32)
+    fails = np.empty(shape, dtype=bool)
+    scratch = np.empty((2, len(configs), shape[2]), dtype=np.int64)
+    backlog = np.zeros(shape[:2], dtype=np.int64)
+    totals = [_Totals(len(streams)) for _ in configs]
+    for start in range(0, first.rounds, _CHUNK):
+        window = np.s_[..., : min(_CHUNK, first.rounds - start)]
+        _simulate_chunk(
+            configs, start, streams, backlog, totals, routed[window], fails[window], scratch[window]
+        )
+    return [total.report(first.n_partial, first.rounds) for total in totals]
 
 
 def run_network_sim(config: NetSimConfig) -> SyncReport:

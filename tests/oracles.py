@@ -160,16 +160,19 @@ def step_queue(q_prev: int, arrivals: int, responses: int) -> int:
     return max(q_prev + arrivals - responses, 0)
 
 
-def fail_series(inflow: Sequence[int], responses: Sequence[int], capacity: int) -> list[bool]:
-    """Per-round overflow flags of one reflected queue, starting empty: the
+def fail_series(
+    inflow: Sequence[int], responses: Sequence[int], capacity: int, backlog: int = 0
+) -> tuple[list[bool], int]:
+    """Per-round overflow flags of one reflected queue that starts with
+    `backlog` queued requests, and its backlog after the last round: the
     round overflows when the carried backlog plus its inflow exceeds the
     capacity."""
     fails = []
-    q = 0
+    q = backlog
     for arrived, served in zip(inflow, responses):
         fails.append(q + arrived > capacity)
         q = step_queue(q, arrived, served)
-    return fails
+    return fails, q
 
 
 def routing_bits(config: NetSimConfig) -> np.ndarray:
@@ -205,7 +208,7 @@ def node_fails(config: NetSimConfig, routed: np.ndarray) -> np.ndarray:
         u_response = make_rng(derive_seed(response_root, i)).random(config.rounds)
         ambient = poisson_inverse(node.params.lam, u_arrival)
         served = poisson_inverse(node.params.mu, u_response)
-        fails[i] = fail_series((ambient + routed[i]).tolist(), served.tolist(), node.capacity)
+        fails[i] = fail_series((ambient + routed[i]).tolist(), served.tolist(), node.capacity)[0]
     return fails
 
 

@@ -382,7 +382,7 @@ def test_netsim_over_the_memory_cap_is_a_clean_error(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err == (
         "nodesync: error: 10 partial nodes x 3 full nodes x 10000 rounds would take "
-        "about 6 MiB of arrays, over the 1 MiB cap (MAX_SIM_BYTES)\n"
+        "about 5 MiB of arrays, over the 1 MiB cap (MAX_SIM_BYTES)\n"
     )
 
 

@@ -43,3 +43,15 @@ def test_fill_streams_takes_any_batch_height():
         fill_streams(11, first, out)
         for j, row in enumerate(out):
             assert np.array_equal(row, make_rng(derive_seed(11, first + j)).random(2 * horizon))
+
+
+@pytest.mark.parametrize("master_seed", [11, -5])
+def test_fill_streams_continues_each_stream_at_an_offset(master_seed):
+    rows, width = 4, 40
+    longest = 3 * 2**15
+    whole = np.empty((rows, longest + width))
+    fill_streams(master_seed, 9, whole)
+    for offset in (0, 1, 12345, longest):
+        out = np.empty((rows, width))
+        fill_streams(master_seed, 9, out, offset)
+        assert np.array_equal(out, whole[:, offset : offset + width])

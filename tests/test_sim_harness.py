@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -145,22 +146,30 @@ def test_config_rejects_runs_over_the_memory_cap():
     # Only configurations are built here: the size is checked before
     # anything is allocated, and nothing is simulated.
     def per_round(n_partial, m):
-        return n_partial * (10 * m + 24) + 8 * m + 48
+        return n_partial * (7 * m + 24) + 8 * m + 48
 
     cap = sim_harness.MAX_SIM_BYTES
+    chunk = sim_harness._CHUNK
     with pytest.raises(ValueError, match=r"over the 2,048 MiB cap \(MAX_SIM_BYTES\)"):
         _config(n_partial=100_000_000, rounds=5)
-    # One partial node over many rounds is bounded by its full nodes' series.
+    # The estimate covers one chunk of rounds, so the number of rounds does
+    # not count once it passes a chunk: the boundary is in partial nodes.
+    assert _config(n_partial=1, rounds=10**8).rounds == 10**8
+    largest = (cap // chunk - per_round(0, 3)) // (per_round(1, 3) - per_round(0, 3))
+    assert _config(n_partial=largest, rounds=10**8).n_partial == largest
     with pytest.raises(ValueError, match="MAX_SIM_BYTES"):
-        _config(n_partial=1, rounds=10**8)
-    rounds = cap // per_round(200, 3)
-    assert _config(n_partial=200, rounds=rounds).rounds == rounds
+        _config(n_partial=largest + 1, rounds=chunk)
+    # Below a chunk the boundary is in rounds.
+    rounds = cap // per_round(largest + 1, 3)
+    assert rounds < chunk
+    assert _config(n_partial=largest + 1, rounds=rounds).rounds == rounds
     with pytest.raises(ValueError, match="MAX_SIM_BYTES"):
-        _config(n_partial=200, rounds=rounds + 1)
+        _config(n_partial=largest + 1, rounds=rounds + 1)
     # The largest runs that the CLI checks and the benchmark times stay at
     # least 50 times below the cap.
-    for n_partial, m, rounds in ((200, 3, 2000), (1, 3, 200_000), (1, 64, 200), (5, 6, 3000)):
-        assert 50 * per_round(n_partial, m) * rounds < cap
+    runs = ((200, 3, 2000), (1, 3, 200_000), (1, 64, 200), (5, 6, 3000), (3, 5, 70_000))
+    for n_partial, m, rounds in runs:
+        assert 50 * per_round(n_partial, m) * min(rounds, chunk) < cap
         _config(n_partial=50 * n_partial, m=m, rounds=rounds)
 
 
@@ -191,7 +200,7 @@ def test_a_game_spec_is_not_a_strategy():
 def test_any_distribution_routes():
     profile = Profile((0, 1, 0))
     config = _config(n_partial=3, rounds=400, strategy=CorrelatedDistribution.point_mass(profile))
-    bits = _routing_bits(config)
+    bits = _routing_bits(config, 0, 400)
     assert bits.shape == (3, 3, 400)
     assert (bits == np.array(profile.bits, dtype=bool)[:, None]).all()
     detail = run_network_sim(config)
@@ -217,9 +226,12 @@ def test_routing_bits_match_per_partial_streams():
             for n_partial in range(1, 5):
                 for seed in (0, 7, -3):
                     config = _config(m=m, n_partial=n_partial, rounds=257, strategy=strategy, seed=seed)
-                    bits = _routing_bits(config)
+                    bits = _routing_bits(config, 0, 257)
                     assert bits.dtype == bool and bits.shape == (n_partial, m, 257)
                     assert np.array_equal(bits, routing_bits(config))
+                    # Chunks continue each partial node's stream.
+                    pieces = [_routing_bits(config, start, min(100, 257 - start)) for start in (0, 100, 200)]
+                    assert np.array_equal(np.concatenate(pieces, axis=2), bits)
     # Some equilibria spread their mass, so the profile search is exercised.
     assert mixed >= 3
 
@@ -318,6 +330,86 @@ def test_simulate_matches_each_strategy_alone():
                 assert repr(simulate(configs)) == repr([run_network_sim(c) for c in configs])
 
 
+def _oracle_report(config):
+    bits = routing_bits(config)
+    return sync_report(bits, node_fails(config, bits.sum(axis=0)))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_chunked_reports_match_node_loop(monkeypatch, chunk):
+    # 200 rounds cross many chunk boundaries: every stream must continue
+    # and every queue carry its backlog, or a report differs.
+    monkeypatch.setattr(sim_harness, "_CHUNK", chunk)
+    rng = np.random.default_rng(26 + chunk)
+    for m in range(1, 6):
+        spec = GameSpec(
+            m=m,
+            epsilon=tuple(float(v) for v in rng.uniform(0.05, 0.95, size=m)),
+            alpha=tuple(float(v) for v in rng.uniform(0.5, 20.0, size=m)),
+            cost=tuple(float(v) for v in rng.uniform(0.0, 12.0, size=m)),
+        )
+        # Point masses, an equilibrium and a distribution with mass on
+        # every profile.
+        strategies = [
+            CautiousAll(),
+            CorrelatedDistribution.point_mass(Profile.from_index(0, m)),
+            CorrelatedDistribution.point_mass(Profile.from_index(1, m)),
+            solve_ns(spec).distribution,
+            CorrelatedDistribution(m=m, g=rng.dirichlet(np.ones(1 << m))),
+        ]
+        for n_partial in range(1, 5):
+            nodes = tuple(
+                FullNode(
+                    params=RateParams(lam=float(lam), mu=float(lam + gap)),
+                    capacity=int(rng.choice([0, 1, 4, 10**9])),
+                )
+                for lam, gap in rng.uniform(0.5, 6.0, size=(m, 2))
+            )
+            base = NetSimConfig(
+                full_nodes=nodes,
+                n_partial=n_partial,
+                strategy=CautiousAll(),
+                rounds=200,
+                master_seed=int(rng.integers(-100, 100)),
+            )
+            configs = [replace(base, strategy=strategy) for strategy in strategies]
+            assert repr(simulate(configs)) == repr([_oracle_report(c) for c in configs])
+
+
+def test_report_matches_node_loop_one_round_past_a_chunk():
+    rng = np.random.default_rng(27)
+    nodes = tuple(
+        FullNode(params=RateParams(lam=lam, mu=lam + 1.5), capacity=capacity)
+        for lam, capacity in ((3.0, 4), (1.0, 1), (5.0, 9))
+    )
+    base = NetSimConfig(
+        full_nodes=nodes,
+        n_partial=2,
+        strategy=CautiousAll(),
+        rounds=sim_harness._CHUNK + 1,
+        master_seed=-26,
+    )
+    mixed = replace(base, strategy=CorrelatedDistribution(m=3, g=rng.dirichlet(np.ones(8))))
+    assert repr(simulate([base, mixed])) == repr([_oracle_report(base), _oracle_report(mixed)])
+
+
+def test_memory_is_flat_in_rounds():
+    spec = GameSpec.uniform(3, 0.2, 10.0, 5.0)
+
+    def peak(rounds):
+        cautious = _config(rounds=rounds)
+        configs = [cautious, replace(cautious, strategy=solve_ns(spec).distribution)]
+        tracemalloc.start()
+        try:
+            simulate(configs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    chunk = sim_harness._CHUNK
+    assert peak(8 * chunk) <= 1.25 * peak(2 * chunk)
+
+
 def test_simulate_takes_one_rep():
     base = _config(rounds=50)
     spec = GameSpec.uniform(3, 0.2, 10.0, 5.0)
@@ -350,6 +442,15 @@ def test_package_exports_one_simulation_routine():
     assert run_network_sim.__name__ == "run_network_sim"
 
 
+def _fail_flags(inflow, served, capacity, backlog=0):
+    """_fail_series on one queue, in fresh buffers: its flags and end backlog."""
+    walk = np.array(inflow, dtype=np.int64)
+    fails = np.empty(len(walk), dtype=bool)
+    end = np.array(backlog, dtype=np.int64)
+    _fail_series(walk, served, capacity, end, np.empty_like(walk), fails)
+    return fails, int(end)
+
+
 def test_fail_series_closed_form_matches_lindley_loop():
     rng = make_rng(1952)
     for _ in range(300):
@@ -358,13 +459,13 @@ def test_fail_series_closed_form_matches_lindley_loop():
         inflow = rng.poisson(lam, rounds) + rng.integers(0, 3) * rng.integers(0, 2, rounds)
         served = rng.poisson(mu, rounds)
         capacity = int(rng.choice([0, 1, 4, 25, 10**9]))
-        got = _fail_series(inflow, served, capacity)
-        assert got.tolist() == fail_series(inflow.tolist(), served.tolist(), capacity)
+        got, end = _fail_flags(inflow, served, capacity)
+        assert (got.tolist(), end) == fail_series(inflow.tolist(), served.tolist(), capacity)
     # Saturated: every round brings more than capacity and is never drained.
     inflow = np.full(50, 7)
-    assert _fail_series(inflow, np.full(50, 2), 6).all()
+    assert _fail_flags(inflow, np.full(50, 2), 6)[0].all()
     # Capacity 0 with nothing routed never overflows.
-    assert not _fail_series(np.zeros(20, dtype=np.int64), np.full(20, 3), 0).any()
+    assert not _fail_flags(np.zeros(20, dtype=np.int64), np.full(20, 3), 0)[0].any()
 
 
 def test_fail_series_edges_match_lindley_loop():
@@ -378,9 +479,46 @@ def test_fail_series_edges_match_lindley_loop():
     # A backlog far above the int32 range stays below a capacity above int64.
     cases.append((np.full(30, 2**40), np.zeros(30, dtype=np.int64), 10**20))
     for inflow, served, capacity in cases:
-        got = _fail_series(inflow, served, capacity)
+        got, end = _fail_flags(inflow, served, capacity)
         assert got.dtype == bool and got.shape == inflow.shape
-        assert got.tolist() == fail_series(inflow.tolist(), served.tolist(), capacity)
+        assert (got.tolist(), end) == fail_series(inflow.tolist(), served.tolist(), capacity)
+
+
+def test_fail_series_split_at_any_round_matches_one_pass():
+    rng = make_rng(1953)
+    for _ in range(60):
+        rounds = int(rng.integers(2, 60))
+        lam, mu = rng.uniform(0.0, 10.0, size=2)
+        inflow = rng.poisson(lam, rounds)
+        served = rng.poisson(mu, rounds)
+        capacity = int(rng.choice([0, 2, 6, 10**9]))
+        backlog = int(rng.choice([0, 3, 40]))
+        whole, end = _fail_flags(inflow, served, capacity, backlog)
+        assert (whole.tolist(), end) == fail_series(inflow.tolist(), served.tolist(), capacity, backlog)
+        for cut in range(1, rounds):
+            head, carried = _fail_flags(inflow[:cut], served[:cut], capacity, backlog)
+            tail, last = _fail_flags(inflow[cut:], served[cut:], capacity, carried)
+            assert np.concatenate([head, tail]).tolist() == whole.tolist()
+            assert last == end
+
+
+def test_fail_series_rows_are_queues_on_shared_responses():
+    # simulate runs one queue per strategy of a full node as the rows of
+    # one call, writing the flags into a strided view of its buffer.
+    rng = make_rng(1954)
+    rounds = 300
+    inflow = rng.poisson(4.0, size=(3, rounds)) + rng.integers(0, 3, size=(3, rounds))
+    served = rng.poisson(5.0, rounds)
+    backlog = np.array([0, 7, 30], dtype=np.int64)
+    walk = inflow.astype(np.int64)
+    fails = np.ones((3, 2, rounds), dtype=bool)
+    end = np.zeros((2, 3), dtype=np.int64)
+    end[1] = backlog
+    _fail_series(walk, served, 5, end[1], np.empty_like(walk), fails[:, 1])
+    for row in range(3):
+        want = fail_series(inflow[row].tolist(), served.tolist(), 5, int(backlog[row]))
+        assert (fails[row, 1].tolist(), int(end[1, row])) == want
+    assert fails[:, 0].all() and not end[0].any()
 
 
 def test_saturated_nodes_fail_every_round():
