@@ -22,7 +22,6 @@ from .queue_model import (
     TailEstimate,
     estimate_tail,
     fit_decay_slope,
-    poisson_counts,
 )
 from .seeding import derive_seed, make_rng, splitmix64
 from .sim_harness import (
@@ -73,7 +72,6 @@ __all__ = [
     "fit_decay_slope",
     "is_correlated_equilibrium",
     "make_rng",
-    "poisson_counts",
     "rate_function",
     "run_network_sim",
     "simulate",

@@ -4,7 +4,8 @@ Arrivals and responses are independent Poisson counts per unit time slot.
 The module tracks the unreflected cumulative arrivals-minus-responses walk
 and estimates the probability that the running supremum of the walk
 exceeds a capacity threshold.  The reflected backlog (Lindley recursion)
-is sim_harness's, which draws its per-round counts from poisson_counts.
+is sim_harness's.  Each Monte Carlo path hands its own blocks of uniforms
+to _poisson_inverse, and MAX_SIM_BYTES caps the memory of either.
 """
 
 from __future__ import annotations
@@ -21,6 +22,13 @@ from .seeding import fill_streams
 # Table-size guard for the CDF (table length grows linearly in rate).
 MAX_VECTOR_RATE = 50_000.0
 
+# Cap on the NumPy memory of one block of either Monte Carlo path: a batch
+# of estimate_tail's walks, or a chunk of sim_harness's rounds.  Each path
+# estimates its block before allocating and refuses a larger one with a
+# ValueError that names the cap.  A larger block would not raise
+# MemoryError: the kernel kills the process when it touches the pages.
+MAX_SIM_BYTES = 2**31
+
 # Poisson inversion counts the CDF entries below each uniform over the head
 # of the table that holds _HEAD_MASS of the mass; beyond it, and for tables
 # whose head exceeds _MAX_HEAD entries, it binary-searches the table.
@@ -29,8 +37,8 @@ MAX_VECTOR_RATE = 50_000.0
 # 13.5 ms at rate 130, 10.3 vs 11.3 ms at rate 200) and lost from rate 300
 # (15.2 vs 11.6 ms); _MAX_HEAD = 128 sends rates above about 95 to the
 # search, where it is slower.  The cut-off changes no draw.
-# estimate_tail holds _BLOCK // horizon walks (at least one) and
-# poisson_counts draws in pieces of _BLOCK, so an inversion call sees at most
+# estimate_tail holds _BLOCK // horizon walks (at least one) and sim_harness
+# draws a chunk of at most _BLOCK rounds, so an inversion call sees at most
 # _BLOCK uniforms (1 MiB of doubles) unless one walk is longer; they stay in
 # a per-core L2 cache across the passes over the head.  On a 26 x 5000 block
 # the flat index of the uniforms beyond the head takes 0.04 ms; 2-D np.nonzero
@@ -152,17 +160,21 @@ def _poisson_inverse(rate: float, u: np.ndarray) -> np.ndarray:
     return counts
 
 
-def poisson_counts(rate: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n Poisson(rate) draws (int64) by inversion of n uniforms taken from
-    `rng` in stream order, so the result is a pure function of the stream
-    state.  The uniforms are drawn and inverted in pieces of _BLOCK, which
-    on PCG64 yields the same doubles as one draw of n."""
-    check_sampling_rate(rate)
-    counts = np.empty(n, dtype=np.int64)
-    for start in range(0, n, _BLOCK):
-        piece = counts[start : start + _BLOCK]
-        piece[:] = _poisson_inverse(rate, rng.random(len(piece)))
-    return counts
+def _walk_bytes(params: RateParams, horizon: int, thresholds: int) -> int:
+    """Bytes that one walk of estimate_tail's batch takes at the batch's peak.
+
+    Per slot that is 16 bytes of uniforms and what their inversion and the
+    walk's running sum hold: at most 40 in all while both tables are
+    counted over their head, at most 56 when either is binary-searched,
+    whose index arrays are int64.  Per walk it is 1024 bytes for the stream
+    state that fill_streams builds, and one byte per threshold for the hit
+    count.  On walks of 1 to 200,000 slots at rates from 0.5 to 40,000, with
+    int32 and int64 sums and 1 to 1,000 thresholds, tracemalloc peaks were
+    27 to 39 bytes per slot when counted, 52 to 55 when searched, and 840 to
+    1,020 bytes per walk of one slot.
+    """
+    counted = _poisson_table(params.lam)[1] and _poisson_table(params.mu)[1]
+    return 1024 + thresholds + horizon * (40 if counted else 56)
 
 
 def _walk_sups(params: RateParams, uniforms: np.ndarray) -> np.ndarray:
@@ -198,7 +210,8 @@ def estimate_tail(
     whose streams fill_streams sets from one vectorised seed derivation: the
     same uniforms as per-walk make_rng(derive_seed(...)).  All
     thresholds are counted against the same run set, which makes p_hat
-    nonincreasing in gamma.
+    nonincreasing in gamma.  A batch whose estimated memory (_walk_bytes)
+    is over MAX_SIM_BYTES raises ValueError before anything is allocated.
     """
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
@@ -212,8 +225,15 @@ def estimate_tail(
     if not np.all(g[1:] > g[:-1]):
         raise ValueError(f"gammas must be strictly increasing, got {list(gammas)}")
 
-    hits = np.zeros(len(g), dtype=np.int64)
     batch_rows = max(1, min(_BLOCK // horizon, runs))
+    size = batch_rows * _walk_bytes(params, horizon, len(g))
+    if size > MAX_SIM_BYTES:
+        raise ValueError(
+            f"walks of {horizon} slots, {batch_rows} per batch, would take about "
+            f"{size / 2**20:,.0f} MiB of arrays, over the {MAX_SIM_BYTES / 2**20:,.0f} MiB "
+            "cap (MAX_SIM_BYTES)"
+        )
+    hits = np.zeros(len(g), dtype=np.int64)
     uniforms = np.empty((batch_rows, 2 * horizon))
     done = 0
     while done < runs:

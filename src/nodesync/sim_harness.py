@@ -14,8 +14,8 @@ configuration.
 `simulate` runs the rounds in chunks of at most _CHUNK, carrying every
 stream and queue backlog from one chunk to the next and summing integer
 counts, so its memory is flat in the number of rounds and its reports
-equal those of one pass.  MAX_SIM_BYTES bounds what one chunk holds:
-partial nodes times full nodes.
+equal those of one pass.  queue_model.MAX_SIM_BYTES bounds what one chunk
+holds: partial nodes times full nodes.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .seeding import derive_seed, fill_streams, make_rng
-from .queue_model import RateParams, check_sampling_rate, poisson_counts
+from .queue_model import MAX_SIM_BYTES, RateParams, _poisson_inverse, check_sampling_rate
 from .sync_game import CorrelatedDistribution
 
 # Stream purposes under the master seed; each node or partial then gets its
@@ -41,23 +41,21 @@ _ROUTING_STREAMS = 3
 # many rounds, so its memory does not grow with the number of rounds.
 _CHUNK = 2**15
 
-# Cap on the NumPy memory of one rep of `simulate`, which NetSimConfig
-# estimates before anything is allocated.  Every array spans at most one
-# chunk of min(rounds, _CHUNK) rounds; per round of a chunk, for m full
-# nodes, the estimate is n_partial * (7 * m + 24) + 8 * m + 48 bytes.  Per
-# partial node that is 7 bytes per full node and 24 for routing uniforms,
-# profiles and sync flags; per full node, 8 for routed sums and overflow
-# flags; and 48 for the traffic series and Lindley walks.  The request
-# flags of two strategies and the successes counted from them take 3 of
-# the 7; the rest was fitted with tracemalloc, and covers what the other
-# terms miss when there are few partial nodes.  On compare runs (both
-# strategies on shared traffic) of 1 to 200 partial nodes, 1 to 12 full
-# nodes and 2,000 to 98,309 rounds, whose peaks ranged from 1.0 to 199 MB,
-# the estimate was 1.04 to 2.2 times the peak.  So the cap bounds partial
-# nodes times full nodes, and a run of any length fits once one chunk does.
-# A larger run would not raise MemoryError: the kernel kills the process
-# when it touches the pages.
-MAX_SIM_BYTES = 2**31
+# NetSimConfig estimates the NumPy memory of one rep of `simulate` against
+# queue_model's MAX_SIM_BYTES before anything is allocated.  Every array
+# spans at most one chunk of min(rounds, _CHUNK) rounds; per round of a
+# chunk, for m full nodes, the estimate is
+# n_partial * (7 * m + 24) + 8 * m + 48 bytes.  Per partial node that is 7
+# bytes per full node and 24 for routing uniforms, profiles and sync flags;
+# per full node, 8 for routed sums and overflow flags; and 48 for the
+# traffic series and Lindley walks.  The request flags of two strategies
+# and the successes counted from them take 3 of the 7; the rest was fitted
+# with tracemalloc, and covers what the other terms miss when there are few
+# partial nodes.  On compare runs (both strategies on shared traffic) of 1
+# to 200 partial nodes, 1 to 12 full nodes and 2,000 to 98,309 rounds,
+# whose peaks ranged from 1.0 to 199 MB, the estimate was 1.04 to 2.2 times
+# the peak.  So the cap bounds partial nodes times full nodes, and a run of
+# any length fits once one chunk does.
 
 
 @dataclass(frozen=True)
@@ -236,37 +234,6 @@ class _Totals:
         )
 
 
-def _simulate_chunk(
-    configs: Sequence[NetSimConfig],
-    start: int,
-    streams: Sequence[tuple[FullNode, np.random.Generator, np.random.Generator]],
-    backlog: np.ndarray,
-    totals: Sequence[_Totals],
-    routed: np.ndarray,
-    fails: np.ndarray,
-    scratch: np.ndarray,
-) -> None:
-    """Run the rounds from round `start` on that the (strategy, node, round)
-    buffers `routed` and `fails` span: every strategy's routed requests join
-    each full node's ambient and service counts, drawn once from the node's
-    (arrival, response) generators in `streams`.  The (strategy, node)
-    `backlog` is carried over in place and each strategy's counts are added
-    to its totals.  The request flags are freed on return, before the next
-    chunk draws its own."""
-    count = fails.shape[-1]
-    bits = [_routing_bits(config, start, count) for config in configs]
-    for flags, sums in zip(bits, routed):
-        flags.sum(axis=0, out=sums)
-    walk, floor = scratch
-    for i, (node, arrivals, responses) in enumerate(streams):
-        ambient = poisson_counts(node.params.lam, count, arrivals)
-        served = poisson_counts(node.params.mu, count, responses)
-        np.add(ambient, routed[:, i], out=walk)
-        _fail_series(walk, served, node.capacity, backlog[:, i], floor, fails[:, i])
-    for total, arrays in zip(totals, zip(bits, routed, fails)):
-        total.add(*arrays)
-
-
 def simulate(configs: Sequence[NetSimConfig]) -> list[SyncReport]:
     """Simulate the strategies of one rep on shared full-node traffic.
 
@@ -279,10 +246,11 @@ def simulate(configs: Sequence[NetSimConfig]) -> list[SyncReport]:
     chunk to the next (the full nodes' generators are kept, the partial
     nodes' routing streams advanced), each queue carries its backlog over,
     and each strategy sums integer counts; the reports are those of one pass
-    over all rounds.  The routed sums, overflow flags and Lindley walks of a
-    chunk live in buffers allocated once per call, so that the allocator
-    does not hand them back to the system and fault them in again on
-    every chunk.
+    over all rounds.  A chunk inverts each full node's two series in one
+    _poisson_inverse call each, as _CHUNK <= queue_model._BLOCK.  The routed
+    sums, overflow flags and Lindley walks of a chunk live in buffers
+    allocated once per call, so that the allocator does not hand them back
+    to the system and fault them in again on every chunk.
     """
     if len({(c.full_nodes, c.n_partial, c.rounds, c.master_seed) for c in configs}) != 1:
         raise ValueError("simulate takes one or more configurations that differ only in strategy")
@@ -301,10 +269,20 @@ def simulate(configs: Sequence[NetSimConfig]) -> list[SyncReport]:
     backlog = np.zeros(shape[:2], dtype=np.int64)
     totals = [_Totals(len(streams)) for _ in configs]
     for start in range(0, first.rounds, _CHUNK):
-        window = np.s_[..., : min(_CHUNK, first.rounds - start)]
-        _simulate_chunk(
-            configs, start, streams, backlog, totals, routed[window], fails[window], scratch[window]
-        )
+        count = min(_CHUNK, first.rounds - start)
+        sums, overflows, (walk, floor) = (buf[..., :count] for buf in (routed, fails, scratch))
+        bits = [_routing_bits(config, start, count) for config in configs]
+        for k in range(len(configs)):
+            bits[k].sum(axis=0, out=sums[k])
+        for i, (node, arrivals, responses) in enumerate(streams):
+            ambient = _poisson_inverse(node.params.lam, arrivals.random(count))
+            # int64, because _fail_series subtracts the served counts and adds them back.
+            served = _poisson_inverse(node.params.mu, responses.random(count)).astype(np.int64)
+            np.add(ambient, sums[:, i], out=walk)
+            _fail_series(walk, served, node.capacity, backlog[:, i], floor, overflows[:, i])
+        for k, total in enumerate(totals):
+            total.add(bits[k], sums[k], overflows[k])
+        del bits  # freed before the next chunk draws its own
     return [total.report(first.n_partial, first.rounds) for total in totals]
 
 

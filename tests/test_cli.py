@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import nodesync
-from nodesync import cli, sim_harness
+from nodesync import cli, queue_model, sim_harness
 from nodesync.cli import main
 from nodesync.queue_model import RateParams, estimate_tail
 from nodesync.sync_game import GameSpec, best_pure_profile, is_correlated_equilibrium, solve_ns
@@ -422,18 +422,55 @@ def test_netsim_solves_before_simulating(monkeypatch):
 
 def test_netsim_compare_draws_each_node_once_per_rep(monkeypatch):
     draws = []
-    poisson_counts = sim_harness.poisson_counts
+    inverse = sim_harness._poisson_inverse
 
-    def counting_poisson_counts(rate, n, rng):
+    def counting_inverse(rate, u):
         draws.append(rate)
-        return poisson_counts(rate, n, rng)
+        return inverse(rate, u)
 
-    monkeypatch.setattr(sim_harness, "poisson_counts", counting_poisson_counts)
+    monkeypatch.setattr(sim_harness, "_poisson_inverse", counting_inverse)
     args = ["netsim", "--strategy", "compare", "--m", "4", "--rounds", "50", "--reps", "3"]
     assert run_cli(args)[0] == 0
     # Both strategies of a rep share each node's ambient and service series:
     # 2 * m draws per rep, not 4 * m.
     assert len(draws) == 3 * 2 * 4
+
+
+def test_netsim_inverts_at_most_one_block(monkeypatch):
+    # A chunk draws each series with one inversion, so a chunk must fit in
+    # one inversion block.
+    assert sim_harness._CHUNK <= queue_model._BLOCK
+    sizes = []
+    inverse = sim_harness._poisson_inverse
+
+    def recording_inverse(rate, u):
+        sizes.append(u.size)
+        return inverse(rate, u)
+
+    monkeypatch.setattr(sim_harness, "_poisson_inverse", recording_inverse)
+    rounds = sim_harness._CHUNK + 100
+    args = ["netsim", "--strategy", "compare", "--n-partial", "4", "--rounds", str(rounds), "--reps", "1"]
+    assert run_cli(args)[0] == 0
+    # Two chunks, each drawing 2 series for each of the 3 full nodes.
+    assert sorted(sizes) == [100] * 6 + [sim_harness._CHUNK] * 6
+    assert max(sizes) <= queue_model._BLOCK
+
+
+def test_tail_over_the_memory_cap_is_a_clean_error(monkeypatch, capsys):
+    # A 1 MiB cap stands in for the real one; no stream may be filled.
+    def unreachable(*args):
+        raise AssertionError("a batch was drawn")
+
+    monkeypatch.setattr(queue_model, "MAX_SIM_BYTES", 2**20)
+    monkeypatch.setattr(queue_model, "fill_streams", unreachable)
+    assert main(["tail", "--runs", "1", "--horizon", "60000", "--reps", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "nodesync: error: walks of 60000 slots, 1 per batch, would take about "
+        "2 MiB of arrays, over the 1 MiB cap (MAX_SIM_BYTES)\n"
+    )
+
 
 def test_parser_is_built_once_and_reuse_leaks_no_state(tmp_path, monkeypatch):
     builds = []

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from nodesync.queue_model import (
     TailEstimate,
     estimate_tail,
     fit_decay_slope,
-    poisson_counts,
 )
 from nodesync.seeding import derive_seed, make_rng
 from oracles import poisson_inverse, sample_poisson, step_queue, walk_sups
@@ -43,14 +43,14 @@ def test_sample_poisson_rejects_unsupported_rates():
     rng = make_rng(1)
     for rate in (0.0, -2.0, MAX_VECTOR_RATE * 1.01, float("nan")):
         with pytest.raises(ValueError):
-            poisson_counts(rate, 10, rng)
+            qm._poisson_inverse(rate, rng.random(10))
     for rate in (0.0, MAX_VECTOR_RATE * 1.01):
         with pytest.raises(ValueError):
             sample_poisson(rate, rng)
 
 
 def test_sample_poisson_tiny_rate_is_almost_surely_zero():
-    assert not poisson_counts(1e-9, 1000, make_rng(7)).any()
+    assert not qm._poisson_inverse(1e-9, make_rng(7).random(1000)).any()
 
 
 def test_sample_poisson_matches_poisson_moments():
@@ -76,16 +76,17 @@ def test_poisson_counts_matches_scalar_inversion():
     # fewer draws.
     for rate, n in ((1e-9, 300), (0.5, 300), (3.0, 300), (6.0, 300), (17.25, 300),
                     (30.0, 300), (30.5, 300), (130.0, 300), (3000.0, 100)):
-        block = poisson_counts(rate, n, make_rng(11))
+        block = qm._poisson_inverse(rate, make_rng(11).random(n))
         rng = make_rng(11)
         scalar = [sample_poisson(rate, rng) for _ in range(n)]
         assert block.tolist() == scalar
 
 
-# sha256 over the little-endian int64 draws poisson_counts(rate, 2**17,
-# make_rng(seed)) for seeds 0 to 7 in turn, at rates up to 30.  They were
-# recorded while these tables were still built by the p_{k+1} = p_k *
-# rate/(k+1) recurrence, and the log-space tables draw the same counts.
+# sha256 over the little-endian int64 draws _poisson_inverse(rate,
+# make_rng(seed).random(2**17)) for seeds 0 to 7 in turn, at rates up to
+# 30.  They were recorded while these tables were still built by the
+# p_{k+1} = p_k * rate/(k+1) recurrence, and the log-space tables draw the
+# same counts.
 _GOLDEN_DRAWS = {
     1e-9: "2daeb1f36095b44b318410b3f4e8b5d989dcc7bb023d1426c492dab0a3053e74",
     1e-3: "3b3ffb88fa21a69cb9621cb5eecfb14aa04a4e8cb3a415f005c82469b754cb72",
@@ -102,7 +103,8 @@ _GOLDEN_DRAWS = {
 def test_poisson_counts_keep_their_recorded_draws(rate):
     digest = hashlib.sha256()
     for seed in range(8):
-        digest.update(poisson_counts(rate, 2**17, make_rng(seed)).astype("<i8").tobytes())
+        draws = qm._poisson_inverse(rate, make_rng(seed).random(2**17))
+        digest.update(draws.astype("<i8").tobytes())
     assert digest.hexdigest() == _GOLDEN_DRAWS[rate]
 
 
@@ -197,13 +199,8 @@ def test_walk_sups_equals_int64_oracle_walk(lam, mu):
         assert np.array_equal(qm._walk_sups(params, uniforms), walk_sups(params, uniforms))
 
 
-def test_poisson_counts_are_int64():
-    for rate in (0.5, 6.0, 3000.0):
-        assert poisson_counts(rate, 50, make_rng(4)).dtype == np.int64
-
-
 def test_poisson_counts_large_rate_moments():
-    draws = poisson_counts(3000.0, 20_000, make_rng(3))
+    draws = qm._poisson_inverse(3000.0, make_rng(3).random(20_000))
     assert draws.mean() == pytest.approx(3000.0, abs=2.0)
     assert draws.var(ddof=1) == pytest.approx(3000.0, rel=0.05)
 
@@ -247,9 +244,9 @@ def test_walk_sups_draw_order_contract():
     horizon = 200
     sup = _walk_sup(params, horizon, make_rng(77))
     rng = make_rng(77)
-    arrivals = poisson_counts(3.0, horizon, rng)
-    responses = poisson_counts(6.0, horizon, rng)
-    walk = np.cumsum(arrivals - responses)
+    arrivals = qm._poisson_inverse(3.0, rng.random(horizon))
+    responses = qm._poisson_inverse(6.0, rng.random(horizon))
+    walk = np.cumsum(arrivals - responses, dtype=np.int64)
     assert sup == max(int(walk.max()), 0)
 
 
@@ -342,14 +339,58 @@ def test_estimate_tail_inverts_at_most_one_block(monkeypatch):
     assert sizes and max(sizes) <= qm._BLOCK
 
 
-def test_poisson_counts_blocks_match_one_inversion():
-    n = 2 * qm._BLOCK + 5
-    for rate, seed in ((3.0, 31), (200.0, 32)):
-        draws = poisson_counts(rate, n, make_rng(seed))
-        assert draws.dtype == np.int64
-        assert np.array_equal(draws, poisson_inverse(rate, make_rng(seed).random(n)))
-    with pytest.raises(ValueError):
-        poisson_counts(0.0, 0, make_rng(1))
+def test_estimate_tail_over_the_memory_cap_is_a_clean_error(monkeypatch):
+    # A 1 MiB cap stands in for the real one, so nothing large is built even
+    # if the check were lost.  One walk takes 1024 bytes, one per threshold
+    # and 40 per slot while both tables are counted, 56 when one is searched.
+    monkeypatch.setattr(qm, "MAX_SIM_BYTES", 2**20)
+    counted, searched = RateParams(lam=3.0, mu=6.0), RateParams(lam=200.0, mu=240.0)
+    for params, per_slot in ((counted, 40), (searched, 56)):
+        longest = (2**20 - 1025) // per_slot
+        assert len(estimate_tail(params, [2], runs=1, horizon=longest, master_seed=1)) == 1
+    # Over the cap nothing is drawn: the streams are never filled.
+    def unreachable(*args):
+        raise AssertionError("a batch was drawn")
+
+    monkeypatch.setattr(qm, "fill_streams", unreachable)
+    for params, per_slot in ((counted, 40), (searched, 56)):
+        longest = (2**20 - 1025) // per_slot
+        with pytest.raises(ValueError, match=r"over the 1 MiB cap \(MAX_SIM_BYTES\)"):
+            estimate_tail(params, [2], runs=1, horizon=longest + 1, master_seed=1)
+    # Below _BLOCK // horizon walks the batch holds every run: 200 walks of
+    # 100 slots fit in 1 MiB, 300 do not.
+    with pytest.raises(ValueError, match="300 per batch"):
+        estimate_tail(counted, [2], runs=300, horizon=100, master_seed=1)
+
+
+@pytest.mark.parametrize(
+    "lam, mu, horizon, runs, thresholds, wide",
+    [
+        (3.0, 6.0, 1000, 200, 3, False),
+        (3.0, 6.0, 20_000, 1, 1, True),
+        (3.0, 6.0, 1, 3000, 2, False),
+        (3.0, 6.0, 10, 3000, 500, False),
+        (200.0, 240.0, 3000, 50, 3, False),
+        (3.0, 3000.0, 20_000, 1, 1, True),
+    ],
+)
+def test_walk_bytes_bound_the_traced_peak(monkeypatch, lam, mu, horizon, runs, thresholds, wide):
+    # `wide` forces the int64 sums that only walks of millions of slots need.
+    if wide:
+        monkeypatch.setattr(qm, "_walk_dtype", lambda horizon, table_len: np.int64)
+    params = RateParams(lam=lam, mu=mu)
+    gammas = list(range(1, thresholds + 1))
+    estimate_tail(params, gammas, runs, horizon, master_seed=2)  # caches both tables
+    tracemalloc.start()
+    try:
+        estimate_tail(params, gammas, runs, horizon, master_seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = max(1, min(qm._BLOCK // horizon, runs))
+    estimate = rows * qm._walk_bytes(params, horizon, thresholds)
+    # Short walks with many thresholds are the loosest case, at about 2x.
+    assert peak <= estimate <= 2.5 * peak
 
 
 def test_estimate_tail_deterministic_and_seed_sensitive():
