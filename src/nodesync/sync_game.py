@@ -122,27 +122,18 @@ class CeCheck(NamedTuple):
     max_violation: float
 
 
-class _Tables(NamedTuple):
-    """Everything the game needs about its 2^m profiles, index k = profile k.
+def _equilibrium_lp(spec: GameSpec) -> LpProblem:
+    """The program for the best correlated equilibrium over all 2^m
+    profiles, built once per solve; index k = profile k.
 
-    Built once per solve: the LP, the pure-profile start and the equilibrium
-    re-check all read from it.  `lp` is the program for the best correlated
-    equilibrium, with one variable per profile probability; its objective
-    holds the sum of the m utilities under each profile.  Row 0 of the
-    (2m + 1, 2^m) matrix `lp.a` is normalization (ones, == 1).  Each
-    decision i adds two >= 0 rows, one per ordered pair of actions (held,
-    alt): told to play `held`, switching to `alt` must not pay in
-    expectation.  Row 1 + 2i (skip) and row 2 + 2i (send) hold what node i
-    gains under profile k by keeping its decision instead of switching, on
-    the profiles where it plays that decision, and 0 elsewhere.
-    """
-
-    bits: np.ndarray  # B[k, i]: profile k sends to node i
-    lp: LpProblem
-
-
-def _tables(spec: GameSpec) -> _Tables:
-    """Bit matrix and equilibrium LP for all 2^m profiles.
+    One variable per profile probability; the objective holds the sum of
+    the m utilities under each profile.  Row 0 of the (2m + 1, 2^m) matrix
+    is normalization (ones, == 1).  Each decision i adds two >= 0 rows, one
+    per ordered pair of actions (held, alt): told to play `held`, switching
+    to `alt` must not pay in expectation.  Row 1 + 2i (skip) and row 2 + 2i
+    (send) hold what node i gains under profile k by keeping its decision
+    instead of switching, on the profiles where it plays that decision, and
+    0 elsewhere.
 
     A sender's share is its success weight 1 - epsilon_i over the weight sum
     of all senders; a non-sender earns nothing, so node i's keep gain is its
@@ -153,7 +144,6 @@ def _tables(spec: GameSpec) -> _Tables:
     """
     m = spec.m
     index = np.arange(1 << m)
-    bits = ((index[:, None] >> np.arange(m)) & 1).astype(bool)
     weight_sum = np.zeros(1)
     for eps in spec.epsilon:
         weight_sum = np.concatenate([weight_sum, weight_sum + (1.0 - eps)])
@@ -162,7 +152,7 @@ def _tables(spec: GameSpec) -> _Tables:
     total = np.zeros(1 << m)
     with np.errstate(over="ignore"):  # rejected below
         for i in range(m):
-            send = bits[:, i]
+            send = (index & (1 << i)) != 0
             utility = a[2 + 2 * i]
             share = (1.0 - spec.epsilon[i]) / weight_sum[send]
             utility[send] = spec.alpha[i] * share - spec.cost[i]
@@ -176,7 +166,7 @@ def _tables(spec: GameSpec) -> _Tables:
     rhs = np.zeros(2 * m + 1)
     rhs[0] = 1.0
     relations = (Relation.EQ,) + (Relation.GE,) * (2 * m)
-    return _Tables(bits=bits, lp=LpProblem(total, a, relations, rhs))
+    return LpProblem(total, a, relations, rhs)
 
 
 def is_correlated_equilibrium(
@@ -185,12 +175,12 @@ def is_correlated_equilibrium(
     """Check all 2m deviation constraints; reports the worst violation."""
     if dist.m != spec.m:
         raise ValueError(f"distribution is over m={dist.m} nodes, spec has m={spec.m}")
-    return _ce_check(dist.g, _tables(spec), tol)
+    return _ce_check(dist.g, _equilibrium_lp(spec), tol)
 
 
-def _ce_check(g: np.ndarray, tables: _Tables, tol: float) -> CeCheck:
+def _ce_check(g: np.ndarray, lp: LpProblem, tol: float) -> CeCheck:
     # Each row's expectation is summed in profile order (cumsum is sequential).
-    lhs = np.cumsum(tables.lp.a[1:] * g, axis=1)[:, -1]
+    lhs = np.cumsum(lp.a[1:] * g, axis=1)[:, -1]
     worst = max(0.0, float(-lhs.min()))
     return CeCheck(ok=worst <= tol, max_violation=worst)
 
@@ -207,13 +197,12 @@ def solve_ns(spec: GameSpec) -> DecisionReport:
     its point mass is a vertex of the polytope, with the profile's column
     and the 2m surplus columns as basis, and the optimum is never below it.
     """
-    tables = _tables(spec)
-    n = tables.lp.n
+    lp = _equilibrium_lp(spec)
     try:
-        start = [_best_pure_index(tables)] + list(range(n, n + 2 * spec.m))
+        start = [_best_pure_index(lp)] + list(range(lp.n, lp.n + 2 * spec.m))
     except LookupError:
         start = None
-    solution = lp_solver.solve(tables.lp, start=start)
+    solution = lp_solver.solve(lp, start=start)
     if solution.status is not LpStatus.OPTIMAL:
         raise RuntimeError(
             f"equilibrium program reported {solution.status.value}; "
@@ -221,43 +210,43 @@ def solve_ns(spec: GameSpec) -> DecisionReport:
         )
     g = solution.x / solution.x.sum()
     dist = CorrelatedDistribution(m=spec.m, g=g)
-    check = _ce_check(g, tables, tol=1e-8)
+    check = _ce_check(g, lp, tol=1e-8)
     if not check.ok:
         raise RuntimeError(
             f"solver output fails the equilibrium check by {check.max_violation}"
         )
-    marginals = tuple(float(g[tables.bits[:, i]].sum()) for i in range(spec.m))
+    index = np.arange(lp.n)
+    marginals = tuple(float(g[(index & (1 << i)) != 0].sum()) for i in range(spec.m))
     # cumsum keeps a plain left-to-right sum in profile order.
-    objective = float(np.cumsum(g * tables.lp.objective)[-1])
+    objective = float(np.cumsum(g * lp.objective)[-1])
     return DecisionReport(
         distribution=dist,
         objective=objective,
         marginals=marginals,
-        chosen_profile=_extract_profile(g, tables),
+        chosen_profile=_extract_profile(g, lp.objective, spec.m),
     )
 
 
-def _extract_profile(g: np.ndarray, tables: _Tables) -> Profile:
+def _extract_profile(g: np.ndarray, total: np.ndarray, m: int) -> Profile:
     """Single decision vector for a distribution: among support profiles of
     maximum conditional total utility, take the most probable one, then the
     lowest encoding."""
-    total = tables.lp.objective
     support = g > SUPPORT_MASS
     candidates = support & (total >= total[support].max() - 1e-9)
     top_mass = g[candidates].max()
     chosen = int(np.flatnonzero(candidates & (g >= top_mass - 1e-12))[0])
-    return Profile.from_index(chosen, tables.bits.shape[1])
+    return Profile.from_index(chosen, m)
 
 
 def best_pure_profile(spec: GameSpec) -> tuple[Profile, float]:
     """Brute-force baseline: the best single profile whose point mass is a
     correlated equilibrium.  The optimum of the LP is at least this good."""
-    tables = _tables(spec)
-    best = _best_pure_index(tables)
-    return Profile.from_index(best, spec.m), float(tables.lp.objective[best])
+    lp = _equilibrium_lp(spec)
+    best = _best_pure_index(lp)
+    return Profile.from_index(best, spec.m), float(lp.objective[best])
 
 
-def _best_pure_index(tables: _Tables) -> int:
+def _best_pure_index(lp: LpProblem) -> int:
     """Lowest-encoding profile of maximum total among those whose point
     mass passes the equilibrium check (at tolerance 1e-9), i.e. where no
     decision gains more than that by switching away.
@@ -275,7 +264,7 @@ def _best_pure_index(tables: _Tables) -> int:
     """
     # Column k of the deviation rows holds each decision's keep gain under
     # profile k, beside a 0 in the decision's other row.
-    stable = np.all(tables.lp.a[1:] >= -1e-9, axis=0)
+    stable = np.all(lp.a[1:] >= -1e-9, axis=0)
     if not stable.any():
         raise LookupError("no pure-profile correlated equilibrium exists for this spec")
-    return int(np.argmax(np.where(stable, tables.lp.objective, -np.inf)))
+    return int(np.argmax(np.where(stable, lp.objective, -np.inf)))

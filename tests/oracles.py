@@ -8,15 +8,20 @@ total, the reflected queue's per-round overflow flags by Lindley's
 recursion, a network's routing flags from one generator per partial node,
 its full nodes' overflow flags, and its report by a loop over the nodes.
 The arithmetic is the same operation for operation, so the tests demand exact
-equality with the fast paths, not a tolerance.
+equality with the fast paths, not a tolerance.  The one exception is the
+class-count equilibrium LP, a smaller program with the same optimum, which
+is checked to a relative tolerance.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from typing import Sequence
 
 import numpy as np
+import pytest
 
 from nodesync.queue_model import MAX_VECTOR_RATE, RateParams, _poisson_table
 from nodesync.seeding import derive_seed, make_rng
@@ -149,6 +154,50 @@ def ce_violation(g: Sequence[float], spec: GameSpec) -> float:
                 lhs += g[k] * coeff
         worst = max(worst, -lhs)
     return worst
+
+
+def class_lp_objective(spec: GameSpec) -> float:
+    """Total utility of the best correlated equilibrium, from the LP over
+    class-count vectors (Papadimitriou and Roughgarden, JACM 2008).
+
+    Nodes of equal (epsilon, alpha, cost) form a class c of n_c nodes.  The
+    game is invariant under permutations within a class, so averaging an
+    equilibrium over them keeps its total, and the optimum is found among
+    distributions that depend only on the count vector s of senders per
+    class.  With w_c = 1 - epsilon_c, W(s) = sum_c s_c w_c and
+    u_c(s) = alpha_c w_c / W(s) - cost_c, the LP has one variable per s,
+    the objective sum_c s_c u_c(s), normalization, and two >= 0 rows per
+    class: s_c u_c(s) (keep sending) and -(n_c - s_c) u_c(s + e_c) (keep
+    skipping).  Everything is built from the spec and solved by HiGHS.
+    """
+    optimize = pytest.importorskip("scipy.optimize")
+    sizes = Counter(zip(spec.epsilon, spec.alpha, spec.cost))
+    classes = list(sizes)
+
+    def u(c: int, s: tuple[int, ...]) -> float:
+        eps, alpha, cost = classes[c]
+        weight = sum(k * (1.0 - e) for k, (e, _, _) in zip(s, classes))
+        return alpha * (1.0 - eps) / weight - cost
+
+    objective = []
+    rows: list[list[float]] = [[] for _ in range(2 * len(classes))]
+    for s in itertools.product(*(range(sizes[k] + 1) for k in classes)):
+        objective.append(sum(s[c] * u(c, s) for c in range(len(classes)) if s[c]))
+        for c, kind in enumerate(classes):
+            rows[2 * c].append(s[c] * u(c, s) if s[c] else 0.0)
+            more = s[:c] + (s[c] + 1,) + s[c + 1 :]
+            skipping = sizes[kind] - s[c]
+            rows[2 * c + 1].append(-skipping * u(c, more) if skipping else 0.0)
+    res = optimize.linprog(
+        -np.array(objective),
+        A_ub=-np.array(rows),
+        b_ub=np.zeros(len(rows)),
+        A_eq=np.ones((1, len(objective))),
+        b_eq=[1.0],
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return -res.fun
 
 
 def step_queue(q_prev: int, arrivals: int, responses: int) -> int:

@@ -17,7 +17,7 @@ from nodesync.lp_solver import (
     _Simplex,
     solve,
 )
-from nodesync.sync_game import GameSpec, _tables, best_pure_profile, solve_ns
+from nodesync.sync_game import GameSpec, _equilibrium_lp, best_pure_profile, solve_ns
 
 LE, EQ, GE = Relation.LE, Relation.EQ, Relation.GE
 
@@ -374,7 +374,7 @@ def test_start_at_an_optimal_vertex_is_returned_exactly():
     spec = GameSpec.uniform(m, 0.2, 10.0, 5.0)
     best, value = best_pure_profile(spec)
     n = 1 << m
-    sol = solve(_tables(spec).lp, start=[best.index] + list(range(n, n + 2 * m)))
+    sol = solve(_equilibrium_lp(spec), start=[best.index] + list(range(n, n + 2 * m)))
     assert np.array_equal(sol.x, np.eye(n)[best.index])
     assert sol.objective_value == value
 
@@ -553,7 +553,7 @@ def test_rows_start_on_slack_or_surplus_columns_with_nonnegative_levels(monkeypa
     m = 8
     spec = GameSpec.uniform(m, 0.2, 10.0, 5.0)
     n = 1 << m
-    sol = solve(_tables(spec).lp)
+    sol = solve(_equilibrium_lp(spec))
     assert sol.objective_value == pytest.approx(solve_ns(spec).objective, abs=1e-9)
     phase1 = [(cols, basis) for phase, cols, basis in built if phase == 1]
     assert phase1[0] == (n + 2 * m + 1, [n + 2 * m] + list(range(n, n + 2 * m)))

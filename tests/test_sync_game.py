@@ -15,12 +15,19 @@ from nodesync.sync_game import (
     GameSpec,
     Profile,
     _best_pure_index,
-    _tables,
+    _equilibrium_lp,
     best_pure_profile,
     is_correlated_equilibrium,
     solve_ns,
 )
-from oracles import ce_violation, ns_lp_tables, profit, total_utility, utility
+from oracles import (
+    ce_violation,
+    class_lp_objective,
+    ns_lp_tables,
+    profit,
+    total_utility,
+    utility,
+)
 
 
 def _uniform(m, eps=0.2, alpha=10.0, cost=5.0):
@@ -121,7 +128,7 @@ def test_utility_examples():
 
 def test_total_utility_under_uniform_parameters():
     # The LP objective is the table of profile totals.
-    total = _tables(_uniform(4)).lp.objective
+    total = _equilibrium_lp(_uniform(4)).objective
     assert total[Profile(bits=(0, 0, 0, 0)).index] == 0.0
     for k in (1, 2, 8):
         assert total[k] == pytest.approx(5.0)
@@ -133,7 +140,7 @@ def test_utility_table_matches_scalar_oracle_exactly():
     rng = np.random.default_rng(2206)
     for m in range(1, 13):
         spec = _random_spec(rng, m=m)
-        lp = _tables(spec).lp
+        lp = _equilibrium_lp(spec)
         objective, rows = ns_lp_tables(spec)
         assert np.array(lp.objective).tobytes() == np.array(objective).tobytes()
         assert lp.a.shape[0] == 1 + len(rows)
@@ -152,7 +159,7 @@ def test_utility_table_matches_scalar_oracle_exactly():
 
 
 def test_ns_lp_structure():
-    small = _tables(_uniform(1)).lp
+    small = _equilibrium_lp(_uniform(1))
     assert small.n == 2
     assert small.a.shape == (3, 2)
     assert small.relations[0] is Relation.EQ
@@ -160,14 +167,13 @@ def test_ns_lp_structure():
     assert small.a[0].tolist() == [1.0, 1.0]
     assert small.rhs.tolist() == [1.0, 0.0, 0.0]
 
-    big = _tables(_uniform(8)).lp
+    big = _equilibrium_lp(_uniform(8))
     assert big.n == 256
     assert big.a.shape == (17, 256)
 
 
 def test_ns_lp_data_is_read_only():
-    tables = sync_game._tables(_random_spec(np.random.default_rng(17), m=5))
-    lp = tables.lp
+    lp = sync_game._equilibrium_lp(_random_spec(np.random.default_rng(17), m=5))
     assert lp.a.shape == (11, 32)
     for arr in (lp.objective, lp.a, lp.rhs):
         with pytest.raises(ValueError):
@@ -180,7 +186,7 @@ def test_objective_is_a_plain_sum_in_profile_order():
     # cost 3 the two differ in the last bit, so this spec tells them apart.
     spec = GameSpec.uniform(m=8, epsilon=0.2, alpha=10.0, cost=3.0)
     report = solve_ns(spec)
-    g, total = report.distribution.g.tolist(), _tables(spec).lp.objective.tolist()
+    g, total = report.distribution.g.tolist(), _equilibrium_lp(spec).objective.tolist()
     terms = [gk * tk for gk, tk in zip(g, total)]
     plain = 0.0
     for term in terms:
@@ -190,7 +196,7 @@ def test_objective_is_a_plain_sum_in_profile_order():
 
 
 def test_ns_lp_objective_vector_m2():
-    lp = _tables(_uniform(2)).lp
+    lp = _equilibrium_lp(_uniform(2))
     assert lp.objective == pytest.approx((0.0, 5.0, 5.0, 0.0))
 
 
@@ -418,13 +424,12 @@ def test_solve_ns_without_pure_equilibrium_runs_phase_1(monkeypatch):
 def test_best_pure_index_raises_when_every_profile_has_a_gain_to_switch():
     # Node 0's skip row gets a keep gain just below the -1e-9 tolerance in
     # every column.
-    tables = _tables(_uniform(2))
-    lp = tables.lp
+    lp = _equilibrium_lp(_uniform(2))
     a = lp.a.copy()
     a[1] = -2e-9
     edited = LpProblem(lp.objective, a, lp.relations, lp.rhs)
     with pytest.raises(LookupError, match="no pure-profile"):
-        _best_pure_index(tables._replace(lp=edited))
+        _best_pure_index(edited)
 
 
 _FAILED_SOLVES = {
@@ -454,7 +459,7 @@ def test_solve_ns_rejects_a_bad_answer(name, monkeypatch, capsys):
 
 def _highs_objective(optimize, spec):
     """The best correlated equilibrium's total utility, as HiGHS finds it."""
-    lp = _tables(spec).lp
+    lp = _equilibrium_lp(spec)
     res = optimize.linprog(
         -lp.objective,
         A_ub=-lp.a[1:],
@@ -512,7 +517,7 @@ def _warm_pivots(spec):
     profile's point mass with the 2m surplus columns basic."""
     n = 1 << spec.m
     start = [best_pure_profile(spec)[0].index] + list(range(n, n + 2 * spec.m))
-    return lp_solver.solve(_tables(spec).lp, start=start).pivots
+    return lp_solver.solve(_equilibrium_lp(spec), start=start).pivots
 
 
 @pytest.mark.parametrize("name", list(_HIGH_RATIO))
@@ -531,7 +536,7 @@ def test_solve_ns_high_profit_to_cost_sweep(name):
     # Cold, phase 1 starts the 2m deviation rows on their surplus columns
     # and runs relaxed like phase 2: at most 1,333 pivots on these specs,
     # where Bland's rule from 2m + 1 artificials made up to 4,918.
-    cold = lp_solver.solve(_tables(spec).lp)
+    cold = lp_solver.solve(_equilibrium_lp(spec))
     assert cold.status is LpStatus.OPTIMAL
     assert cold.objective_value == pytest.approx(report.objective, abs=1e-9)
     assert cold.pivots < 2000, f"{cold.pivots} cold pivots"
@@ -583,3 +588,64 @@ def test_solve_ns_relaxed_cycle_falls_back(name):
     assert report.objective >= best_pure_profile(spec)[1] - 1e-8
     optimize = pytest.importorskip("scipy.optimize")
     assert report.objective == pytest.approx(_highs_objective(optimize, spec), abs=1e-7)
+
+
+def _class_structured_specs():
+    """Specs whose nodes fall into few classes of equal (epsilon, alpha,
+    cost), grouped by where they come from: criterion 04's two eps1 sweeps,
+    criteria 05's and 06's alpha and cost sweeps (game_sym's shape), a
+    seeded uniform draw, and the two relaxed-cycle specs above."""
+    crit04 = [
+        GameSpec(m=8, epsilon=(round(0.1 * step, 1),) + (rest,) * 7, alpha=(10.0,) * 8, cost=(5.0,) * 8)
+        for rest in (0.2, 0.8)
+        for step in range(1, 10)
+    ]
+    sweeps = [GameSpec.uniform(8, 0.2, float(v), 5.0) for v in range(1, 11)]
+    sweeps += [GameSpec.uniform(8, 0.2, 10.0, float(v)) for v in range(1, 11)]
+    # 40 uniform specs: m in 2..10, eps = round(U[0.05, 0.95], 2),
+    # cost = 10^U[-2, 1] and alpha / cost = 10^U[0, 3].
+    rng = np.random.default_rng(2008)
+    draw = []
+    for _ in range(40):
+        m = int(rng.integers(2, 11))
+        eps = round(float(rng.uniform(0.05, 0.95)), 2)
+        cost = 10.0 ** rng.uniform(-2, 1)
+        draw.append(GameSpec.uniform(m, eps, cost * 10.0 ** rng.uniform(0, 3), cost))
+    cycling = [
+        GameSpec(m=m, epsilon=(0.5,) + (0.2,) * (m - 1), alpha=(alpha,) * m, cost=(1.0,) * m)
+        for m, alpha in _CYCLING_RELAXED.values()
+    ]
+    return {"crit04": crit04, "sweeps": sweeps, "draw": draw, "cycling": cycling}
+
+
+_CLASS_STRUCTURED = _class_structured_specs()
+
+
+@pytest.mark.parametrize("group", list(_CLASS_STRUCTURED))
+def test_solve_ns_matches_the_class_count_lp(group):
+    # The class-count LP shares neither the table build nor the simplex
+    # with solve_ns, and has the same optimum.
+    for spec in _CLASS_STRUCTURED[group]:
+        got = solve_ns(spec).objective
+        want = class_lp_objective(spec)
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(got)), (spec, got, want)
+
+
+def test_each_entry_point_builds_one_lp(monkeypatch):
+    # The start, the simplex, the re-check, the marginals and the chosen
+    # profile all read the one LP that the call builds.
+    build = sync_game._equilibrium_lp
+    built = []
+
+    def counted(spec):
+        built.append(spec)
+        return build(spec)
+
+    monkeypatch.setattr(sync_game, "_equilibrium_lp", counted)
+    spec = GameSpec(m=5, epsilon=(0.63, 0.15, 0.67, 0.62, 0.39), alpha=(5.0,) * 5, cost=(1.0,) * 5)
+    report = solve_ns(spec)
+    assert built == [spec]
+    best_pure_profile(spec)
+    assert built == [spec] * 2
+    assert is_correlated_equilibrium(report.distribution, spec).ok
+    assert built == [spec] * 3
