@@ -166,15 +166,17 @@ def _walk_bytes(params: RateParams, horizon: int, thresholds: int) -> int:
     Per slot that is 16 bytes of uniforms and what their inversion and the
     walk's running sum hold: at most 40 in all while both tables are
     counted over their head, at most 56 when either is binary-searched,
-    whose index arrays are int64.  Per walk it is 1024 bytes for the stream
-    state that fill_streams builds, and one byte per threshold for the hit
-    count.  On walks of 1 to 200,000 slots at rates from 0.5 to 40,000, with
-    int32 and int64 sums and 1 to 1,000 thresholds, tracemalloc peaks were
-    27 to 39 bytes per slot when counted, 52 to 55 when searched, and 840 to
-    1,020 bytes per walk of one slot.
+    whose index arrays are int64.  Per walk it is 512 bytes for what
+    fill_streams holds while it sets the walk's stream (its seed, the hash
+    words and one list of four ints, about 383 bytes), and one byte per
+    threshold for the hit count.  On walks of 1 to 200,000 slots at rates
+    from 0.5 to 40,000, with int32 and int64 sums and 1 to 1,000 thresholds,
+    tracemalloc peaks were 27 to 39 bytes per slot when counted, 52 to 55
+    when searched, and 399 bytes per walk of one slot; the estimate was 1.02
+    to 2.03 times the peak.
     """
     counted = _poisson_table(params.lam)[1] and _poisson_table(params.mu)[1]
-    return 1024 + thresholds + horizon * (40 if counted else 56)
+    return 512 + thresholds + horizon * (40 if counted else 56)
 
 
 def _walk_sups(params: RateParams, uniforms: np.ndarray) -> np.ndarray:

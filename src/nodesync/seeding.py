@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -31,15 +33,15 @@ def splitmix64(state: int) -> int:
 
 
 def derive_seed(master_seed: int, index: int) -> int:
-    """Child seed number `index` under `master_seed`.
+    """Child seed number `index` under `master_seed`, elementwise on uint64 arrays.
 
     Equals the (index+1)-th output of a splitmix64 sequence seeded with
     master_seed, so distinct indices give statistically independent seeds
     and the derivation is independent of how work is batched or scheduled.
     """
-    if index < 0:
+    if np.any(np.less(index, 0)):
         raise ValueError(f"seed index must be nonnegative, got {index}")
-    return splitmix64((master_seed + (index + 1) * _GOLDEN) & _MASK64)
+    return splitmix64(((master_seed & _MASK64) + (index + 1) * _GOLDEN) & _MASK64)
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -53,10 +55,10 @@ def _hashmix(words: np.ndarray, consts: np.ndarray) -> np.ndarray:
     return words ^ (words >> 16)
 
 
-def _pcg64_states(seeds: np.ndarray) -> list[dict]:
-    """`bit_generator.state` of make_rng(seed) per uint64 seed: numpy's documented
-    SeedSequence pool hash, vectorised, then PCG64's setseq step.  numpy pads a
-    one-word seed with the hash of 0, so every seed hashes as two 32-bit words."""
+def _pcg64_states(seeds: np.ndarray) -> Iterator[dict]:
+    """`bit_generator.state` of make_rng(seed) for each uint64 seed in turn: numpy's
+    documented SeedSequence pool hash, vectorised, then PCG64's setseq step.  numpy
+    pads a one-word seed with the hash of 0, so every seed hashes as two 32-bit words."""
     pool = np.zeros((4, len(seeds)), dtype=np.uint32)
     pool[0], pool[1] = seeds & 0xFFFFFFFF, seeds >> 32
     pool = _hashmix(pool, _MIX_HASH[:5])
@@ -66,13 +68,11 @@ def _pcg64_states(seeds: np.ndarray) -> list[dict]:
         mixed = pool[dst] * np.uint32(0xCA01F9DD) - hashed * np.uint32(0x4973F715)
         pool[dst] = mixed ^ (mixed >> 16)
     words = _hashmix(np.tile(pool, (2, 1)), _DRAW_HASH).astype(np.uint64)
-    states = []
     for s_hi, s_lo, i_hi, i_lo in (words[0::2] | words[1::2] << 32).T.tolist():
         inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
         state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                       "has_uint32": 0, "uinteger": 0})
-    return states
+        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+               "has_uint32": 0, "uinteger": 0}
 
 
 def fill_streams(master_seed: int, first: int, out: np.ndarray, offset: int = 0) -> None:
@@ -84,8 +84,7 @@ def fill_streams(master_seed: int, first: int, out: np.ndarray, offset: int = 0)
     advanced by `offset` steps (PCG64 spends one step per double) before it
     is drawn.  A long series can so be drawn piece by piece without keeping
     one generator per row alive."""
-    index = np.arange(first + 1, first + len(out) + 1, dtype=np.uint64)
-    seeds = splitmix64(np.uint64(master_seed & _MASK64) + index * np.uint64(_GOLDEN))
+    seeds = derive_seed(master_seed, np.arange(first, first + len(out), dtype=np.uint64))
     rng = np.random.Generator(np.random.PCG64(0))
     for row, state in zip(out, _pcg64_states(seeds)):
         rng.bit_generator.state = state

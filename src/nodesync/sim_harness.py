@@ -6,10 +6,10 @@ when the post-arrival backlog exceeds the node's capacity.  A partial node
 synchronizes in a round when at least one of its routed requests succeeds.
 Full nodes use independent streams, so their failure processes are
 independent by construction.  The strategies of one rep share each full
-node's series: `simulate` draws them once and runs every strategy's routed
-requests through the same draw, so their reports are a paired comparison
-on common random numbers.  `run_network_sim` is `simulate` for one
-configuration.
+node's series: `simulate` draws them once per pair of strategies, from the
+same seeds, and runs both strategies' routed requests through the same
+draw, so their reports are a paired comparison on common random numbers.
+`run_network_sim` is `simulate` for one configuration.
 
 `simulate` runs the rounds in chunks of at most _CHUNK, carrying every
 stream and queue backlog from one chunk to the next and summing integer
@@ -237,10 +237,11 @@ class _Totals:
 def simulate(configs: Sequence[NetSimConfig]) -> list[SyncReport]:
     """Simulate the strategies of one rep on shared full-node traffic.
 
-    The configurations may differ only in their strategy.  Each full node's
-    ambient and service series is drawn once and every strategy's routed
-    requests join the same draw, so the reports are a paired comparison
-    (common random numbers), each equal to the strategy's own run.
+    The configurations may differ only in their strategy, and run two at a
+    time.  Each full node's ambient and service series is drawn once per
+    pair, from the same seeds, and both strategies' routed requests join the
+    same draw, so the reports are a paired comparison (common random
+    numbers), each equal to the strategy's own run.
 
     The rounds run in chunks of _CHUNK.  Every stream continues from one
     chunk to the next (the full nodes' generators are kept, the partial
@@ -254,6 +255,8 @@ def simulate(configs: Sequence[NetSimConfig]) -> list[SyncReport]:
     """
     if len({(c.full_nodes, c.n_partial, c.rounds, c.master_seed) for c in configs}) != 1:
         raise ValueError("simulate takes one or more configurations that differ only in strategy")
+    if len(configs) > 2:  # NetSimConfig budgets a rep for two strategies' flags
+        return simulate(configs[:2]) + simulate(configs[2:])
     first = configs[0]
     arrival_root = derive_seed(first.master_seed, _ARRIVAL_STREAMS)
     response_root = derive_seed(first.master_seed, _RESPONSE_STREAMS)

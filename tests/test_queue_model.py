@@ -86,7 +86,8 @@ def test_poisson_counts_matches_scalar_inversion():
 # make_rng(seed).random(2**17)) for seeds 0 to 7 in turn, at rates up to
 # 30.  They were recorded while these tables were still built by the
 # p_{k+1} = p_k * rate/(k+1) recurrence, and the log-space tables draw the
-# same counts.
+# same counts.  The rates from 130 up were recorded later; their tables
+# have no head, so every uniform goes to the binary search.
 _GOLDEN_DRAWS = {
     1e-9: "2daeb1f36095b44b318410b3f4e8b5d989dcc7bb023d1426c492dab0a3053e74",
     1e-3: "3b3ffb88fa21a69cb9621cb5eecfb14aa04a4e8cb3a415f005c82469b754cb72",
@@ -96,6 +97,10 @@ _GOLDEN_DRAWS = {
     10.0: "ccb77d678a1f2c3d8101b0b24f61c2ccd7664941ad61695a810f3d779c811514",
     29.9: "577e3b5d673f3303f40831c6f3685e070dfe5304ac15bdba7839da3914cf0b02",
     30.0: "cedccdd01bebef135706e5cf4d222f5ac5da6879baf5f1858da02c495ce1a9e4",
+    130.0: "b789c1498c47dc69c20946fc1c536755c6e3adb15d7a946e21cef1b177a2684b",
+    240.0: "50ce2541134f3a8872b5447a51232c3924beaed489d95783e150e5faa58feb9f",
+    3000.0: "fbdede9439d0ed3f4044f800bddbb28afe173a3251d20d951ff2206632c8a040",
+    50_000.0: "7b6a4a0b83467e04839c6a69abe41a8419b265ddd5f179a92bd14d0a8d0af88f",
 }
 
 
@@ -341,12 +346,12 @@ def test_estimate_tail_inverts_at_most_one_block(monkeypatch):
 
 def test_estimate_tail_over_the_memory_cap_is_a_clean_error(monkeypatch):
     # A 1 MiB cap stands in for the real one, so nothing large is built even
-    # if the check were lost.  One walk takes 1024 bytes, one per threshold
+    # if the check were lost.  One walk takes 512 bytes, one per threshold
     # and 40 per slot while both tables are counted, 56 when one is searched.
     monkeypatch.setattr(qm, "MAX_SIM_BYTES", 2**20)
     counted, searched = RateParams(lam=3.0, mu=6.0), RateParams(lam=200.0, mu=240.0)
     for params, per_slot in ((counted, 40), (searched, 56)):
-        longest = (2**20 - 1025) // per_slot
+        longest = (2**20 - 513) // per_slot
         assert len(estimate_tail(params, [2], runs=1, horizon=longest, master_seed=1)) == 1
     # Over the cap nothing is drawn: the streams are never filled.
     def unreachable(*args):
@@ -354,7 +359,7 @@ def test_estimate_tail_over_the_memory_cap_is_a_clean_error(monkeypatch):
 
     monkeypatch.setattr(qm, "fill_streams", unreachable)
     for params, per_slot in ((counted, 40), (searched, 56)):
-        longest = (2**20 - 1025) // per_slot
+        longest = (2**20 - 513) // per_slot
         with pytest.raises(ValueError, match=r"over the 1 MiB cap \(MAX_SIM_BYTES\)"):
             estimate_tail(params, [2], runs=1, horizon=longest + 1, master_seed=1)
     # Below _BLOCK // horizon walks the batch holds every run: 200 walks of

@@ -410,6 +410,27 @@ def test_memory_is_flat_in_rounds():
     assert peak(8 * chunk) <= 1.25 * peak(2 * chunk)
 
 
+def test_many_strategies_stay_within_the_estimate():
+    # NetSimConfig budgets one rep for two strategies; a longer list runs
+    # two at a time, so ten strategies peak no higher than two.
+    rng = np.random.default_rng(29)
+    base = _config(n_partial=20, rounds=sim_harness._CHUNK)
+    strategies = [CorrelatedDistribution(m=3, g=rng.dirichlet(np.ones(8))) for _ in range(9)]
+    configs = [base] + [replace(base, strategy=strategy) for strategy in strategies]
+
+    def peak(configs):
+        tracemalloc.start()
+        try:
+            simulate(configs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    estimate = sim_harness._CHUNK * (20 * (7 * 3 + 24) + 8 * 3 + 48)
+    ten, two = peak(configs), peak(configs[:2])
+    assert ten <= estimate and ten <= 1.1 * two
+
+
 def test_simulate_takes_one_rep():
     base = _config(rounds=50)
     spec = GameSpec.uniform(3, 0.2, 10.0, 5.0)
