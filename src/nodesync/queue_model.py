@@ -152,9 +152,11 @@ def _poisson_inverse(rate: float, u: np.ndarray) -> np.ndarray:
     cdf, head, dtype = _poisson_table(rate)
     counts = np.zeros(u.shape, dtype=dtype)
     above = np.empty(u.shape, dtype=bool)
+    # An int8 view of the flags adds without numpy's mixed-type loop.
+    step = above.view(np.int8) if dtype == np.int8 else above
     for f in cdf[:head]:
         np.greater(u, f, out=above)
-        counts += above
+        counts += step
     beyond = np.unravel_index(np.flatnonzero(counts == head), u.shape)
     counts[beyond] = np.minimum(np.searchsorted(cdf, u[beyond], side="left"), len(cdf) - 1)
     return counts

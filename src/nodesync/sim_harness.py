@@ -55,7 +55,10 @@ _CHUNK = 2**15
 # to 200 partial nodes, 1 to 12 full nodes and 2,000 to 98,309 rounds,
 # whose peaks ranged from 1.0 to 199 MB, the estimate was 1.04 to 2.2 times
 # the peak.  So the cap bounds partial nodes times full nodes, and a run of
-# any length fits once one chunk does.
+# any length fits once one chunk does.  A fixed route (CautiousAll, or a
+# distribution that every uniform maps to one profile) draws no uniforms
+# and stores no flags, but the estimate still budgets them, so it is
+# conservative there.
 
 
 @dataclass(frozen=True)
@@ -139,14 +142,35 @@ class SyncReport:
     redundant_responses: int
 
 
+def _fixed_profile(strategy: Strategy, m: int) -> int | None:
+    """The profile index that every round routes to, or None if the route
+    can vary.  CautiousAll sends to all m nodes.  A distribution's route is
+    fixed when the lowest and the highest double that random() returns, 0.0
+    and 1 - 2**-53, pick the same profile: the clipped search is monotone
+    in the uniform, so every uniform then picks it."""
+    if isinstance(strategy, CautiousAll):
+        return (1 << m) - 1
+    cumulative = np.cumsum(strategy.g)
+    ends = np.searchsorted(cumulative, [0.0, 1.0 - 2.0**-53], side="right")
+    lowest, highest = np.minimum(ends, len(cumulative) - 1).tolist()
+    return lowest if lowest == highest else None
+
+
 def _routing_bits(config: NetSimConfig, start: int, count: int) -> np.ndarray:
     """(partial, node, round) request flags of the `count` rounds from round
     `start` on.  Partial node j samples its profiles from child stream j of
     the routing root, continued at its `start`-th double; fill_streams sets
-    the streams in one batch.  The profiles are decoded node by node."""
+    the streams in one batch.  The profiles are decoded node by node.
+
+    A fixed route (see _fixed_profile) draws and stores nothing: its flags
+    are a read-only broadcast of the one profile's node flags, though
+    NetSimConfig's estimate still budgets them.  No other draw reads the
+    routing streams, so skipping them changes no report."""
     m = len(config.full_nodes)
-    if isinstance(config.strategy, CautiousAll):
-        return np.ones((config.n_partial, m, count), dtype=bool)
+    fixed = _fixed_profile(config.strategy, m)
+    if fixed is not None:
+        flags = np.array([fixed >> i & 1 for i in range(m)], dtype=bool)
+        return np.broadcast_to(flags[None, :, None], (config.n_partial, m, count))
     cumulative = np.cumsum(config.strategy.g)
     u = np.empty((config.n_partial, count))
     fill_streams(derive_seed(config.master_seed, _ROUTING_STREAMS), 0, u, start)
@@ -210,7 +234,9 @@ class _Totals:
     def add(self, bits: np.ndarray, routed: np.ndarray, fails: np.ndarray) -> None:
         """Count one chunk from its (partial, node, round) request flags,
         their per-node sums and the (node, round) overflow flags."""
-        success = bits & ~fails[None]
+        # bits & ~fails as one comparison of bools, which numpy vectorises
+        # also when a fixed route's bits are a broadcast.
+        success = bits > fails[None]
         self.synced += int(np.count_nonzero(success.any(axis=1)))
         self.successes += int(np.count_nonzero(success))
         self.requests += int(routed.sum(dtype=np.int64))

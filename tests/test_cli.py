@@ -186,6 +186,16 @@ def test_netsim_compare_and_counts():
     assert lines[-1].split(",")[:2] == ["stderr", "equilibrium"]
 
 
+def test_netsim_compare_draws_no_routing_at_its_defaults(monkeypatch):
+    # CautiousAll sends everywhere and the default equilibrium is a point
+    # mass, so neither route draws a routing uniform.
+    draws = []
+    fill = sim_harness.fill_streams
+    monkeypatch.setattr(sim_harness, "fill_streams", lambda *args: draws.append(args) or fill(*args))
+    code, _ = run_cli(["netsim", "--strategy", "compare"])
+    assert code == 0 and draws == []
+
+
 def test_netsim_rejects_fractional_capacity():
     assert run_cli(["netsim", "--gamma", "4.5", "--rounds", "10"])[0] == 1
 

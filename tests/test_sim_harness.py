@@ -11,7 +11,7 @@ import pytest
 import nodesync
 from nodesync import sim_harness
 from nodesync.queue_model import RateParams
-from nodesync.seeding import make_rng
+from nodesync.seeding import fill_streams, make_rng
 from nodesync.sim_harness import (
     CautiousAll,
     FullNode,
@@ -210,9 +210,13 @@ def test_any_distribution_routes():
 
 def test_routing_bits_match_per_partial_streams():
     rng = np.random.default_rng(18)
-    mixed = 0
+    mixed = fixed = 0
     for m in range(1, 7):
-        strategies = [CautiousAll()]
+        strategies = [
+            CautiousAll(),
+            CorrelatedDistribution.point_mass(Profile.from_index(0, m)),
+            CorrelatedDistribution.point_mass(Profile.from_index((1 << m) - 1, m)),
+        ]
         for _ in range(3):
             spec = GameSpec(
                 m=m,
@@ -232,8 +236,15 @@ def test_routing_bits_match_per_partial_streams():
                     # Chunks continue each partial node's stream.
                     pieces = [_routing_bits(config, start, min(100, 257 - start)) for start in (0, 100, 200)]
                     assert np.array_equal(np.concatenate(pieces, axis=2), bits)
-    # Some equilibria spread their mass, so the profile search is exercised.
+                    # CautiousAll and point masses route the same every round,
+                    # as a read-only broadcast; a drawn route is stored.
+                    is_fixed = isinstance(strategy, CautiousAll) or np.count_nonzero(strategy.g) == 1
+                    assert all(piece.flags.writeable != is_fixed for piece in [bits, *pieces])
+                    fixed += is_fixed
+    # Some equilibria spread their mass, so the profile search is exercised,
+    # and some are pure, besides the point masses given.
     assert mixed >= 3
+    assert fixed > 6 * 3 * 4 * 3
 
 
 def _assert_report_matches_oracle(config):
@@ -393,6 +404,68 @@ def test_report_matches_node_loop_one_round_past_a_chunk():
     assert repr(simulate([base, mixed])) == repr([_oracle_report(base), _oracle_report(mixed)])
 
 
+def _refuse_to_draw(*args, **kwargs):
+    raise AssertionError("a fixed route drew routing uniforms")
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_fixed_routes_draw_nothing(monkeypatch, m):
+    # CautiousAll, every point mass, and mass short of 1.0 on the last
+    # profile (where every uniform clips to) route the same every round:
+    # their reports match the oracle's drawn flags with no routing draw,
+    # across chunk boundaries too.
+    monkeypatch.setattr(sim_harness, "fill_streams", _refuse_to_draw)
+    monkeypatch.setattr(sim_harness, "_CHUNK", 64)
+    rng = np.random.default_rng(30 + m)
+    short_last = np.zeros(1 << m)
+    short_last[-1] = 1.0 - 1e-10
+    strategies = [CautiousAll(), CorrelatedDistribution(m=m, g=short_last)] + [
+        CorrelatedDistribution.point_mass(Profile.from_index(k, m)) for k in range(1 << m)
+    ]
+    for n_partial in range(1, 5):
+        nodes = tuple(
+            FullNode(
+                params=RateParams(lam=float(lam), mu=float(lam + gap)),
+                capacity=int(rng.choice([0, 1, 4, 10**9])),
+            )
+            for lam, gap in rng.uniform(0.5, 6.0, size=(m, 2))
+        )
+        base = NetSimConfig(
+            full_nodes=nodes,
+            n_partial=n_partial,
+            strategy=CautiousAll(),
+            rounds=200,
+            master_seed=int(rng.integers(-100, 100)),
+        )
+        for strategy in strategies:
+            _assert_report_matches_oracle(replace(base, strategy=strategy))
+
+
+def test_near_point_masses_still_draw(monkeypatch):
+    draws = []
+
+    def counted(*args, **kwargs):
+        draws.append(args)
+        fill_streams(*args, **kwargs)
+
+    monkeypatch.setattr(sim_harness, "fill_streams", counted)
+    for m in range(1, 6):
+        # All but 1e-12 of the mass on profile 1, the rest spread: the
+        # lowest uniform picks profile 0.
+        near = np.full(1 << m, 1e-12 / ((1 << m) - 1))
+        near[1] = 1.0 - 1e-12
+        # A cumulative ending below 1.0 with its mass on profile 0: the
+        # highest uniform clips to the last profile.
+        short = np.zeros(1 << m)
+        short[0] = 1.0 - 1e-10
+        for g in (near, short):
+            strategy = CorrelatedDistribution(m=m, g=g)
+            for n_partial in range(1, 5):
+                draws.clear()
+                _assert_report_matches_oracle(_config(m=m, n_partial=n_partial, rounds=200, strategy=strategy))
+                assert len(draws) == 1
+
+
 def test_memory_is_flat_in_rounds():
     spec = GameSpec.uniform(3, 0.2, 10.0, 5.0)
 
@@ -427,7 +500,8 @@ def test_many_strategies_stay_within_the_estimate():
             tracemalloc.stop()
 
     estimate = sim_harness._CHUNK * (20 * (7 * 3 + 24) + 8 * 3 + 48)
-    ten, two = peak(configs), peak(configs[:2])
+    # Two drawn routes: CautiousAll, the first config, stores no flags.
+    ten, two = peak(configs), peak(configs[1:3])
     assert ten <= estimate and ten <= 1.1 * two
 
 
