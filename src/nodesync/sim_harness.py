@@ -6,10 +6,12 @@ when the post-arrival backlog exceeds the node's capacity.  A partial node
 synchronizes in a round when at least one of its routed requests succeeds.
 Full nodes use independent streams, so their failure processes are
 independent by construction.  The strategies of one rep share each full
-node's series: `simulate` draws them once per pair of strategies, from the
-same seeds, and runs both strategies' routed requests through the same
-draw, so their reports are a paired comparison on common random numbers.
-`run_network_sim` is `simulate` for one configuration.
+node's traffic: `simulate` draws it once per pair of strategies, from the
+same seeds, so their reports are a paired comparison on common random
+numbers.  Each full node runs one queue per distinct routed inflow: one
+for all the fixed routes that request it (each sends it every partial
+node every round), one per drawn route, and none when no strategy can
+request it.  `run_network_sim` is `simulate` for one configuration.
 
 `simulate` runs the rounds in chunks of at most _CHUNK, carrying every
 stream and queue backlog from one chunk to the next and summing integer
@@ -48,16 +50,18 @@ _CHUNK = 2**15
 # n_partial * (7 * m + 24) + 8 * m + 48 bytes.  Per partial node that is 7
 # bytes per full node and 24 for routing uniforms, profiles and sync flags;
 # per full node, 8 for routed sums and overflow flags; and 48 for the
-# traffic series and Lindley walks.  The request flags of two strategies
-# and the successes counted from them take 3 of the 7; the rest was fitted
-# with tracemalloc, and covers what the other terms miss when there are few
-# partial nodes.  On compare runs (both strategies on shared traffic) of 1
-# to 200 partial nodes, 1 to 12 full nodes and 2,000 to 98,309 rounds,
-# whose peaks ranged from 1.0 to 199 MB, the estimate was 1.04 to 2.2 times
-# the peak.  So the cap bounds partial nodes times full nodes, and a run of
-# any length fits once one chunk does.  A fixed route (CautiousAll, or a
-# distribution that every uniform maps to one profile) draws no uniforms
-# and stores no flags, but the estimate still budgets them, so it is
+# traffic series and the Lindley walks of both strategies.  The request
+# flags of two strategies and the successes counted from them take 3 of the
+# 7; the rest was fitted with tracemalloc, and covers what the other terms
+# miss when there are few partial nodes.  On compare runs (both strategies
+# on shared traffic) of 1 to 200 partial nodes, 1 to 12 full nodes and
+# 2,000 to 98,309 rounds, whose peaks ranged from 1.0 to 199 MB, the
+# estimate was 1.04 to 2.2 times the peak.  So the cap bounds partial nodes
+# times full nodes, and a run of any length fits once one chunk does.  A
+# fixed route (CautiousAll, or a distribution that every uniform maps to
+# one profile) draws no uniforms and stores no flags, shares each node's
+# Lindley walk with any other fixed route, and runs none on a node it
+# never requests, but the estimate still budgets all of them, so it is
 # conservative there.
 
 
@@ -156,18 +160,18 @@ def _fixed_profile(strategy: Strategy, m: int) -> int | None:
     return lowest if lowest == highest else None
 
 
-def _routing_bits(config: NetSimConfig, start: int, count: int) -> np.ndarray:
+def _routing_bits(config: NetSimConfig, fixed: int | None, start: int, count: int) -> np.ndarray:
     """(partial, node, round) request flags of the `count` rounds from round
-    `start` on.  Partial node j samples its profiles from child stream j of
+    `start` on, where `fixed` is _fixed_profile's answer for the config's
+    strategy.  Partial node j samples its profiles from child stream j of
     the routing root, continued at its `start`-th double; fill_streams sets
     the streams in one batch.  The profiles are decoded node by node.
 
-    A fixed route (see _fixed_profile) draws and stores nothing: its flags
-    are a read-only broadcast of the one profile's node flags, though
-    NetSimConfig's estimate still budgets them.  No other draw reads the
-    routing streams, so skipping them changes no report."""
+    A fixed route draws and stores nothing: its flags are a read-only
+    broadcast of the one profile's node flags, though NetSimConfig's
+    estimate still budgets them.  No other draw reads the routing streams,
+    so skipping them changes no report."""
     m = len(config.full_nodes)
-    fixed = _fixed_profile(config.strategy, m)
     if fixed is not None:
         flags = np.array([fixed >> i & 1 for i in range(m)], dtype=bool)
         return np.broadcast_to(flags[None, :, None], (config.n_partial, m, count))
@@ -180,6 +184,21 @@ def _routing_bits(config: NetSimConfig, start: int, count: int) -> np.ndarray:
     for i in range(m):
         bits[:, i] = profiles & (1 << i)
     return bits
+
+
+def _series_plan(fixed: Sequence[int | None], m: int) -> list[list[list[int]]]:
+    """Per full node, the queue series that some strategy reads, each as
+    the list of the strategies (indices into `fixed`, _fixed_profile's
+    answers) that read it.  The fixed routes that request the node share
+    one series, since each sends all its partial nodes there every round;
+    a drawn route reads a series of its own; a fixed route that never
+    requests the node reads none."""
+    plan = []
+    for i in range(m):
+        shared = [k for k, profile in enumerate(fixed) if profile is not None and profile >> i & 1]
+        drawn = [[k] for k, profile in enumerate(fixed) if profile is None]
+        plan.append(([shared] if shared else []) + drawn)
+    return plan
 
 
 def _fail_series(
@@ -241,8 +260,9 @@ class _Totals:
         self.successes += int(np.count_nonzero(success))
         self.requests += int(routed.sum(dtype=np.int64))
         requested = routed > 0
-        self.failed += np.count_nonzero(fails & requested, axis=1)
-        self.requested += np.count_nonzero(requested, axis=1)
+        # One count per node row: count_nonzero(..., axis=1) sums bools as intp, slower.
+        self.failed += [np.count_nonzero(row) for row in fails & requested]
+        self.requested += [np.count_nonzero(row) for row in requested]
 
     def report(self, n_partial: int, rounds: int) -> SyncReport:
         """The report of `n_partial` partial nodes over `rounds` rounds."""
@@ -269,6 +289,16 @@ def simulate(configs: Sequence[NetSimConfig]) -> list[SyncReport]:
     same draw, so the reports are a paired comparison (common random
     numbers), each equal to the strategy's own run.
 
+    A series plan (_series_plan), made once per call, lists the queues each
+    full node runs: one shared by the fixed routes that request the node,
+    whose inflow is the ambient traffic plus every partial node, one per
+    drawn route, and none for a fixed route that never requests it.  A node
+    with no queue in the plan draws nothing.  Each chunk runs a node's
+    queues in one _fail_series call, and each queue carries its own backlog
+    and hands its overflow flags to every strategy that reads it; the flags
+    of a (strategy, node) pair with no queue stay False, and _Totals.add
+    reads none of them, since the strategy sends nothing there.
+
     The rounds run in chunks of _CHUNK.  Every stream continues from one
     chunk to the next (the full nodes' generators are kept, the partial
     nodes' routing streams advanced), each queue carries its backlog over,
@@ -284,31 +314,44 @@ def simulate(configs: Sequence[NetSimConfig]) -> list[SyncReport]:
     if len(configs) > 2:  # NetSimConfig budgets a rep for two strategies' flags
         return simulate(configs[:2]) + simulate(configs[2:])
     first = configs[0]
+    m = len(first.full_nodes)
+    fixed = [_fixed_profile(config.strategy, m) for config in configs]
     arrival_root = derive_seed(first.master_seed, _ARRIVAL_STREAMS)
     response_root = derive_seed(first.master_seed, _RESPONSE_STREAMS)
+    # Only the nodes with a series in the plan draw their traffic.
     streams = [
-        (node, make_rng(derive_seed(arrival_root, i)), make_rng(derive_seed(response_root, i)))
-        for i, node in enumerate(first.full_nodes)
+        (i, node, rows, make_rng(derive_seed(arrival_root, i)), make_rng(derive_seed(response_root, i)))
+        for i, (node, rows) in enumerate(zip(first.full_nodes, _series_plan(fixed, m)))
+        if rows
     ]
-    shape = (len(configs), len(streams), min(first.rounds, _CHUNK))
+    shape = (len(configs), m, min(first.rounds, _CHUNK))
     # int32 sums hold any partial count whose flags fit in memory.
     routed = np.empty(shape, dtype=np.int32)
-    fails = np.empty(shape, dtype=bool)
+    # A (strategy, node) pair that reads no series keeps False flags; the
+    # strategy sends nothing there, so _Totals.add reads none of them.
+    fails = np.zeros(shape, dtype=bool)
     scratch = np.empty((2, len(configs), shape[2]), dtype=np.int64)
+    series_fails = np.empty(scratch.shape[1:], dtype=bool)
     backlog = np.zeros(shape[:2], dtype=np.int64)
-    totals = [_Totals(len(streams)) for _ in configs]
+    totals = [_Totals(m) for _ in configs]
     for start in range(0, first.rounds, _CHUNK):
         count = min(_CHUNK, first.rounds - start)
-        sums, overflows, (walk, floor) = (buf[..., :count] for buf in (routed, fails, scratch))
-        bits = [_routing_bits(config, start, count) for config in configs]
+        sums, overflows, flags, (walk, floor) = (
+            buf[..., :count] for buf in (routed, fails, series_fails, scratch)
+        )
+        bits = [_routing_bits(config, profile, start, count) for config, profile in zip(configs, fixed)]
         for k in range(len(configs)):
             bits[k].sum(axis=0, out=sums[k])
-        for i, (node, arrivals, responses) in enumerate(streams):
+        for i, node, rows, arrivals, responses in streams:
             ambient = _poisson_inverse(node.params.lam, arrivals.random(count))
             # int64 for speed only: _fail_series flags the same on narrow counts, but slower.
             served = _poisson_inverse(node.params.mu, responses.random(count)).astype(np.int64)
-            np.add(ambient, sums[:, i], out=walk)
-            _fail_series(walk, served, node.capacity, backlog[:, i], floor, overflows[:, i])
+            n = len(rows)
+            for r, readers in enumerate(rows):
+                np.add(ambient, sums[readers[0], i], out=walk[r])
+            _fail_series(walk[:n], served, node.capacity, backlog[:n, i], floor[:n], flags[:n])
+            for r, readers in enumerate(rows):
+                overflows[readers, i] = flags[r]
         for k, total in enumerate(totals):
             total.add(bits[k], sums[k], overflows[k])
         del bits  # freed before the next chunk draws its own

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import nodesync
-from nodesync import sim_harness
+from nodesync import cli, sim_harness
 from nodesync.queue_model import RateParams
 from nodesync.seeding import fill_streams, make_rng
 from nodesync.sim_harness import (
@@ -17,6 +17,7 @@ from nodesync.sim_harness import (
     FullNode,
     NetSimConfig,
     _fail_series,
+    _fixed_profile,
     _routing_bits,
     run_network_sim,
     simulate,
@@ -200,7 +201,7 @@ def test_a_game_spec_is_not_a_strategy():
 def test_any_distribution_routes():
     profile = Profile((0, 1, 0))
     config = _config(n_partial=3, rounds=400, strategy=CorrelatedDistribution.point_mass(profile))
-    bits = _routing_bits(config, 0, 400)
+    bits = _routing_bits(config, _fixed_profile(config.strategy, 3), 0, 400)
     assert bits.shape == (3, 3, 400)
     assert (bits == np.array(profile.bits, dtype=bool)[:, None]).all()
     detail = run_network_sim(config)
@@ -230,11 +231,15 @@ def test_routing_bits_match_per_partial_streams():
             for n_partial in range(1, 5):
                 for seed in (0, 7, -3):
                     config = _config(m=m, n_partial=n_partial, rounds=257, strategy=strategy, seed=seed)
-                    bits = _routing_bits(config, 0, 257)
+                    fixed_profile = _fixed_profile(strategy, m)
+                    bits = _routing_bits(config, fixed_profile, 0, 257)
                     assert bits.dtype == bool and bits.shape == (n_partial, m, 257)
                     assert np.array_equal(bits, routing_bits(config))
                     # Chunks continue each partial node's stream.
-                    pieces = [_routing_bits(config, start, min(100, 257 - start)) for start in (0, 100, 200)]
+                    pieces = [
+                        _routing_bits(config, fixed_profile, start, min(100, 257 - start))
+                        for start in (0, 100, 200)
+                    ]
                     assert np.array_equal(np.concatenate(pieces, axis=2), bits)
                     # CautiousAll and point masses route the same every round,
                     # as a read-only broadcast; a drawn route is stored.
@@ -402,6 +407,56 @@ def test_report_matches_node_loop_one_round_past_a_chunk():
     )
     mixed = replace(base, strategy=CorrelatedDistribution(m=3, g=rng.dirichlet(np.ones(8))))
     assert repr(simulate([base, mixed])) == repr([_oracle_report(base), _oracle_report(mixed)])
+
+
+def test_each_node_scans_one_series_per_distinct_inflow(monkeypatch):
+    # Per chunk, a full node scans one series for the fixed routes that
+    # request it, which share their inflow, one per drawn route, and none
+    # for a fixed route that never requests it; every report still matches
+    # the node-loop oracle across chunk boundaries.
+    rows = []
+
+    def counted(walk, *args):
+        rows.append(walk.shape[0])
+        _fail_series(walk, *args)
+
+    monkeypatch.setattr(sim_harness, "_fail_series", counted)
+    monkeypatch.setattr(sim_harness, "_CHUNK", 64)
+    chunks = 4  # 200 rounds
+    parser, _ = cli.build_parser()
+    args = parser.parse_args(
+        ["netsim", "--strategy", "compare", "--m", "3", "--lam", "3", "--mu", "6", "--gamma", "4"]
+        + ["--rounds", "200", "--reps", "1", "--seed", "11"]
+    )
+    cautious, equilibrium = (config for _, config in cli._netsim_configs(args))
+    # The benchmark's op: its equilibrium is a point mass on one node.
+    assert [bin(_fixed_profile(c.strategy, 3)).count("1") for c in (cautious, equilibrium)] == [3, 1]
+    rng = np.random.default_rng(31)
+    mixed, other = (
+        replace(cautious, strategy=CorrelatedDistribution(m=3, g=rng.dirichlet(np.ones(8)))) for _ in range(2)
+    )
+    # Point masses on the empty profile and on the second node alone.
+    empty, second = (
+        replace(cautious, strategy=CorrelatedDistribution.point_mass(Profile.from_index(k, 3))) for k in (0, 2)
+    )
+    for configs, per_chunk in [
+        ([cautious, equilibrium], [1, 1, 1]),
+        ([cautious, cautious], [1, 1, 1]),
+        ([empty], []),
+        ([cautious, empty], [1, 1, 1]),
+        ([second], [1]),
+        ([empty, mixed], [1, 1, 1]),
+        ([mixed, other], [2, 2, 2]),
+        ([cautious, mixed], [2, 2, 2]),
+        ([second, mixed], [1, 2, 1]),
+    ]:
+        rows.clear()
+        assert repr(simulate(configs)) == repr([_oracle_report(c) for c in configs])
+        assert rows == per_chunk * chunks
+    # More than two strategies run two at a time, each pair on its own plan.
+    rows.clear()
+    simulate([cautious, equilibrium, mixed])
+    assert rows == [1, 1, 1] * chunks * 2
 
 
 def _refuse_to_draw(*args, **kwargs):
