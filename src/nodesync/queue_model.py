@@ -4,8 +4,8 @@ Arrivals and responses are independent Poisson counts per unit time slot.
 The module tracks the unreflected cumulative arrivals-minus-responses walk
 and estimates the probability that the running supremum of the walk
 exceeds a capacity threshold.  The reflected backlog (Lindley recursion)
-is sim_harness's.  Each Monte Carlo path hands its own blocks of uniforms
-to _poisson_inverse, and MAX_SIM_BYTES caps the memory of either.
+is sim_harness's.  Both Monte Carlo paths invert blocks of at most _BLOCK
+uniforms and carry their running sums across blocks with _carried_cumsum.
 """
 
 from __future__ import annotations
@@ -22,12 +22,9 @@ from .seeding import fill_streams
 # Table-size guard for the CDF (table length grows linearly in rate).
 MAX_VECTOR_RATE = 50_000.0
 
-# Cap on the NumPy memory of one block of either Monte Carlo path: a batch
-# of estimate_tail's walks, or a chunk of sim_harness's rounds.  Each path
-# estimates its block before allocating and refuses a larger one with a
-# ValueError that names the cap.  A larger block would not raise
-# MemoryError: the kernel kills the process when it touches the pages.
-MAX_SIM_BYTES = 2**31
+# Longest walk estimate_tail takes, in slots.  Memory is flat in the
+# horizon, but time is not: a walk of this length takes about a second.
+MAX_HORIZON = 2**26
 
 # Poisson inversion counts the CDF entries below each uniform over the head
 # of the table that holds _HEAD_MASS of the mass; beyond it, and for tables
@@ -37,11 +34,11 @@ MAX_SIM_BYTES = 2**31
 # 13.5 ms at rate 130, 10.3 vs 11.3 ms at rate 200) and lost from rate 300
 # (15.2 vs 11.6 ms); _MAX_HEAD = 128 sends rates above about 95 to the
 # search, where it is slower.  The cut-off changes no draw.
-# estimate_tail holds _BLOCK // horizon walks (at least one) and sim_harness
-# draws a chunk of at most _BLOCK rounds, so an inversion call sees at most
-# _BLOCK uniforms (1 MiB of doubles) unless one walk is longer; they stay in
-# a per-core L2 cache across the passes over the head.  On a 26 x 5000 block
-# the flat index of the uniforms beyond the head takes 0.04 ms; 2-D np.nonzero
+# estimate_tail draws _BLOCK // horizon walks (at least one) by at most
+# _BLOCK slots at a time and sim_harness a chunk of at most _BLOCK rounds,
+# so an inversion call sees at most _BLOCK uniforms (1 MiB of doubles);
+# they stay in a per-core L2 cache across the passes over the head.  On a
+# 26 x 5000 block the flat index of the uniforms beyond the head takes 0.04 ms; 2-D np.nonzero
 # took 0.30 ms, about half of a rate-3 inversion.
 _HEAD_MASS = 0.999
 _MAX_HEAD = 128
@@ -162,40 +159,29 @@ def _poisson_inverse(rate: float, u: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _walk_bytes(params: RateParams, horizon: int, thresholds: int) -> int:
-    """Bytes that one walk of estimate_tail's batch takes at the batch's peak.
+def _carried_cumsum(steps: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """Running sums of each row of `steps`, in place along the last axis,
+    continued from the carried sums `total`, which then hold the rows' last
+    sums; a series summed piece by piece so gives the sums of one pass."""
+    steps[..., 0] += total
+    np.cumsum(steps, axis=-1, out=steps)
+    total[...] = steps[..., -1]
+    return steps
 
-    Per slot that is 16 bytes of uniforms and what their inversion and the
-    walk's running sum hold: at most 40 in all while both tables are
-    counted over their head, at most 56 when either is binary-searched,
-    whose index arrays are int64.  Per walk it is 512 bytes for what
-    fill_streams holds while it sets the walk's stream (its seed, the hash
-    words and one list of four ints, about 383 bytes), and one byte per
-    threshold for the hit count.  On walks of 1 to 200,000 slots at rates
-    from 0.5 to 40,000, with int32 and int64 sums and 1 to 1,000 thresholds,
-    tracemalloc peaks were 27 to 39 bytes per slot when counted, 52 to 55
-    when searched, and 399 bytes per walk of one slot; the estimate was 1.02
-    to 2.03 times the peak.
+
+def _walk_sups(params: RateParams, uniforms: np.ndarray, total: np.ndarray, sup: np.ndarray) -> None:
+    """Carry one backlog walk per row of uniforms over one chunk of slots.
+
+    A row holds the chunk's arrival uniforms, then as many response ones.
+    The walk, arrivals minus responses summed on from the carried sums in
+    `total`, is not floored slot by slot like the reflected backlog; only
+    its running supremum `sup`, which starts at zero, is.  Both update in place.
     """
-    counted = _poisson_table(params.lam)[1] and _poisson_table(params.mu)[1]
-    return 512 + thresholds + horizon * (40 if counted else 56)
-
-
-def _walk_sups(params: RateParams, uniforms: np.ndarray) -> np.ndarray:
-    """Supremum, floored at zero, of one backlog walk per row of uniforms.
-
-    A row holds 2 * horizon uniforms: the slot arrival counts are inverted
-    from the first half, the slot response counts from the second.  The
-    walk is the running sum of arrivals minus responses; unlike the
-    reflected backlog it is not floored slot by slot, only its supremum is
-    (the walk starts at zero).
-    """
-    horizon = uniforms.shape[1] // 2
-    arrivals = _poisson_inverse(params.lam, uniforms[:, :horizon])
-    responses = _poisson_inverse(params.mu, uniforms[:, horizon:])
-    table_len = max(len(_poisson_table(params.lam)[0]), len(_poisson_table(params.mu)[0]))
-    walks = np.cumsum(arrivals - responses, axis=1, dtype=_walk_dtype(horizon, table_len))
-    return np.maximum(walks.max(axis=1), 0)
+    width = uniforms.shape[1] // 2
+    arrivals = _poisson_inverse(params.lam, uniforms[:, :width])
+    responses = _poisson_inverse(params.mu, uniforms[:, width:])
+    walks = _carried_cumsum(np.subtract(arrivals, responses, dtype=total.dtype), total)
+    np.maximum(sup, walks.max(axis=1), out=sup)
 
 
 def estimate_tail(
@@ -210,17 +196,21 @@ def estimate_tail(
     Every run is an independent walk whose stream is seeded with
     derive_seed(master_seed, run_index); results are therefore identical no
     matter how runs are batched or parallelized.  A batch holds
-    _BLOCK // horizon walks (at least one), one inversion block per half,
-    whose streams fill_streams sets from one vectorised seed derivation: the
-    same uniforms as per-walk make_rng(derive_seed(...)).  All
-    thresholds are counted against the same run set, which makes p_hat
-    nonincreasing in gamma.  A batch whose estimated memory (_walk_bytes)
-    is over MAX_SIM_BYTES raises ValueError before anything is allocated.
+    _BLOCK // horizon walks (at least one), drawn in chunks of at most
+    _BLOCK slots: slots t0 .. t1 - 1 invert doubles t0 .. t1 - 1 of each
+    walk's stream for arrivals and horizon + t0 .. for responses, which
+    fill_streams fills in one call for a whole walk, else one per half.
+    Sums and suprema carry across chunks, so memory is flat in the horizon.
+    All thresholds are counted against the same run set, which makes p_hat
+    nonincreasing in gamma.  A horizon over MAX_HORIZON raises ValueError
+    before anything is drawn.
     """
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1 slot, got {horizon}")
+    if horizon > MAX_HORIZON:
+        raise ValueError(f"horizon must be at most {MAX_HORIZON} slots (MAX_HORIZON), got {horizon}")
     if len(gammas) == 0:
         raise ValueError("gammas must be nonempty")
     g = np.asarray(gammas, dtype=float)
@@ -229,23 +219,25 @@ def estimate_tail(
     if not np.all(g[1:] > g[:-1]):
         raise ValueError(f"gammas must be strictly increasing, got {list(gammas)}")
 
-    batch_rows = max(1, min(_BLOCK // horizon, runs))
-    size = batch_rows * _walk_bytes(params, horizon, len(g))
-    if size > MAX_SIM_BYTES:
-        raise ValueError(
-            f"walks of {horizon} slots, {batch_rows} per batch, would take about "
-            f"{size / 2**20:,.0f} MiB of arrays, over the {MAX_SIM_BYTES / 2**20:,.0f} MiB "
-            "cap (MAX_SIM_BYTES)"
-        )
-    hits = np.zeros(len(g), dtype=np.int64)
-    uniforms = np.empty((batch_rows, 2 * horizon))
-    done = 0
-    while done < runs:
-        nb = min(batch_rows, runs - done)
-        fill_streams(master_seed, done, uniforms[:nb])
-        sups = _walk_sups(params, uniforms[:nb])
-        hits += (sups[:, None] > g[None, :]).sum(axis=0)
-        done += nb
+    rows, width = max(1, min(_BLOCK // horizon, runs)), min(horizon, _BLOCK)
+    dtype = _walk_dtype(horizon, max(len(_poisson_table(rate)[0]) for rate in (params.lam, params.mu)))
+    uniforms = np.empty((rows, 2 * width))
+    # counts[k]: walks whose supremum is over exactly the k lowest thresholds.
+    counts = np.zeros(len(g) + 1, dtype=np.int64)
+    for done in range(0, runs, rows):
+        nb = min(rows, runs - done)
+        total, sup = np.zeros((2, nb), dtype=dtype)
+        for t0 in range(0, horizon, width):
+            w = min(width, horizon - t0)
+            u = uniforms[:nb, : 2 * w]
+            if w == horizon:
+                fill_streams(master_seed, done, u)
+            else:
+                fill_streams(master_seed, done, u[:, :w], t0)
+                fill_streams(master_seed, done, u[:, w:], horizon + t0)
+            _walk_sups(params, u, total, sup)
+        counts += np.bincount(np.searchsorted(g, sup), minlength=len(g) + 1)
+    hits = np.cumsum(counts[:0:-1])[::-1]
     return [TailEstimate.from_hits(float(gamma), runs, int(h)) for gamma, h in zip(g, hits)]
 
 

@@ -68,11 +68,13 @@ def _pcg64_states(seeds: np.ndarray) -> Iterator[dict]:
         mixed = pool[dst] * np.uint32(0xCA01F9DD) - hashed * np.uint32(0x4973F715)
         pool[dst] = mixed ^ (mixed >> 16)
     words = _hashmix(np.tile(pool, (2, 1)), _DRAW_HASH).astype(np.uint64)
-    for s_hi, s_lo, i_hi, i_lo in (words[0::2] | words[1::2] << 32).T.tolist():
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-               "has_uint32": 0, "uinteger": 0}
+    words = (words[0::2] | words[1::2] << 32).T
+    for start in range(0, len(words), 1024):  # Python ints for 1,024 rows at a time
+        for s_hi, s_lo, i_hi, i_lo in words[start : start + 1024].tolist():
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+            state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+            yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                   "has_uint32": 0, "uinteger": 0}
 
 
 def fill_streams(master_seed: int, first: int, out: np.ndarray, offset: int = 0) -> None:

@@ -16,8 +16,8 @@ request it.  `run_network_sim` is `simulate` for one configuration.
 `simulate` runs the rounds in chunks of at most _CHUNK, carrying every
 stream and queue backlog from one chunk to the next and summing integer
 counts, so its memory is flat in the number of rounds and its reports
-equal those of one pass.  queue_model.MAX_SIM_BYTES bounds what one chunk
-holds: partial nodes times full nodes.
+equal those of one pass.  MAX_SIM_BYTES bounds what one chunk holds:
+partial nodes times full nodes.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .seeding import derive_seed, fill_streams, make_rng
-from .queue_model import MAX_SIM_BYTES, RateParams, _poisson_inverse, check_sampling_rate
+from .queue_model import RateParams, _carried_cumsum, _poisson_inverse, check_sampling_rate
 from .sync_game import CorrelatedDistribution
 
 # Stream purposes under the master seed; each node or partial then gets its
@@ -43,9 +43,10 @@ _ROUTING_STREAMS = 3
 # many rounds, so its memory does not grow with the number of rounds.
 _CHUNK = 2**15
 
-# NetSimConfig estimates the NumPy memory of one rep of `simulate` against
-# queue_model's MAX_SIM_BYTES before anything is allocated.  Every array
-# spans at most one chunk of min(rounds, _CHUNK) rounds; per round of a
+# Cap on the NumPy memory of one rep of `simulate`, which NetSimConfig
+# estimates before anything is allocated (a rep over it would not raise
+# MemoryError: the kernel kills the process on touching the pages).  Every
+# array spans at most one chunk of min(rounds, _CHUNK) rounds; per round of a
 # chunk, for m full nodes, the estimate is
 # n_partial * (7 * m + 24) + 8 * m + 48 bytes.  Per partial node that is 7
 # bytes per full node and 24 for routing uniforms, profiles and sync flags;
@@ -63,6 +64,7 @@ _CHUNK = 2**15
 # Lindley walk with any other fixed route, and runs none on a node it
 # never requests, but the estimate still budgets all of them, so it is
 # conservative there.
+MAX_SIM_BYTES = 2**31
 
 
 @dataclass(frozen=True)
@@ -228,11 +230,10 @@ def _fail_series(
     set of buffers serves every chunk of a run.
     """
     walk -= responses
-    walk[..., 0] += backlog
-    np.cumsum(walk, axis=-1, out=walk)
+    _carried_cumsum(walk, backlog)
     np.minimum.accumulate(walk, axis=-1, out=floor)
     np.minimum(floor, 0, out=floor)
-    np.subtract(walk[..., -1], floor[..., -1], out=backlog)
+    backlog -= floor[..., -1]
     walk += responses
     walk[..., 1:] -= floor[..., :-1]
     np.greater(walk, capacity, out=fails)

@@ -466,19 +466,17 @@ def test_netsim_inverts_at_most_one_block(monkeypatch):
     assert max(sizes) <= queue_model._BLOCK
 
 
-def test_tail_over_the_memory_cap_is_a_clean_error(monkeypatch, capsys):
-    # A 1 MiB cap stands in for the real one; no stream may be filled.
+def test_tail_over_the_walk_length_bound_is_a_clean_error(monkeypatch, capsys):
+    # No stream may be filled: the bound is checked before anything is drawn.
     def unreachable(*args):
         raise AssertionError("a batch was drawn")
 
-    monkeypatch.setattr(queue_model, "MAX_SIM_BYTES", 2**20)
     monkeypatch.setattr(queue_model, "fill_streams", unreachable)
-    assert main(["tail", "--runs", "1", "--horizon", "60000", "--reps", "2"]) == 1
+    assert main(["tail", "--horizon", "300000000", "--runs", "1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "nodesync: error: walks of 60000 slots, 1 per batch, would take about "
-        "2 MiB of arrays, over the 1 MiB cap (MAX_SIM_BYTES)\n"
+        "nodesync: error: horizon must be at most 67108864 slots (MAX_HORIZON), got 300000000\n"
     )
 
 

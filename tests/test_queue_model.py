@@ -19,9 +19,26 @@ from nodesync.seeding import derive_seed, make_rng
 from oracles import poisson_inverse, sample_poisson, step_queue, walk_sups
 
 
+def _sups(params, uniforms):
+    """_walk_sups over whole walks, one per row of uniforms, carried from
+    zero in int64."""
+    total, sup = np.zeros((2, len(uniforms)), dtype=np.int64)
+    qm._walk_sups(params, uniforms, total, sup)
+    return sup
+
+
 def _walk_sup(params, horizon, rng):
     """Supremum of one backlog walk over `horizon` slots, drawn from `rng`."""
-    return int(qm._walk_sups(params, rng.random((1, 2 * horizon)))[0])
+    return int(_sups(params, rng.random((1, 2 * horizon)))[0])
+
+
+def _oracle_hits(params, gammas, runs, horizon, master_seed):
+    """Hits per threshold of the oracle's int64 walks, one stream per run."""
+    sups = [
+        int(walk_sups(params, make_rng(derive_seed(master_seed, i)).random((1, 2 * horizon)))[0])
+        for i in range(runs)
+    ]
+    return [sum(s > g for s in sups) for g in gammas]
 
 
 def test_rate_params_require_stability():
@@ -201,7 +218,24 @@ def test_walk_sups_equals_int64_oracle_walk(lam, mu):
     params = RateParams(lam=lam, mu=mu)
     for seed in range(3):
         uniforms = make_rng(seed).random((40, 2 * 700))
-        assert np.array_equal(qm._walk_sups(params, uniforms), walk_sups(params, uniforms))
+        assert np.array_equal(_sups(params, uniforms), walk_sups(params, uniforms))
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_walk_sups_carried_across_chunks_equal_whole_walks(dtype):
+    # A chunk's row is its arrival uniforms, then its response uniforms.
+    params = RateParams(lam=5.0, mu=5.2)
+    horizon = 700
+    uniforms = make_rng(8).random((30, 2 * horizon))
+    total, sup = np.zeros((2, 30), dtype=dtype)
+    for t0, t1 in ((0, 1), (1, 300), (300, 301), (301, horizon)):
+        chunk = np.hstack([uniforms[:, t0:t1], uniforms[:, horizon + t0 : horizon + t1]])
+        qm._walk_sups(params, chunk, total, sup)
+    assert np.array_equal(sup, walk_sups(params, uniforms))
+    arrivals = poisson_inverse(5.0, uniforms[:, :horizon])
+    responses = poisson_inverse(5.2, uniforms[:, horizon:])
+    assert np.array_equal(total, (arrivals - responses).sum(axis=1))
+    assert 0 < np.count_nonzero(sup) < 30
 
 
 def test_poisson_counts_large_rate_moments():
@@ -237,7 +271,7 @@ def test_step_queue_positive_part_identity():
 def test_walk_sups_basics():
     params = RateParams(lam=3.0, mu=6.0)
     # One supremum per row; a row of 2 * 500 uniforms is a 500-slot walk.
-    sups = qm._walk_sups(params, make_rng(1).random((3, 2 * 500)))
+    sups = _sups(params, make_rng(1).random((3, 2 * 500)))
     assert sups.shape == (3,)
     assert sups.min() >= 0
     with pytest.raises(ValueError):
@@ -331,6 +365,34 @@ def test_estimate_tail_independent_of_batch_size(monkeypatch):
         assert baseline == rebatched
 
 
+@pytest.mark.parametrize("lam, mu", [(3.0, 6.0), (200.0, 240.0)])
+@pytest.mark.parametrize(
+    "block, horizon, runs",
+    [
+        (64, 150, 120),  # one-walk batches in chunks of 64, 64 and 22 slots
+        (64, 30, 125),  # 2-walk batches of whole walks, the last of one walk
+        (64, 64, 100),  # one-walk batches, each walk one full chunk
+        (50, 1, 420),  # 50 one-slot walks a batch, the last of 20
+    ],
+)
+def test_estimate_tail_in_slot_chunks_matches_oracle_walks(monkeypatch, lam, mu, block, horizon, runs):
+    params = RateParams(lam=lam, mu=mu)
+    gammas = [0, 2, 5]
+    monkeypatch.setattr(qm, "_BLOCK", block)
+    estimates = estimate_tail(params, gammas, runs=runs, horizon=horizon, master_seed=-7)
+    assert [est.hits for est in estimates] == _oracle_hits(params, gammas, runs, horizon, -7)
+    assert 0 < estimates[0].hits < runs
+
+
+def test_estimate_tail_walk_longer_than_a_block_matches_oracle():
+    params = RateParams(lam=5.0, mu=5.2)
+    gammas = [0, 10, 50, 100]
+    horizon = 300_000  # chunks of 2^17, 2^17 and 37,856 slots
+    estimates = estimate_tail(params, gammas, runs=2, horizon=horizon, master_seed=3)
+    assert [est.hits for est in estimates] == _oracle_hits(params, gammas, 2, horizon, 3)
+    assert estimates[1].hits > 0
+
+
 def test_estimate_tail_inverts_at_most_one_block(monkeypatch):
     sizes = []
     inverse = qm._poisson_inverse
@@ -342,30 +404,60 @@ def test_estimate_tail_inverts_at_most_one_block(monkeypatch):
     monkeypatch.setattr(qm, "_poisson_inverse", recording_inverse)
     estimate_tail(RateParams(lam=3.0, mu=6.0), [2], runs=60, horizon=5000, master_seed=4)
     assert sizes and max(sizes) <= qm._BLOCK
+    sizes.clear()
+    # A walk longer than a block is drawn in chunks of at most one block.
+    estimate_tail(RateParams(lam=3.0, mu=6.0), [2], runs=1, horizon=300_000, master_seed=4)
+    assert sizes == [qm._BLOCK] * 4 + [300_000 - 2 * qm._BLOCK] * 2
 
 
-def test_estimate_tail_over_the_memory_cap_is_a_clean_error(monkeypatch):
-    # A 1 MiB cap stands in for the real one, so nothing large is built even
-    # if the check were lost.  One walk takes 512 bytes, one per threshold
-    # and 40 per slot while both tables are counted, 56 when one is searched.
-    monkeypatch.setattr(qm, "MAX_SIM_BYTES", 2**20)
-    counted, searched = RateParams(lam=3.0, mu=6.0), RateParams(lam=200.0, mu=240.0)
-    for params, per_slot in ((counted, 40), (searched, 56)):
-        longest = (2**20 - 513) // per_slot
-        assert len(estimate_tail(params, [2], runs=1, horizon=longest, master_seed=1)) == 1
-    # Over the cap nothing is drawn: the streams are never filled.
+def test_estimate_tail_bounds_the_horizon_before_drawing(monkeypatch):
+    params = RateParams(lam=3.0, mu=6.0)
+
     def unreachable(*args):
         raise AssertionError("a batch was drawn")
 
     monkeypatch.setattr(qm, "fill_streams", unreachable)
-    for params, per_slot in ((counted, 40), (searched, 56)):
-        longest = (2**20 - 513) // per_slot
-        with pytest.raises(ValueError, match=r"over the 1 MiB cap \(MAX_SIM_BYTES\)"):
-            estimate_tail(params, [2], runs=1, horizon=longest + 1, master_seed=1)
-    # Below _BLOCK // horizon walks the batch holds every run: 200 walks of
-    # 100 slots fit in 1 MiB, 300 do not.
-    with pytest.raises(ValueError, match="300 per batch"):
-        estimate_tail(counted, [2], runs=300, horizon=100, master_seed=1)
+    with pytest.raises(ValueError, match=r"at most 67108864 slots \(MAX_HORIZON\), got 67108865"):
+        estimate_tail(params, [2], runs=1, horizon=qm.MAX_HORIZON + 1, master_seed=1)
+    monkeypatch.undo()
+    # The bound itself is accepted, shown on a smaller one.
+    monkeypatch.setattr(qm, "MAX_HORIZON", 1000)
+    assert len(estimate_tail(params, [2], runs=1, horizon=1000, master_seed=1)) == 1
+    with pytest.raises(ValueError, match="MAX_HORIZON"):
+        estimate_tail(params, [2], runs=1, horizon=1001, master_seed=1)
+
+
+def test_estimate_tail_counts_many_thresholds_without_a_hit_matrix():
+    # 20,000 walks against 200,000 thresholds: a walks x thresholds matrix
+    # of bools alone would take 4 GB.
+    params = RateParams(lam=3.0, mu=6.0)
+    gammas = np.arange(-100_000, 100_000) / 20_000
+    estimates = estimate_tail(params, gammas, runs=20_000, horizon=1, master_seed=6)
+    sups = np.empty((20_000, 2))
+    qm.fill_streams(6, 0, sups)
+    sups = np.sort(walk_sups(params, sups))
+    want = 20_000 - np.searchsorted(sups, gammas, side="right")
+    assert [est.hits for est in estimates] == want.tolist()
+    assert estimates[0].hits == 20_000 and 0 < estimates[100_000].hits < 20_000
+
+
+def _traced_peak(*args):
+    """Traced peak of one estimate_tail call; the tables are built first."""
+    estimate_tail(*args)
+    tracemalloc.start()
+    try:
+        estimate_tail(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_one_walk_traced_peak_is_flat_in_the_horizon():
+    params = RateParams(lam=3.0, mu=6.0)
+    peaks = [_traced_peak(params, [2], 1, horizon, 5) for horizon in (2**17 + 1, 10**6, 10**7)]
+    # A whole walk of 10^6 slots took 25.8 MiB, one of 10^7 about 258 MiB.
+    assert max(peaks) <= 4 * 2**20
+    assert max(peaks) <= 1.1 * min(peaks)
 
 
 @pytest.mark.parametrize(
@@ -377,25 +469,18 @@ def test_estimate_tail_over_the_memory_cap_is_a_clean_error(monkeypatch):
         (3.0, 6.0, 10, 3000, 500, False),
         (200.0, 240.0, 3000, 50, 3, False),
         (3.0, 3000.0, 20_000, 1, 1, True),
+        (200.0, 240.0, 1_000_000, 1, 1, True),
     ],
 )
-def test_walk_bytes_bound_the_traced_peak(monkeypatch, lam, mu, horizon, runs, thresholds, wide):
+def test_tail_traced_peak_stays_within_one_block(monkeypatch, lam, mu, horizon, runs, thresholds, wide):
     # `wide` forces the int64 sums that only walks of millions of slots need.
     if wide:
         monkeypatch.setattr(qm, "_walk_dtype", lambda horizon, table_len: np.int64)
-    params = RateParams(lam=lam, mu=mu)
-    gammas = list(range(1, thresholds + 1))
-    estimate_tail(params, gammas, runs, horizon, master_seed=2)  # caches both tables
-    tracemalloc.start()
-    try:
-        estimate_tail(params, gammas, runs, horizon, master_seed=2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(RateParams(lam=lam, mu=mu), list(range(1, thresholds + 1)), runs, horizon, 2)
+    # A batch draws at most _BLOCK slots of walks at a time, at under 64
+    # bytes a slot, and holds a stream state and two carries per walk.
     rows = max(1, min(qm._BLOCK // horizon, runs))
-    estimate = rows * qm._walk_bytes(params, horizon, thresholds)
-    # Short walks with many thresholds are the loosest case, at about 2x.
-    assert peak <= estimate <= 2.5 * peak
+    assert peak <= 64 * qm._BLOCK + 256 * rows + 64 * thresholds
 
 
 def test_estimate_tail_deterministic_and_seed_sensitive():

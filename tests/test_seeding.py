@@ -64,6 +64,24 @@ def test_fill_streams_sets_each_state_as_it_is_built():
     assert peak / rows <= 823 / 2
 
 
+def test_fill_streams_turns_hash_words_into_ints_block_by_block():
+    # Python ints for the whole batch's hash words held about 383 traced
+    # bytes per row; a block of rows at a time holds about 144.
+    rows = 131_072
+    out = np.empty((rows, 2))
+    fill_streams(3, 0, out[:10])  # keeps first-call allocations out of the trace
+    tracemalloc.start()
+    try:
+        fill_streams(7, 5, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / rows <= 200
+    assert np.array_equal(out[[0, 1023, 1024, -1]], [
+        make_rng(derive_seed(7, 5 + j)).random(2) for j in (0, 1023, 1024, rows - 1)
+    ])
+
+
 def test_fill_streams_takes_any_batch_height():
     horizon = 5_000
     for rows in range(1, qm._BLOCK // horizon + 1):
