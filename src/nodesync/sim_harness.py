@@ -6,8 +6,8 @@ when the post-arrival backlog exceeds the node's capacity.  A partial node
 synchronizes in a round when at least one of its routed requests succeeds.
 Full nodes use independent streams, so their failure processes are
 independent by construction.  The strategies of one rep share each full
-node's traffic: `simulate` draws it once per pair of strategies, from the
-same seeds, so their reports are a paired comparison on common random
+node's traffic: `simulate` draws it once for all of them, from the same
+seeds, so their reports are a paired comparison on common random
 numbers.  Each full node runs one queue per distinct routed inflow: one
 for all the fixed routes that request it (each sends it every partial
 node every round), one per drawn route, and none when no strategy can
@@ -51,18 +51,19 @@ _CHUNK = 2**15
 # n_partial * (7 * m + 24) + 8 * m + 48 bytes.  Per partial node that is 7
 # bytes per full node and 24 for routing uniforms, profiles and sync flags;
 # per full node, 8 for routed sums and overflow flags; and 48 for the
-# traffic series and the Lindley walks of both strategies.  The request
+# traffic series and the Lindley walks of two queues.  The request
 # flags of two strategies and the successes counted from them take 3 of the
 # 7; the rest was fitted with tracemalloc, and covers what the other terms
 # miss when there are few partial nodes.  On compare runs (both strategies
 # on shared traffic) of 1 to 200 partial nodes, 1 to 12 full nodes and
 # 2,000 to 98,309 rounds, whose peaks ranged from 1.0 to 199 MB, the
 # estimate was 1.04 to 2.2 times the peak.  So the cap bounds partial nodes
-# times full nodes, and a run of any length fits once one chunk does.  A
-# fixed route (CautiousAll, or a distribution that every uniform maps to
-# one profile) draws no uniforms and stores no flags, shares each node's
-# Lindley walk with any other fixed route, and runs none on a node it
-# never requests, but the estimate still budgets all of them, so it is
+# times full nodes, and a run of any length fits once one chunk does.  The
+# budget is two drawn routes' flags per _CHUNK rounds; `simulate` runs k > 2
+# drawn routes in chunks of 2 * _CHUNK // k rounds, so theirs take no more.
+# A fixed route (CautiousAll, or a distribution that every uniform maps to
+# one profile) draws no uniforms, stores no flags and shares its queues
+# with the other fixed routes, but the estimate still budgets it, so it is
 # conservative there.
 MAX_SIM_BYTES = 2**31
 
@@ -170,9 +171,9 @@ def _routing_bits(config: NetSimConfig, fixed: int | None, start: int, count: in
     the streams in one batch.  The profiles are decoded node by node.
 
     A fixed route draws and stores nothing: its flags are a read-only
-    broadcast of the one profile's node flags, though NetSimConfig's
-    estimate still budgets them.  No other draw reads the routing streams,
-    so skipping them changes no report."""
+    broadcast of the one profile's node flags, and `simulate` sizes its
+    chunks by the drawn routes alone.  No other draw reads the routing
+    streams, so skipping them changes no report."""
     m = len(config.full_nodes)
     if fixed is not None:
         flags = np.array([fixed >> i & 1 for i in range(m)], dtype=bool)
@@ -186,21 +187,6 @@ def _routing_bits(config: NetSimConfig, fixed: int | None, start: int, count: in
     for i in range(m):
         bits[:, i] = profiles & (1 << i)
     return bits
-
-
-def _series_plan(fixed: Sequence[int | None], m: int) -> list[list[list[int]]]:
-    """Per full node, the queue series that some strategy reads, each as
-    the list of the strategies (indices into `fixed`, _fixed_profile's
-    answers) that read it.  The fixed routes that request the node share
-    one series, since each sends all its partial nodes there every round;
-    a drawn route reads a series of its own; a fixed route that never
-    requests the node reads none."""
-    plan = []
-    for i in range(m):
-        shared = [k for k, profile in enumerate(fixed) if profile is not None and profile >> i & 1]
-        drawn = [[k] for k, profile in enumerate(fixed) if profile is None]
-        plan.append(([shared] if shared else []) + drawn)
-    return plan
 
 
 def _fail_series(
@@ -284,77 +270,73 @@ class _Totals:
 def simulate(configs: Sequence[NetSimConfig]) -> list[SyncReport]:
     """Simulate the strategies of one rep on shared full-node traffic.
 
-    The configurations may differ only in their strategy, and run two at a
-    time.  Each full node's ambient and service series is drawn once per
-    pair, from the same seeds, and both strategies' routed requests join the
-    same draw, so the reports are a paired comparison (common random
-    numbers), each equal to the strategy's own run.
+    The configurations may differ only in their strategy.  Each chunk draws
+    every full node's ambient and service series once, from the same seeds,
+    and runs every strategy's queue on them, so the reports are a paired
+    comparison (common random numbers), each equal to the strategy's own run.
 
-    A series plan (_series_plan), made once per call, lists the queues each
-    full node runs: one shared by the fixed routes that request the node,
-    whose inflow is the ambient traffic plus every partial node, one per
-    drawn route, and none for a fixed route that never requests it.  A node
-    with no queue in the plan draws nothing.  Each chunk runs a node's
-    queues in one _fail_series call, and each queue carries its own backlog
-    and hands its overflow flags to every strategy that reads it; the flags
-    of a (strategy, node) pair with no queue stay False, and _Totals.add
-    reads none of them, since the strategy sends nothing there.
-
-    The rounds run in chunks of _CHUNK.  Every stream continues from one
-    chunk to the next (the full nodes' generators are kept, the partial
-    nodes' routing streams advanced), each queue carries its backlog over,
-    and each strategy sums integer counts; the reports are those of one pass
-    over all rounds.  A chunk inverts each full node's two series in one
-    _poisson_inverse call each, as _CHUNK <= queue_model._BLOCK.  The routed
-    sums, overflow flags and Lindley walks of a chunk live in buffers
-    allocated once per call, so that the allocator does not hand them back
-    to the system and fault them in again on every chunk.
+    The queues are rows of buffers allocated once per call.  Row 0, there
+    when any route is fixed, is the queue that the fixed routes share, fed
+    by every partial node every round; each drawn route has a row of its
+    own after it.  A full node runs its rows, from row 0 if a fixed route
+    requests it and from the first drawn row otherwise, in one _fail_series
+    call per chunk, and each strategy reads its row's flags in place.  A
+    node with no row draws nothing.  The rounds run in chunks of _CHUNK, or
+    of 2 * _CHUNK // k rounds when k > 2 routes are drawn; every stream and
+    backlog carries over, so the reports are those of one pass.
     """
     if len({(c.full_nodes, c.n_partial, c.rounds, c.master_seed) for c in configs}) != 1:
         raise ValueError("simulate takes one or more configurations that differ only in strategy")
-    if len(configs) > 2:  # NetSimConfig budgets a rep for two strategies' flags
-        return simulate(configs[:2]) + simulate(configs[2:])
     first = configs[0]
     m = len(first.full_nodes)
     fixed = [_fixed_profile(config.strategy, m) for config in configs]
+    drawn = [k for k, profile in enumerate(fixed) if profile is None]
+    # Row 0 is the fixed routes' shared queue, if any route is fixed; drawn
+    # route j has row base + j.
+    base = int(len(drawn) < len(configs))
+    row = [0] * len(configs)
+    for r, k in enumerate(drawn, start=base):
+        row[k] = r
+    shared = 0  # the nodes that some fixed route requests
+    for profile in fixed:
+        shared |= profile or 0
     arrival_root = derive_seed(first.master_seed, _ARRIVAL_STREAMS)
     response_root = derive_seed(first.master_seed, _RESPONSE_STREAMS)
-    # Only the nodes with a series in the plan draw their traffic.
+    # Per node with a row: its first row and its two streams.
     streams = [
-        (i, node, rows, make_rng(derive_seed(arrival_root, i)), make_rng(derive_seed(response_root, i)))
-        for i, (node, rows) in enumerate(zip(first.full_nodes, _series_plan(fixed, m)))
-        if rows
+        (i, node, 0 if shared >> i & 1 else base)
+        + (make_rng(derive_seed(arrival_root, i)), make_rng(derive_seed(response_root, i)))
+        for i, node in enumerate(first.full_nodes)
+        if shared >> i & 1 or drawn
     ]
-    shape = (len(configs), m, min(first.rounds, _CHUNK))
+    # NetSimConfig budgets two drawn routes' flags per _CHUNK rounds.
+    width = max(1, 2 * _CHUNK // max(2, len(drawn)))
+    shape = (base + len(drawn), m, min(first.rounds, width))
     # int32 sums hold any partial count whose flags fit in memory.
     routed = np.empty(shape, dtype=np.int32)
-    # A (strategy, node) pair that reads no series keeps False flags; the
-    # strategy sends nothing there, so _Totals.add reads none of them.
+    # Row 0 of a node that no fixed route requests is never run; the fixed
+    # routes send nothing there, so _Totals.add reads none of its flags.
     fails = np.zeros(shape, dtype=bool)
-    scratch = np.empty((2, len(configs), shape[2]), dtype=np.int64)
-    series_fails = np.empty(scratch.shape[1:], dtype=bool)
+    scratch = np.empty((2, shape[0], shape[2]), dtype=np.int64)
     backlog = np.zeros(shape[:2], dtype=np.int64)
     totals = [_Totals(m) for _ in configs]
-    for start in range(0, first.rounds, _CHUNK):
-        count = min(_CHUNK, first.rounds - start)
-        sums, overflows, flags, (walk, floor) = (
-            buf[..., :count] for buf in (routed, fails, series_fails, scratch)
-        )
+    for start in range(0, first.rounds, width):
+        count = min(width, first.rounds - start)
+        sums, overflows, (walk, floor) = (buf[..., :count] for buf in (routed, fails, scratch))
         bits = [_routing_bits(config, profile, start, count) for config, profile in zip(configs, fixed)]
-        for k in range(len(configs)):
-            bits[k].sum(axis=0, out=sums[k])
-        for i, node, rows, arrivals, responses in streams:
+        sums[:base] = first.n_partial  # the shared queue takes every partial node
+        for k in drawn:
+            bits[k].sum(axis=0, out=sums[row[k]])
+        for i, node, r, arrivals, responses in streams:
             ambient = _poisson_inverse(node.params.lam, arrivals.random(count))
             # int64 for speed only: _fail_series flags the same on narrow counts, but slower.
             served = _poisson_inverse(node.params.mu, responses.random(count)).astype(np.int64)
-            n = len(rows)
-            for r, readers in enumerate(rows):
-                np.add(ambient, sums[readers[0], i], out=walk[r])
-            _fail_series(walk[:n], served, node.capacity, backlog[:n, i], floor[:n], flags[:n])
-            for r, readers in enumerate(rows):
-                overflows[readers, i] = flags[r]
+            np.add(ambient, sums[r:, i], out=walk[r:])
+            _fail_series(walk[r:], served, node.capacity, backlog[r:, i], floor[r:], overflows[r:, i])
         for k, total in enumerate(totals):
-            total.add(bits[k], sums[k], overflows[k])
+            if fixed[k] is not None:  # row 0's queues have run, so it takes this route's own sums
+                bits[k].sum(axis=0, out=sums[0])
+            total.add(bits[k], sums[row[k]], overflows[row[k]])
         del bits  # freed before the next chunk draws its own
     return [total.report(first.n_partial, first.rounds) for total in totals]
 

@@ -10,7 +10,7 @@ import pytest
 
 import nodesync
 from nodesync import cli, sim_harness
-from nodesync.queue_model import RateParams
+from nodesync.queue_model import RateParams, _poisson_inverse
 from nodesync.seeding import fill_streams, make_rng
 from nodesync.sim_harness import (
     CautiousAll,
@@ -305,6 +305,14 @@ def test_report_matches_node_loop():
     got = _assert_report_matches_oracle(_config(m=6, lam=3.0, mu=4.0, capacity=5, n_partial=2, rounds=200))
     fails = got.per_node_failure
     assert 1.0 - math.prod(fails) != 1.0 - math.prod(reversed(fails))
+    # 200 partial nodes: routed counts and inflows beyond the int8 range of
+    # the inverted ambient counts, against a capacity that some rounds pass.
+    cautious = _config(n_partial=200, capacity=20_000, rounds=300)
+    g = np.random.default_rng(200).dirichlet(np.ones(8))
+    mixed = replace(cautious, strategy=CorrelatedDistribution(m=3, g=g))
+    reports = simulate([cautious, mixed])
+    assert repr(reports) == repr([_oracle_report(cautious), _oracle_report(mixed)])
+    assert all(0.1 < p < 0.7 for report in reports for p in report.per_node_failure), reports
 
 
 def test_simulate_matches_each_strategy_alone():
@@ -364,15 +372,15 @@ def test_chunked_reports_match_node_loop(monkeypatch, chunk):
             alpha=tuple(float(v) for v in rng.uniform(0.5, 20.0, size=m)),
             cost=tuple(float(v) for v in rng.uniform(0.0, 12.0, size=m)),
         )
-        # Point masses, an equilibrium and a distribution with mass on
-        # every profile.
+        # Point masses, an equilibrium and three distributions with mass on
+        # every profile: with three or more drawn routes, chunks shrink to
+        # 2 * chunk // 3 rounds or fewer.
         strategies = [
             CautiousAll(),
             CorrelatedDistribution.point_mass(Profile.from_index(0, m)),
             CorrelatedDistribution.point_mass(Profile.from_index(1, m)),
             solve_ns(spec).distribution,
-            CorrelatedDistribution(m=m, g=rng.dirichlet(np.ones(1 << m))),
-        ]
+        ] + [CorrelatedDistribution(m=m, g=rng.dirichlet(np.ones(1 << m))) for _ in range(3)]
         for n_partial in range(1, 5):
             nodes = tuple(
                 FullNode(
@@ -453,10 +461,33 @@ def test_each_node_scans_one_series_per_distinct_inflow(monkeypatch):
         rows.clear()
         assert repr(simulate(configs)) == repr([_oracle_report(c) for c in configs])
         assert rows == per_chunk * chunks
-    # More than two strategies run two at a time, each pair on its own plan.
+    # Any number of strategies run in one pass: per node, the fixed routes'
+    # shared row and the drawn route's row.
     rows.clear()
     simulate([cautious, equilibrium, mixed])
-    assert rows == [1, 1, 1] * chunks * 2
+    assert rows == [2, 2, 2] * chunks
+
+
+def test_each_node_inverts_its_traffic_once_per_chunk(monkeypatch):
+    # However many strategies a rep runs, each chunk inverts each full
+    # node's ambient and service series once, and every report still
+    # matches the node-loop oracle.
+    inverted = []
+
+    def counted(rate, u):
+        inverted.append(rate)
+        return _poisson_inverse(rate, u)
+
+    monkeypatch.setattr(sim_harness, "_poisson_inverse", counted)
+    monkeypatch.setattr(sim_harness, "_CHUNK", 64)
+    rng = np.random.default_rng(33)
+    base = _config(rounds=200)
+    point = CorrelatedDistribution.point_mass(Profile.from_index(2, 3))
+    mixed, other = (CorrelatedDistribution(m=3, g=rng.dirichlet(np.ones(8))) for _ in range(2))
+    configs = [replace(base, strategy=strategy) for strategy in (CautiousAll(), point, mixed, other, point)]
+    assert repr(simulate(configs)) == repr([_oracle_report(c) for c in configs])
+    # Two drawn routes keep chunks of 64 rounds: 2 series x 3 nodes x 4 chunks.
+    assert len(inverted) == 2 * 3 * 4
 
 
 def _refuse_to_draw(*args, **kwargs):
@@ -539,8 +570,9 @@ def test_memory_is_flat_in_rounds():
 
 
 def test_many_strategies_stay_within_the_estimate():
-    # NetSimConfig budgets one rep for two strategies; a longer list runs
-    # two at a time, so ten strategies peak no higher than two.
+    # NetSimConfig budgets one rep for two drawn routes' flags; with more
+    # drawn routes the chunks shrink in proportion, so ten strategies peak
+    # no higher than two.
     rng = np.random.default_rng(29)
     base = _config(n_partial=20, rounds=sim_harness._CHUNK)
     strategies = [CorrelatedDistribution(m=3, g=rng.dirichlet(np.ones(8))) for _ in range(9)]
