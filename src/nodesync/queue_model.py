@@ -29,11 +29,12 @@ MAX_HORIZON = 2**26
 # Poisson inversion counts the CDF entries below each uniform over the head
 # of the table that holds _HEAD_MASS of the mass; beyond it, and for tables
 # whose head exceeds _MAX_HEAD entries, it binary-searches the table.
-# On a 2-core x86 VM with the 26 x 5000 block that estimate_tail inverts,
-# counting beat the binary search up to heads of about 250 entries (8.4 vs
-# 13.5 ms at rate 130, 10.3 vs 11.3 ms at rate 200) and lost from rate 300
-# (15.2 vs 11.6 ms); _MAX_HEAD = 128 sends rates above about 95 to the
-# search, where it is slower.  The cut-off changes no draw.
+# On a 2-core x86 VM, inverting a 26 x 10,000 block of uniforms, counting
+# beat the binary search at rate 95 (a 127-entry head; 14.7 vs 19.2 ms),
+# tied at rate 130 (168 entries; 18.6 vs 20.1 ms) and lost from rate 200
+# (246 entries; 32.0 vs 20.5 ms, and 40.3 vs 23.2 ms at rate 300);
+# _MAX_HEAD = 128 sends rates above about 95 to the search.  The cut-off
+# changes no draw.
 # estimate_tail draws _BLOCK // horizon walks (at least one) by at most
 # _BLOCK slots at a time and sim_harness a chunk of at most _BLOCK rounds,
 # so an inversion call sees at most _BLOCK uniforms (1 MiB of doubles);

@@ -17,7 +17,7 @@ request it.  `run_network_sim` is `simulate` for one configuration.
 stream and queue backlog from one chunk to the next and summing integer
 counts, so its memory is flat in the number of rounds and its reports
 equal those of one pass.  MAX_SIM_BYTES bounds what one chunk holds:
-partial nodes times full nodes.
+partial nodes times full nodes, plus 4 KiB per full node.
 """
 
 from __future__ import annotations
@@ -48,23 +48,22 @@ _CHUNK = 2**15
 # MemoryError: the kernel kills the process on touching the pages).  Every
 # array spans at most one chunk of min(rounds, _CHUNK) rounds; per round of a
 # chunk, for m full nodes, the estimate is
-# n_partial * (7 * m + 24) + 8 * m + 48 bytes.  Per partial node that is 7
-# bytes per full node and 24 for routing uniforms, profiles and sync flags;
-# per full node, 8 for routed sums and overflow flags; and 48 for the
-# traffic series and the Lindley walks of two queues.  The request
-# flags of two strategies and the successes counted from them take 3 of the
-# 7; the rest was fitted with tracemalloc, and covers what the other terms
-# miss when there are few partial nodes.  On compare runs (both strategies
-# on shared traffic) of 1 to 200 partial nodes, 1 to 12 full nodes and
-# 2,000 to 98,309 rounds, whose peaks ranged from 1.0 to 199 MB, the
-# estimate was 1.04 to 2.2 times the peak.  So the cap bounds partial nodes
-# times full nodes, and a run of any length fits once one chunk does.  The
-# budget is two drawn routes' flags per _CHUNK rounds; `simulate` runs k > 2
-# drawn routes in chunks of 2 * _CHUNK // k rounds, so theirs take no more.
-# A fixed route (CautiousAll, or a distribution that every uniform maps to
-# one profile) draws no uniforms, stores no flags and shares its queues
-# with the other fixed routes, but the estimate still budgets it, so it is
-# conservative there.
+# n_partial * (7 * m + 24) + 8 * m + 48 bytes, plus 4096 per full node.  Per
+# partial node that is 7 bytes per full node and 24 for routing uniforms,
+# table rows and sync flags; per full node, 8 for routed sums and overflow
+# flags; and 48 for the traffic series and the Lindley walks of two queues.
+# The request flags of two strategies and the successes counted from them
+# take 3 of the 7; the rest was fitted with tracemalloc.  The 4096 bytes
+# cover a node's two PCG64 generators (one-round runs of 1,000 to 100,000
+# full nodes traced 1,913 bytes per node).  On runs of 1 to 200 partial
+# nodes, 1 to 12 full nodes and 2,000 to 98,309 rounds, with one or two
+# drawn routes, at rates 3/6 and 40,000/50,000, whose peaks ranged from 0.2
+# to 267 MB, the estimate was 1.000 to 3.8 times the peak, closest on one
+# partial node at the high rates.  So a run of any length fits once one
+# chunk does.  The budget is two drawn routes' flags per _CHUNK rounds;
+# `simulate` runs k > 2 drawn routes in chunks of 2 * _CHUNK // k rounds,
+# so theirs take no more.  A fixed route stores one flag per full node, but
+# the estimate still budgets it, so it is conservative there.
 MAX_SIM_BYTES = 2**31
 
 
@@ -114,7 +113,7 @@ class NetSimConfig:
         if self.rounds < 1:
             raise ValueError(f"need at least one round, got {self.rounds}")
         m = len(self.full_nodes)
-        size = min(self.rounds, _CHUNK) * (self.n_partial * (7 * m + 24) + 8 * m + 48)
+        size = min(self.rounds, _CHUNK) * (self.n_partial * (7 * m + 24) + 8 * m + 48) + 4096 * m
         if size > MAX_SIM_BYTES:
             raise ValueError(
                 f"{self.n_partial} partial nodes x {m} full nodes x {self.rounds} rounds "
@@ -149,44 +148,41 @@ class SyncReport:
     redundant_responses: int
 
 
-def _fixed_profile(strategy: Strategy, m: int) -> int | None:
-    """The profile index that every round routes to, or None if the route
-    can vary.  CautiousAll sends to all m nodes.  A distribution's route is
-    fixed when the lowest and the highest double that random() returns, 0.0
-    and 1 - 2**-53, pick the same profile: the clipped search is monotone
-    in the uniform, so every uniform then picks it."""
+def _route(strategy: Strategy, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """A (rows, m) bool table of the profiles that a round can draw, and the
+    sorted breaks between them: a round with uniform u sends by row
+    searchsorted(breaks, u, "right").  A distribution picks profile
+    min(searchsorted(cumsum(g), u, "right"), 2**m - 1) for u in
+    [0, 1 - 2**-53], the doubles of random(), which is the search over all
+    but the last cumulative value.  It changes only where the sorted
+    cumulative sum rises, so those values in (0, 1 - 2**-53] are the breaks.
+    It is monotone, so a route whose first and last rows agree is fixed: one
+    row and no breaks, like CautiousAll's."""
     if isinstance(strategy, CautiousAll):
-        return (1 << m) - 1
+        return np.ones((1, m), dtype=bool), np.empty(0)
     cumulative = np.cumsum(strategy.g)
-    ends = np.searchsorted(cumulative, [0.0, 1.0 - 2.0**-53], side="right")
-    lowest, highest = np.minimum(ends, len(cumulative) - 1).tolist()
-    return lowest if lowest == highest else None
+    breaks = cumulative[(np.diff(cumulative, prepend=0.0) > 0.0) & (cumulative <= 1.0 - 2.0**-53)]
+    profiles = np.searchsorted(cumulative[:-1], np.append(0.0, breaks), side="right")
+    if profiles[0] == profiles[-1]:
+        profiles, breaks = profiles[:1], breaks[:0]
+    return (profiles[:, None] >> np.arange(m) & 1).astype(bool), breaks
 
 
-def _routing_bits(config: NetSimConfig, fixed: int | None, start: int, count: int) -> np.ndarray:
-    """(partial, node, round) request flags of the `count` rounds from round
-    `start` on, where `fixed` is _fixed_profile's answer for the config's
-    strategy.  Partial node j samples its profiles from child stream j of
-    the routing root, continued at its `start`-th double; fill_streams sets
-    the streams in one batch.  The profiles are decoded node by node.
-
-    A fixed route draws and stores nothing: its flags are a read-only
-    broadcast of the one profile's node flags, and `simulate` sizes its
-    chunks by the drawn routes alone.  No other draw reads the routing
-    streams, so skipping them changes no report."""
-    m = len(config.full_nodes)
-    if fixed is not None:
-        flags = np.array([fixed >> i & 1 for i in range(m)], dtype=bool)
-        return np.broadcast_to(flags[None, :, None], (config.n_partial, m, count))
-    cumulative = np.cumsum(config.strategy.g)
+def _routing_bits(config: NetSimConfig, route: tuple, start: int, count: int) -> np.ndarray:
+    """(node, partial, round) request flags of the `count` rounds from round
+    `start` on, gathered from `route`, _route's table for the config's
+    strategy, in one take.  Partial node j draws its uniforms from child
+    stream j of the routing root, continued at its `start`-th double;
+    fill_streams sets the streams in one batch.  A fixed route draws
+    nothing, and no other draw reads the routing streams: its flags are its
+    one row, shaped (m, 1, 1), which every partial node sends every round.
+    """
+    flags, breaks = route
+    if not len(breaks):
+        return flags.T[..., None]
     u = np.empty((config.n_partial, count))
     fill_streams(derive_seed(config.master_seed, _ROUTING_STREAMS), 0, u, start)
-    profiles = np.searchsorted(cumulative, u, side="right")
-    np.minimum(profiles, len(cumulative) - 1, out=profiles)
-    bits = np.empty((config.n_partial, m, count), dtype=bool)
-    for i in range(m):
-        bits[:, i] = profiles & (1 << i)
-    return bits
+    return np.take(flags.T, np.searchsorted(breaks, u, side="right"), axis=1)
 
 
 def _fail_series(
@@ -232,33 +228,35 @@ class _Totals:
     overflowed.  Every count stays below 2**53, so the report's divisions of
     the totals give the floats that means over the whole run would."""
 
-    def __init__(self, m: int) -> None:
+    def __init__(self, m: int, n_partial: int) -> None:
+        self.n_partial = n_partial
         self.synced = self.successes = self.requests = 0
         self.failed = np.zeros(m, dtype=np.int64)
         self.requested = np.zeros(m, dtype=np.int64)
 
     def add(self, bits: np.ndarray, routed: np.ndarray, fails: np.ndarray) -> None:
-        """Count one chunk from its (partial, node, round) request flags,
+        """Count one chunk from its (node, partial, round) request flags, or
+        a fixed route's (node, 1, 1) one that counts for every partial node,
         their per-node sums and the (node, round) overflow flags."""
-        # bits & ~fails as one comparison of bools, which numpy vectorises
-        # also when a fixed route's bits are a broadcast.
-        success = bits > fails[None]
-        self.synced += int(np.count_nonzero(success.any(axis=1)))
-        self.successes += int(np.count_nonzero(success))
+        # bits & ~fails as one comparison of bools, which numpy vectorises.
+        success = bits > fails[:, None]
+        copies = self.n_partial // bits.shape[1]
+        self.synced += copies * int(np.count_nonzero(success.any(axis=0)))
+        self.successes += copies * int(np.count_nonzero(success))
         self.requests += int(routed.sum(dtype=np.int64))
         requested = routed > 0
         # One count per node row: count_nonzero(..., axis=1) sums bools as intp, slower.
         self.failed += [np.count_nonzero(row) for row in fails & requested]
         self.requested += [np.count_nonzero(row) for row in requested]
 
-    def report(self, n_partial: int, rounds: int) -> SyncReport:
-        """The report of `n_partial` partial nodes over `rounds` rounds."""
+    def report(self, rounds: int) -> SyncReport:
+        """The report of the partial nodes over `rounds` rounds."""
         with np.errstate(invalid="ignore"):  # a never-requested node reports 0/0 = NaN
             per_node = (self.failed / self.requested).tolist()
         measured = [p for p in per_node if not math.isnan(p)]
         return SyncReport(
             per_node_failure=tuple(per_node),
-            sync_success_rate=self.synced / (n_partial * rounds),
+            sync_success_rate=self.synced / (self.n_partial * rounds),
             predicted_success=1.0 - math.prod(measured) if measured else float("nan"),
             rounds_used=rounds,
             total_requests=self.requests,
@@ -289,25 +287,24 @@ def simulate(configs: Sequence[NetSimConfig]) -> list[SyncReport]:
         raise ValueError("simulate takes one or more configurations that differ only in strategy")
     first = configs[0]
     m = len(first.full_nodes)
-    fixed = [_fixed_profile(config.strategy, m) for config in configs]
-    drawn = [k for k, profile in enumerate(fixed) if profile is None]
+    routes = [_route(config.strategy, m) for config in configs]
+    drawn = [k for k, (_, breaks) in enumerate(routes) if len(breaks)]
     # Row 0 is the fixed routes' shared queue, if any route is fixed; drawn
     # route j has row base + j.
     base = int(len(drawn) < len(configs))
     row = [0] * len(configs)
     for r, k in enumerate(drawn, start=base):
         row[k] = r
-    shared = 0  # the nodes that some fixed route requests
-    for profile in fixed:
-        shared |= profile or 0
+    # The nodes that some fixed route requests.
+    shared = np.reshape([flags[0] for flags, breaks in routes if not len(breaks)], (-1, m)).any(axis=0)
     arrival_root = derive_seed(first.master_seed, _ARRIVAL_STREAMS)
     response_root = derive_seed(first.master_seed, _RESPONSE_STREAMS)
     # Per node with a row: its first row and its two streams.
     streams = [
-        (i, node, 0 if shared >> i & 1 else base)
+        (i, node, 0 if shared[i] else base)
         + (make_rng(derive_seed(arrival_root, i)), make_rng(derive_seed(response_root, i)))
         for i, node in enumerate(first.full_nodes)
-        if shared >> i & 1 or drawn
+        if shared[i] or drawn
     ]
     # NetSimConfig budgets two drawn routes' flags per _CHUNK rounds.
     width = max(1, 2 * _CHUNK // max(2, len(drawn)))
@@ -319,14 +316,14 @@ def simulate(configs: Sequence[NetSimConfig]) -> list[SyncReport]:
     fails = np.zeros(shape, dtype=bool)
     scratch = np.empty((2, shape[0], shape[2]), dtype=np.int64)
     backlog = np.zeros(shape[:2], dtype=np.int64)
-    totals = [_Totals(m) for _ in configs]
+    totals = [_Totals(m, first.n_partial) for _ in configs]
     for start in range(0, first.rounds, width):
         count = min(width, first.rounds - start)
         sums, overflows, (walk, floor) = (buf[..., :count] for buf in (routed, fails, scratch))
-        bits = [_routing_bits(config, profile, start, count) for config, profile in zip(configs, fixed)]
+        bits = [_routing_bits(config, route, start, count) for config, route in zip(configs, routes)]
         sums[:base] = first.n_partial  # the shared queue takes every partial node
         for k in drawn:
-            bits[k].sum(axis=0, out=sums[row[k]])
+            bits[k].sum(axis=1, out=sums[row[k]])
         for i, node, r, arrivals, responses in streams:
             ambient = _poisson_inverse(node.params.lam, arrivals.random(count))
             # int64 for speed only: _fail_series flags the same on narrow counts, but slower.
@@ -334,11 +331,11 @@ def simulate(configs: Sequence[NetSimConfig]) -> list[SyncReport]:
             np.add(ambient, sums[r:, i], out=walk[r:])
             _fail_series(walk[r:], served, node.capacity, backlog[r:, i], floor[r:], overflows[r:, i])
         for k, total in enumerate(totals):
-            if fixed[k] is not None:  # row 0's queues have run, so it takes this route's own sums
-                bits[k].sum(axis=0, out=sums[0])
+            if row[k] < base:  # a fixed route: row 0's queues have run, so it takes this route's sums
+                sums[0] = bits[k][:, 0] * np.int32(first.n_partial)
             total.add(bits[k], sums[row[k]], overflows[row[k]])
         del bits  # freed before the next chunk draws its own
-    return [total.report(first.n_partial, first.rounds) for total in totals]
+    return [total.report(first.rounds) for total in totals]
 
 
 def run_network_sim(config: NetSimConfig) -> SyncReport:

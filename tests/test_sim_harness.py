@@ -17,7 +17,7 @@ from nodesync.sim_harness import (
     FullNode,
     NetSimConfig,
     _fail_series,
-    _fixed_profile,
+    _route,
     _routing_bits,
     run_network_sim,
     simulate,
@@ -166,6 +166,11 @@ def test_config_rejects_runs_over_the_memory_cap():
     assert _config(n_partial=largest + 1, rounds=rounds).rounds == rounds
     with pytest.raises(ValueError, match="MAX_SIM_BYTES"):
         _config(n_partial=largest + 1, rounds=rounds + 1)
+    # Each full node adds 4096 bytes whatever the rounds, so 2,000,000 full
+    # nodes are refused even for one round (they share one node object here).
+    node = FullNode(params=RateParams(lam=3.0, mu=6.0), capacity=4)
+    with pytest.raises(ValueError, match=r"2000000 full nodes x 1 rounds would take about 7,8"):
+        NetSimConfig(full_nodes=(node,) * 2_000_000, n_partial=1, strategy=CautiousAll(), rounds=1, master_seed=0)
     # The largest runs that the CLI checks and the benchmark times stay at
     # least 50 times below the cap.
     runs = ((200, 3, 2000), (1, 3, 200_000), (1, 64, 200), (5, 6, 3000), (3, 5, 70_000))
@@ -201,9 +206,10 @@ def test_a_game_spec_is_not_a_strategy():
 def test_any_distribution_routes():
     profile = Profile((0, 1, 0))
     config = _config(n_partial=3, rounds=400, strategy=CorrelatedDistribution.point_mass(profile))
-    bits = _routing_bits(config, _fixed_profile(config.strategy, 3), 0, 400)
-    assert bits.shape == (3, 3, 400)
-    assert (bits == np.array(profile.bits, dtype=bool)[:, None]).all()
+    bits = _routing_bits(config, _route(config.strategy, 3), 0, 400)
+    # A fixed route is one column, which every partial node sends every round.
+    assert bits.shape == (3, 1, 1)
+    assert bits[:, 0, 0].tolist() == [False, True, False]
     detail = run_network_sim(config)
     assert detail.total_requests == 3 * 400
     assert math.isnan(detail.per_node_failure[0]) and math.isnan(detail.per_node_failure[2])
@@ -228,28 +234,83 @@ def test_routing_bits_match_per_partial_streams():
             strategies.append(solve_ns(spec).distribution)
             mixed += np.count_nonzero(np.diff(np.cumsum(strategies[-1].g), prepend=0.0)) > 1
         for strategy in strategies:
+            # CautiousAll and point masses route the same every round, as
+            # one (m, 1, 1) column; a drawn route is stored per partial node.
+            is_fixed = isinstance(strategy, CautiousAll) or np.count_nonzero(strategy.g) == 1
+            route = _route(strategy, m)
             for n_partial in range(1, 5):
                 for seed in (0, 7, -3):
                     config = _config(m=m, n_partial=n_partial, rounds=257, strategy=strategy, seed=seed)
-                    fixed_profile = _fixed_profile(strategy, m)
-                    bits = _routing_bits(config, fixed_profile, 0, 257)
-                    assert bits.dtype == bool and bits.shape == (n_partial, m, 257)
-                    assert np.array_equal(bits, routing_bits(config))
-                    # Chunks continue each partial node's stream.
-                    pieces = [
-                        _routing_bits(config, fixed_profile, start, min(100, 257 - start))
-                        for start in (0, 100, 200)
-                    ]
-                    assert np.array_equal(np.concatenate(pieces, axis=2), bits)
-                    # CautiousAll and point masses route the same every round,
-                    # as a read-only broadcast; a drawn route is stored.
-                    is_fixed = isinstance(strategy, CautiousAll) or np.count_nonzero(strategy.g) == 1
-                    assert all(piece.flags.writeable != is_fixed for piece in [bits, *pieces])
+                    want = routing_bits(config)
+                    # The whole run, then chunks that continue each partial node's stream.
+                    for start, count in ((0, 257), (0, 100), (100, 100), (200, 57)):
+                        bits = _routing_bits(config, route, start, count)
+                        assert bits.dtype == bool
+                        assert bits.shape == ((m, 1, 1) if is_fixed else (m, n_partial, count))
+                        got = np.broadcast_to(bits, (m, n_partial, count)).transpose(1, 0, 2)
+                        assert np.array_equal(got, want[..., start : start + count])
                     fixed += is_fixed
     # Some equilibria spread their mass, so the profile search is exercised,
     # and some are pure, besides the point masses given.
     assert mixed >= 3
     assert fixed > 6 * 3 * 4 * 3
+
+
+def _full_rule(strategy, m, u):
+    """(uniform, node) request flags by the sampling rule applied in full:
+    all ones under CautiousAll, else the profile
+    min(searchsorted(cumsum(g), u, "right"), 2**m - 1)."""
+    if isinstance(strategy, CautiousAll):
+        return np.ones((len(u), m), dtype=bool)
+    profiles = np.minimum(np.searchsorted(np.cumsum(strategy.g), u, side="right"), (1 << m) - 1)
+    return np.array([[p >> i & 1 for i in range(m)] for p in profiles.tolist()], dtype=bool).reshape(-1, m)
+
+
+def test_route_table_matches_the_full_rule():
+    # At the lowest and highest uniforms, at every break and at the doubles
+    # next to it, the table's row is the profile that the full rule picks;
+    # a route is fixed, one row and no breaks, exactly when the lowest and
+    # highest uniforms pick the same profile.
+    top = 1.0 - 2.0**-53
+    rng = np.random.default_rng(34)
+    fixed = drawn = 0
+    for m in range(1, 13):
+        size = 1 << m
+        near = np.full(size, 1e-12 / (size - 1))
+        near[1] = 1.0 - 1e-12
+        tiny = np.zeros(size)  # a second profile holding about 1e-16
+        tiny[[0, size - 1]] = 1e-16, 1.0 - 1e-16
+        short, short_last = np.zeros(size), np.zeros(size)
+        short[0] = short_last[-1] = 1.0 - 1e-10  # cumulative ending below 1.0
+        strategies = [CautiousAll()] + [
+            CorrelatedDistribution(m=m, g=g) for g in (near, near[::-1].copy(), tiny, short, short_last)
+        ]
+        strategies += [
+            CorrelatedDistribution.point_mass(Profile.from_index(k, m))
+            for k in sorted({0, 1, size - 1, int(rng.integers(size))})
+        ]
+        if m <= 8:
+            strategies += [CorrelatedDistribution(m=m, g=rng.dirichlet(np.ones(size))) for _ in range(2)]
+        for _ in range(3):
+            spec = GameSpec(
+                m=m,
+                epsilon=tuple(float(v) for v in rng.uniform(0.05, 0.95, size=m)),
+                alpha=tuple(float(v) for v in rng.uniform(0.5, 20.0, size=m)),
+                cost=tuple(float(v) for v in rng.uniform(0.0, 12.0, size=m)),
+            )
+            strategies.append(solve_ns(spec).distribution)
+        for strategy in strategies:
+            flags, breaks = _route(strategy, m)
+            assert flags.dtype == bool and flags.shape == (len(breaks) + 1, m)
+            assert np.all(np.diff(breaks) > 0) and np.all((breaks > 0) & (breaks <= top))
+            u = np.concatenate([[0.0, top], breaks, np.nextafter(breaks, 0.0), np.nextafter(breaks, 1.0)])
+            u = u[u <= top]
+            assert np.array_equal(flags[np.searchsorted(breaks, u, side="right")], _full_rule(strategy, m, u))
+            ends = _full_rule(strategy, m, np.array([0.0, top]))
+            assert (len(flags) == 1) == (ends[0] == ends[1]).all()
+            fixed += len(flags) == 1
+            drawn += len(flags) > 1
+    assert fixed > 12 * 5 and drawn > 12 * 3
 
 
 def _assert_report_matches_oracle(config):
@@ -438,7 +499,7 @@ def test_each_node_scans_one_series_per_distinct_inflow(monkeypatch):
     )
     cautious, equilibrium = (config for _, config in cli._netsim_configs(args))
     # The benchmark's op: its equilibrium is a point mass on one node.
-    assert [bin(_fixed_profile(c.strategy, 3)).count("1") for c in (cautious, equilibrium)] == [3, 1]
+    assert [_route(c.strategy, 3)[0].sum(axis=1).tolist() for c in (cautious, equilibrium)] == [[3], [1]]
     rng = np.random.default_rng(31)
     mixed, other = (
         replace(cautious, strategy=CorrelatedDistribution(m=3, g=rng.dirichlet(np.ones(8)))) for _ in range(2)
@@ -525,6 +586,31 @@ def test_fixed_routes_draw_nothing(monkeypatch, m):
         )
         for strategy in strategies:
             _assert_report_matches_oracle(replace(base, strategy=strategy))
+
+
+def test_fixed_routes_count_one_row_for_all_partial_nodes(monkeypatch):
+    # A fixed route reaches the counts as one (m, 1, 1) column however many
+    # partial nodes send it, and every report still equals the oracle's,
+    # which flags each partial node in each round, across chunk boundaries.
+    shapes = []
+    add = sim_harness._Totals.add
+
+    def counted(self, bits, *args):
+        shapes.append(bits.shape)
+        add(self, bits, *args)
+
+    monkeypatch.setattr(sim_harness._Totals, "add", counted)
+    monkeypatch.setattr(sim_harness, "_CHUNK", 64)
+    rng = np.random.default_rng(35)
+    point = CorrelatedDistribution.point_mass(Profile.from_index(5, 3))
+    mixed = CorrelatedDistribution(m=3, g=rng.dirichlet(np.ones(8)))
+    for n_partial in (1, 2, 5, 64, 127, 128, 200):
+        # Service keeps pace with the routed load, so some rounds overflow and some do not.
+        base = _config(mu=n_partial + 6.0, capacity=n_partial + 4, n_partial=n_partial, rounds=200)
+        configs = [replace(base, strategy=strategy) for strategy in (CautiousAll(), point, mixed)]
+        shapes.clear()
+        assert repr(simulate(configs)) == repr([_oracle_report(c) for c in configs])
+        assert shapes == [(3, 1, 1), (3, 1, 1), (3, n_partial, 64)] * 3 + [(3, 1, 1), (3, 1, 1), (3, n_partial, 8)]
 
 
 def test_near_point_masses_still_draw(monkeypatch):
