@@ -9,7 +9,9 @@ termination.  The state is the basis alone (Dantzig and Orchard-Hays
 1954): each pivot solves with B = a[:, basis], taken from the original
 data, for the prices y = B^-T c_B and for B^-1 [b | a_j], so round-off
 cannot build up from pivot to pivot, and the answer is B^-1 b of the last
-basis.
+basis.  Each solve calls the LAPACK gufunc behind np.linalg.solve directly,
+under that function's own errstate, so it returns the same bits without
+the wrapper's per-call Python work, which is most of a small solve's cost.
 
 Rows are kept as given.  Phase 1 starts every row on its own slack or
 surplus column when that column's level there, b_i / (+-1), is
@@ -49,6 +51,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-8
@@ -144,6 +147,23 @@ class LpSolution:
     pivots: int = 0
 
 
+def _raise_singular(err: str, flag: int) -> None:
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+# np.linalg.solve's own floating-point rules: LAPACK flags a singular
+# matrix as an invalid value, which raises here, and nothing else is
+# reported, whatever errstate the caller has set.
+@np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
+def _lapack_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(matrix, rhs) for a float64 square `matrix` and a
+    float64 right-hand side of one or two dimensions: the gufunc that it
+    calls (LAPACK's dgesv) with its signature and errstate, bit for bit,
+    without its Python argument handling."""
+    gufunc = _umath_linalg.solve1 if rhs.ndim == 1 else _umath_linalg.solve
+    return gufunc(matrix, rhs, signature="dd->d")
+
+
 class _Simplex:
     """Simplex state over an immutable system a x = b: the basis, as its
     column indices and the basis matrix a[:, basis]."""
@@ -163,7 +183,7 @@ class _Simplex:
 
     def _solve(self, matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         try:
-            return np.linalg.solve(matrix, rhs)
+            return _lapack_solve(matrix, rhs)
         except np.linalg.LinAlgError as exc:
             raise ArithmeticError(
                 f"basis matrix became singular in phase {self.phase} after "
@@ -213,7 +233,10 @@ class _Simplex:
             # Round-off grows with the column's largest entry; a pivot on
             # round-off would leave the basis singular.  A program with no
             # rows has an empty column, and every such direction is a ray.
-            open_rows = (direction > PIVOT_TOL * max(1.0, direction.max(initial=0.0))).nonzero()[0]
+            # The reductions here call their ufuncs directly: ndarray.max
+            # and .min reach the same reduce through a Python frame.
+            scale = max(1.0, np.maximum.reduce(direction, initial=0.0))
+            open_rows = (direction > PIVOT_TOL * scale).nonzero()[0]
             if open_rows.size == 0:
                 return "unbounded"
             # Ties must be recognized exactly (degenerate rows carry an
@@ -224,7 +247,7 @@ class _Simplex:
                 vertex = fresh[:, 0]
                 vertex[np.abs(vertex) < _RHS_SNAP] = 0.0
             ratios = vertex[open_rows] / direction[open_rows]
-            step = ratios.min()
+            step = np.minimum.reduce(ratios)
             tied = open_rows[ratios <= step]
             self.pivot(int(tied[basis[tied].argmin()]), col)
             if step != 0.0:

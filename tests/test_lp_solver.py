@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from bruteforce import brute_force_solve, random_feasible_problem, random_problem
 from nodesync import lp_solver
+from nodesync.cli import main
 from nodesync.lp_solver import (
     FEAS_TOL,
     PIVOT_TOL,
@@ -380,15 +382,15 @@ def test_start_at_an_optimal_vertex_is_returned_exactly():
 
 
 def _count_basis_solves(monkeypatch):
-    """Record the shape of the right-hand side of every np.linalg.solve call."""
+    """Record the shape of the right-hand side of every basis solve."""
     calls = []
-    real = np.linalg.solve
+    real = lp_solver._lapack_solve
 
     def counting(matrix, rhs):
         calls.append(np.shape(rhs))
         return real(matrix, rhs)
 
-    monkeypatch.setattr(np.linalg, "solve", counting)
+    monkeypatch.setattr(lp_solver, "_lapack_solve", counting)
     return calls
 
 
@@ -609,6 +611,80 @@ def test_singular_basis_error_names_phase_and_pivots():
     state = _Simplex(a_ext, np.ones(2), np.zeros(2), [0, 1], phase=1)
     with pytest.raises(ArithmeticError, match=r"singular in phase 1 after 0 pivots"):
         state.levels()
+
+
+def _systems():
+    """Random and Hilbert (ill-conditioned) systems of 1 to 25 rows, each as
+    a C-contiguous matrix and as the transposed view that pricing solves
+    with, with a 1-D and an (n, 2) right-hand side."""
+    rng = np.random.default_rng(7)
+    for n in range(1, 26):
+        index = np.arange(n)
+        for matrix in (rng.standard_normal((n, n)), 1.0 / np.add.outer(index, index + 1.0)):
+            for view in (matrix, np.ascontiguousarray(matrix.T).T):
+                yield view, rng.standard_normal(n)
+                yield view, rng.standard_normal((n, 2))
+
+
+def test_basis_solve_is_np_linalg_solve_bit_for_bit():
+    count = 0
+    for matrix, rhs in _systems():
+        got = lp_solver._lapack_solve(matrix, rhs)
+        want = np.linalg.solve(matrix, rhs)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), (matrix.shape, rhs.shape)
+        count += 1
+    assert count == 25 * 8
+
+
+def test_singular_basis_raises_under_any_caller_errstate():
+    # LAPACK reports a singular matrix as an invalid value.  The solve must
+    # turn that into the named error whatever the caller's errstate: no
+    # RuntimeWarning at numpy's default, and not a FloatingPointError under
+    # the errstate that _optimize sets, which it would report as
+    # "invalid value encountered".
+    a_ext = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+    message = r"basis matrix became singular in phase 1 after 0 pivots \(2 rows\)"
+    for errstate in ({}, {"all": "ignore"}, {"invalid": "raise", "over": "raise"}):
+        with warnings.catch_warnings(), np.errstate(**errstate):
+            warnings.simplefilter("error")
+            state = _Simplex(a_ext, np.ones(2), np.array([0.0, 0.0, 1.0]), [0, 1], phase=1)
+            with pytest.raises(ArithmeticError, match=message):
+                state.levels()
+            with pytest.raises(ArithmeticError, match=message):
+                lp_solver._optimize(state, 3)
+
+
+def _count_pivots(monkeypatch):
+    """Record the pivots and objective value of every lp_solver.solve call."""
+    calls = []
+    real = lp_solver.solve
+
+    def counting(problem, start=None):
+        sol = real(problem, start)
+        calls.append((sol.pivots, sol.objective_value))
+        return sol
+
+    monkeypatch.setattr(lp_solver, "solve", counting)
+    return calls
+
+
+def test_default_cost_sweep_pivot_path(monkeypatch):
+    # `sweep --param cost` at its defaults, each solve warm-started at the
+    # best pure profile: the pivots of each point pin the path.
+    calls = _count_pivots(monkeypatch)
+    for cost in range(1, 11):
+        solve_ns(GameSpec.uniform(8, 0.2, 10.0, float(cost)))
+    assert [pivots for pivots, _ in calls] == [291, 55, 10, 8, 0, 0, 0, 0, 0, 0]
+
+
+def test_long_relaxed_walk_pivot_path(monkeypatch, capfd):
+    # The relaxed phase 2 cycles and the unrelaxed rerun answers, 5,793
+    # pivots in all.
+    calls = _count_pivots(monkeypatch)
+    assert main(["decide", "--m", "10", "--eps1", "0.5", "--alpha", "1e4", "--cost", "1"]) == 0
+    capfd.readouterr()
+    assert calls == [(5793, float.fromhex("0x1.382ffffffffffp+13"))]
 
 
 def test_check_feasible_names_the_violated_row():
