@@ -1,11 +1,12 @@
 """Monte Carlo model of a full node's synchronization request queue.
 
-Arrivals and responses are independent Poisson counts per unit time slot.
-The module tracks the unreflected cumulative arrivals-minus-responses walk
-and estimates the probability that the running supremum of the walk
-exceeds a capacity threshold.  The reflected backlog (Lindley recursion)
-is sim_harness's.  Both Monte Carlo paths invert blocks of at most _BLOCK
-uniforms and carry their running sums across blocks with _carried_cumsum.
+Arrivals and responses are independent Poisson counts per unit time slot,
+drawn by inversion through a guide table (_guided_count) that netsim's
+routing shares.  The module tracks the unreflected cumulative
+arrivals-minus-responses walk and estimates the probability that its
+running supremum exceeds a capacity threshold; the reflected backlog
+(Lindley recursion) is sim_harness's.  Both Monte Carlo paths invert blocks
+of at most _BLOCK uniforms and carry their running sums with _carried_cumsum.
 """
 
 from __future__ import annotations
@@ -13,11 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
 
-from .seeding import fill_streams
+from .seeding import fill_streams, stream_states
 
 # Table-size guard for the CDF (table length grows linearly in rate).
 MAX_VECTOR_RATE = 50_000.0
@@ -26,24 +28,11 @@ MAX_VECTOR_RATE = 50_000.0
 # horizon, but time is not: a walk of this length takes about a second.
 MAX_HORIZON = 2**26
 
-# Poisson inversion counts the CDF entries below each uniform over the head
-# of the table that holds _HEAD_MASS of the mass; beyond it, and for tables
-# whose head exceeds _MAX_HEAD entries, it binary-searches the table.
-# On a 2-core x86 VM, inverting a 26 x 10,000 block of uniforms, counting
-# beat the binary search at rate 95 (a 127-entry head; 14.7 vs 19.2 ms),
-# tied at rate 130 (168 entries; 18.6 vs 20.1 ms) and lost from rate 200
-# (246 entries; 32.0 vs 20.5 ms, and 40.3 vs 23.2 ms at rate 300);
-# _MAX_HEAD = 128 sends rates above about 95 to the search.  The cut-off
-# changes no draw.
-# estimate_tail draws _BLOCK // horizon walks (at least one) by at most
-# _BLOCK slots at a time and sim_harness a chunk of at most _BLOCK rounds,
-# so an inversion call sees at most _BLOCK uniforms (1 MiB of doubles);
-# they stay in a per-core L2 cache across the passes over the head.  On a
-# 26 x 5000 block the flat index of the uniforms beyond the head takes 0.04 ms; 2-D np.nonzero
-# took 0.30 ms, about half of a rate-3 inversion.
-_HEAD_MASS = 0.999
-_MAX_HEAD = 128
+# An inversion call sees at most _BLOCK uniforms (1 MiB of doubles):
+# estimate_tail draws _BLOCK // (2 horizon) walks (at least one) by at most
+# _BLOCK slots at a time, and sim_harness a chunk of at most _BLOCK rounds.
 _BLOCK = 1 << 17
+_MIN_GUIDE = 1 << 14  # the least number of buckets of a guide table (_guide)
 
 
 @dataclass(frozen=True)
@@ -100,25 +89,20 @@ def check_sampling_rate(rate: float) -> None:
 
 
 @lru_cache(maxsize=None)
-def _poisson_table(rate: float) -> tuple[np.ndarray, int, np.dtype]:
+def _poisson_table(rate: float) -> tuple[np.ndarray, np.ndarray, np.dtype]:
     """Inversion table of X ~ Poisson(rate): the read-only partial sums
-    F_k = P(X <= k), the length of their head, and the count type.
+    F_k = P(X <= k), the guide of their search, and the count type.
 
     One rule builds every table: F_k is the running sum of the terms
     exp(k ln rate - rate - lgamma(k + 1)) for k = 0 .. hi, with
     hi = int(rate + 12 sqrt(rate) + 20), so the table has hi + 1 entries.
     The terms are taken in log space because exp(-rate) alone underflows to
     zero above rate 745.  The table ends more than 12 standard deviations
-    above the mean, where F_k is within about 1e-10 of 1.0.
-
-    The head, which the comparison count covers, runs up to and including
-    the first F_k >= _HEAD_MASS.  It is zero when that is longer than
-    _MAX_HEAD entries: every uniform then goes to the binary search, which
-    is cheaper there than one pass over all uniforms per entry.  The count
-    type is the narrowest signed integer type holding +-(len(F) - 1), so
-    that a difference of two draws from the table cannot wrap.  The rate is
-    checked first; the cache keeps no exception, so a bad rate raises on
-    every call.
+    above the mean, where F_k is within about 1e-10 of 1.0.  The guide,
+    _guide's over all but the last F_k, is built with the table, in the
+    narrowest signed integer type holding +-(len(F) - 1), so that a
+    difference of two draws cannot wrap.  The rate is checked first; the
+    cache keeps no exception, so a bad rate raises on every call.
     """
     check_sampling_rate(rate)
     hi = int(rate + 12.0 * math.sqrt(rate) + 20.0)
@@ -126,8 +110,35 @@ def _poisson_table(rate: float) -> tuple[np.ndarray, int, np.dtype]:
     log_pmf = [k * log_rate - rate - math.lgamma(k + 1) for k in range(hi + 1)]
     cdf = np.cumsum(np.exp(log_pmf))
     cdf.flags.writeable = False
-    head = min(int(np.searchsorted(cdf, _HEAD_MASS, side="left")) + 1, len(cdf))
-    return cdf, head if head <= _MAX_HEAD else 0, np.min_scalar_type(-len(cdf))
+    dtype = np.min_scalar_type(-len(cdf))
+    return cdf, _guide(cdf[:-1], "left", dtype), dtype
+
+
+def _guide(table: np.ndarray, side: str, dtype: type) -> np.ndarray:
+    """Read-only guide table (Chen and Asau 1974), in `dtype`, of the counts
+    of entries of the sorted `table` on `side` of a uniform: bucket b of G
+    (the least power of two >= 4 len(table), at least _MIN_GUIDE) takes u in
+    [b/G, (b+1)/G) and holds the count at b/G if it holds at (b+1)/G, since
+    no entry then lies in it, else -1, as does the last, which takes u >= 1."""
+    size = max(_MIN_GUIDE, 1 << (4 * len(table) - 1).bit_length())
+    edges = np.searchsorted(table, np.arange(size + 1) / size, side=side)
+    guide = np.where(edges[1:] == edges[:-1], edges[:-1], -1).astype(dtype, copy=False)
+    guide[-1] = -1
+    guide.flags.writeable = False
+    return guide
+
+
+def _guided_count(table: np.ndarray, guide: np.ndarray, side: str, u: np.ndarray) -> np.ndarray:
+    """searchsorted(table, u, side) for u >= 0, in the type of `guide`: u * G
+    is exact for a power of two G, so u's bucket b has b/G <= u < (b+1)/G,
+    and only u in buckets holding -1 are binary-searched, through a flat
+    index.  An intp guide's counts overwrite the 8-byte bucket index."""
+    index = np.empty(u.shape, dtype=np.intp)
+    np.multiply(u, len(guide), out=index, casting="unsafe")
+    counts = guide.take(index, mode="clip", out=index if guide.dtype == index.dtype else None)
+    slow = np.flatnonzero(counts < 0)
+    counts.reshape(-1)[slow] = np.searchsorted(table, u[np.unravel_index(slow, u.shape)], side=side)
+    return counts
 
 
 def _walk_dtype(horizon: int, table_len: int) -> type:
@@ -138,26 +149,10 @@ def _walk_dtype(horizon: int, table_len: int) -> type:
 
 def _poisson_inverse(rate: float, u: np.ndarray) -> np.ndarray:
     """Poisson(rate) draws from uniforms by inversion: the smallest k with
-    u <= F_k, clipped to the last entry of the CDF table.
-
-    That k is the number of partial sums F_j below u.  Over the head of the
-    table (about 99.9 % of the mass) it is counted with one vectorised
-    comparison per entry; the rare uniforms beyond the head, and all
-    uniforms of rates with a long head, are binary-searched.  The draws come
-    in the narrowest signed integer type that holds +-(len(F) - 1).  Every
-    head entry is one pass over u, so callers pass blocks of _BLOCK or less.
-    """
-    cdf, head, dtype = _poisson_table(rate)
-    counts = np.zeros(u.shape, dtype=dtype)
-    above = np.empty(u.shape, dtype=bool)
-    # An int8 view of the flags adds without numpy's mixed-type loop.
-    step = above.view(np.int8) if dtype == np.int8 else above
-    for f in cdf[:head]:
-        np.greater(u, f, out=above)
-        counts += step
-    beyond = np.unravel_index(np.flatnonzero(counts == head), u.shape)
-    counts[beyond] = np.minimum(np.searchsorted(cdf, u[beyond], side="left"), len(cdf) - 1)
-    return counts
+    u <= F_k, clipped to the last entry of the CDF table, which is the number
+    of partial sums F_j but the last below u, in the table's count type."""
+    cdf, guide, _ = _poisson_table(rate)
+    return _guided_count(cdf[:-1], guide, "left", u)
 
 
 def _carried_cumsum(steps: np.ndarray, total: np.ndarray) -> np.ndarray:
@@ -196,15 +191,17 @@ def estimate_tail(
 
     Every run is an independent walk whose stream is seeded with
     derive_seed(master_seed, run_index); results are therefore identical no
-    matter how runs are batched or parallelized.  A batch holds
-    _BLOCK // horizon walks (at least one), drawn in chunks of at most
+    matter how runs are batched or parallelized.  A batch holds _BLOCK //
+    (2 horizon) walks (at least one), half a block of uniforms per inversion
+    to leave room for the bucket indices, drawn in chunks of at most
     _BLOCK slots: slots t0 .. t1 - 1 invert doubles t0 .. t1 - 1 of each
     walk's stream for arrivals and horizon + t0 .. for responses, which
-    fill_streams fills in one call for a whole walk, else one per half.
-    Sums and suprema carry across chunks, so memory is flat in the horizon.
-    All thresholds are counted against the same run set, which makes p_hat
-    nonincreasing in gamma.  A horizon over MAX_HORIZON raises ValueError
-    before anything is drawn.
+    fill_streams fills in one call for a whole walk, else one per half, from
+    states hashed once per run (stream_states; a walk of several chunks is
+    alone in its batch and keeps its state).  Sums and suprema carry across
+    chunks, so memory is flat in the horizon.  All thresholds are counted
+    against the same run set, which makes p_hat nonincreasing in gamma.  A
+    horizon over MAX_HORIZON raises ValueError before anything is drawn.
     """
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
@@ -220,22 +217,24 @@ def estimate_tail(
     if not np.all(g[1:] > g[:-1]):
         raise ValueError(f"gammas must be strictly increasing, got {list(gammas)}")
 
-    rows, width = max(1, min(_BLOCK // horizon, runs)), min(horizon, _BLOCK)
+    rows, width = max(1, min(_BLOCK // (2 * horizon), runs)), min(horizon, _BLOCK)
     dtype = _walk_dtype(horizon, max(len(_poisson_table(rate)[0]) for rate in (params.lam, params.mu)))
     uniforms = np.empty((rows, 2 * width))
     # counts[k]: walks whose supremum is over exactly the k lowest thresholds.
     counts = np.zeros(len(g) + 1, dtype=np.int64)
+    states = stream_states(master_seed, 0, runs)
     for done in range(0, runs, rows):
         nb = min(rows, runs - done)
         total, sup = np.zeros((2, nb), dtype=dtype)
+        batch = states if width == horizon else list(islice(states, nb))
         for t0 in range(0, horizon, width):
             w = min(width, horizon - t0)
             u = uniforms[:nb, : 2 * w]
             if w == horizon:
-                fill_streams(master_seed, done, u)
+                fill_streams(master_seed, done, u, 0, batch)
             else:
-                fill_streams(master_seed, done, u[:, :w], t0)
-                fill_streams(master_seed, done, u[:, w:], horizon + t0)
+                fill_streams(master_seed, done, u[:, :w], t0, batch)
+                fill_streams(master_seed, done, u[:, w:], horizon + t0, batch)
             _walk_sups(params, u, total, sup)
         counts += np.bincount(np.searchsorted(g, sup), minlength=len(g) + 1)
     hits = np.cumsum(counts[:0:-1])[::-1]

@@ -17,7 +17,8 @@ request it.  `run_network_sim` is `simulate` for one configuration.
 stream and queue backlog from one chunk to the next and summing integer
 counts, so its memory is flat in the number of rounds and its reports
 equal those of one pass.  MAX_SIM_BYTES bounds what one chunk holds:
-partial nodes times full nodes, plus 4 KiB per full node.
+partial nodes times full nodes, plus 4 KiB per full node and 512 KiB for
+a strategy that can draw its route.
 """
 
 from __future__ import annotations
@@ -29,8 +30,15 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .seeding import derive_seed, fill_streams, make_rng
-from .queue_model import RateParams, _carried_cumsum, _poisson_inverse, check_sampling_rate
+from .seeding import derive_seed, fill_streams, make_rng, stream_states
+from .queue_model import (
+    RateParams,
+    _carried_cumsum,
+    _guide,
+    _guided_count,
+    _poisson_inverse,
+    check_sampling_rate,
+)
 from .sync_game import CorrelatedDistribution
 
 # Stream purposes under the master seed; each node or partial then gets its
@@ -59,12 +67,17 @@ _CHUNK = 2**15
 # nodes, 1 to 12 full nodes and 2,000 to 98,309 rounds, with one or two
 # drawn routes, at rates 3/6 and 40,000/50,000, whose peaks ranged from 0.2
 # to 267 MB, the estimate was 1.000 to 3.8 times the peak, closest on one
-# partial node at the high rates.  So a run of any length fits once one
-# chunk does.  The budget is two drawn routes' flags per _CHUNK rounds;
-# `simulate` runs k > 2 drawn routes in chunks of 2 * _CHUNK // k rounds,
-# so theirs take no more.  A fixed route stores one flag per full node, but
-# the estimate still budgets it, so it is conservative there.
+# partial node at the high rates; but send-to-all beside two drawn routes
+# on one partial node peaks above it, up to 1/0.86 times at m = 12.  So a
+# run of any length fits once one chunk does.  The budget is two drawn
+# routes' flags per _CHUNK rounds; `simulate` runs k > 2 drawn routes in
+# chunks of 2 * _CHUNK // k rounds, so theirs take no more.  A fixed route
+# stores one flag per full node, but the estimate still budgets it, so it
+# is conservative there.  A strategy that can draw adds _GUIDE_BYTES: the
+# guide tables of two drawn routes, 2^14 intp buckets each, and the
+# temporaries of building one.
 MAX_SIM_BYTES = 2**31
+_GUIDE_BYTES = 2**19
 
 
 @dataclass(frozen=True)
@@ -114,6 +127,8 @@ class NetSimConfig:
             raise ValueError(f"need at least one round, got {self.rounds}")
         m = len(self.full_nodes)
         size = min(self.rounds, _CHUNK) * (self.n_partial * (7 * m + 24) + 8 * m + 48) + 4096 * m
+        if isinstance(self.strategy, CorrelatedDistribution):
+            size += _GUIDE_BYTES
         if size > MAX_SIM_BYTES:
             raise ValueError(
                 f"{self.n_partial} partial nodes x {m} full nodes x {self.rounds} rounds "
@@ -148,41 +163,49 @@ class SyncReport:
     redundant_responses: int
 
 
-def _route(strategy: Strategy, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """A (rows, m) bool table of the profiles that a round can draw, and the
-    sorted breaks between them: a round with uniform u sends by row
-    searchsorted(breaks, u, "right").  A distribution picks profile
+def _route(strategy: Strategy, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """A (rows, m) bool table of the profiles that a round can draw, the
+    sorted breaks between them and the guide of their search: a round with
+    uniform u sends by row searchsorted(breaks, u, "right"), which
+    _guided_count finds through the guide.  A distribution picks profile
     min(searchsorted(cumsum(g), u, "right"), 2**m - 1) for u in
     [0, 1 - 2**-53], the doubles of random(), which is the search over all
     but the last cumulative value.  It changes only where the sorted
     cumulative sum rises, so those values in (0, 1 - 2**-53] are the breaks.
     It is monotone, so a route whose first and last rows agree is fixed: one
-    row and no breaks, like CautiousAll's."""
+    row, no breaks and no guide, like CautiousAll's."""
     if isinstance(strategy, CautiousAll):
-        return np.ones((1, m), dtype=bool), np.empty(0)
+        return np.ones((1, m), dtype=bool), np.empty(0), None
     cumulative = np.cumsum(strategy.g)
     breaks = cumulative[(np.diff(cumulative, prepend=0.0) > 0.0) & (cumulative <= 1.0 - 2.0**-53)]
     profiles = np.searchsorted(cumulative[:-1], np.append(0.0, breaks), side="right")
     if profiles[0] == profiles[-1]:
         profiles, breaks = profiles[:1], breaks[:0]
-    return (profiles[:, None] >> np.arange(m) & 1).astype(bool), breaks
+    guide = _guide(breaks, "right", np.intp) if len(breaks) else None
+    return (profiles[:, None] >> np.arange(m) & 1).astype(bool), breaks, guide
 
 
-def _routing_bits(config: NetSimConfig, route: tuple, start: int, count: int) -> np.ndarray:
+def _routing_bits(
+    config: NetSimConfig, route: tuple, start: int, count: int, states: list | None = None
+) -> np.ndarray:
     """(node, partial, round) request flags of the `count` rounds from round
     `start` on, gathered from `route`, _route's table for the config's
     strategy, in one take.  Partial node j draws its uniforms from child
     stream j of the routing root, continued at its `start`-th double;
-    fill_streams sets the streams in one batch.  A fixed route draws
+    fill_streams sets the streams in one batch, from `states` when the
+    caller has hashed them.  The rows come as intp, which the take reads as
+    they are, and the uniforms are freed before it.  A fixed route draws
     nothing, and no other draw reads the routing streams: its flags are its
     one row, shaped (m, 1, 1), which every partial node sends every round.
     """
-    flags, breaks = route
+    flags, breaks, guide = route
     if not len(breaks):
         return flags.T[..., None]
     u = np.empty((config.n_partial, count))
-    fill_streams(derive_seed(config.master_seed, _ROUTING_STREAMS), 0, u, start)
-    return np.take(flags.T, np.searchsorted(breaks, u, side="right"), axis=1)
+    fill_streams(derive_seed(config.master_seed, _ROUTING_STREAMS), 0, u, start, states)
+    rows = _guided_count(breaks, guide, "right", u)
+    del u
+    return np.take(flags.T, rows, axis=1)
 
 
 def _fail_series(
@@ -288,7 +311,7 @@ def simulate(configs: Sequence[NetSimConfig]) -> list[SyncReport]:
     first = configs[0]
     m = len(first.full_nodes)
     routes = [_route(config.strategy, m) for config in configs]
-    drawn = [k for k, (_, breaks) in enumerate(routes) if len(breaks)]
+    drawn = [k for k, (_, breaks, _) in enumerate(routes) if len(breaks)]
     # Row 0 is the fixed routes' shared queue, if any route is fixed; drawn
     # route j has row base + j.
     base = int(len(drawn) < len(configs))
@@ -296,7 +319,7 @@ def simulate(configs: Sequence[NetSimConfig]) -> list[SyncReport]:
     for r, k in enumerate(drawn, start=base):
         row[k] = r
     # The nodes that some fixed route requests.
-    shared = np.reshape([flags[0] for flags, breaks in routes if not len(breaks)], (-1, m)).any(axis=0)
+    shared = np.reshape([flags[0] for flags, breaks, _ in routes if not len(breaks)], (-1, m)).any(axis=0)
     arrival_root = derive_seed(first.master_seed, _ARRIVAL_STREAMS)
     response_root = derive_seed(first.master_seed, _RESPONSE_STREAMS)
     # Per node with a row: its first row and its two streams.
@@ -308,6 +331,11 @@ def simulate(configs: Sequence[NetSimConfig]) -> list[SyncReport]:
     ]
     # NetSimConfig budgets two drawn routes' flags per _CHUNK rounds.
     width = max(1, 2 * _CHUNK // max(2, len(drawn)))
+    # Every chunk of a drawn route sets the partial nodes' routing states:
+    # over more than one chunk they are hashed once, here.
+    states = None
+    if drawn and first.rounds > width:
+        states = list(stream_states(derive_seed(first.master_seed, _ROUTING_STREAMS), 0, first.n_partial))
     shape = (base + len(drawn), m, min(first.rounds, width))
     # int32 sums hold any partial count whose flags fit in memory.
     routed = np.empty(shape, dtype=np.int32)
@@ -320,7 +348,7 @@ def simulate(configs: Sequence[NetSimConfig]) -> list[SyncReport]:
     for start in range(0, first.rounds, width):
         count = min(width, first.rounds - start)
         sums, overflows, (walk, floor) = (buf[..., :count] for buf in (routed, fails, scratch))
-        bits = [_routing_bits(config, route, start, count) for config, route in zip(configs, routes)]
+        bits = [_routing_bits(config, route, start, count, states) for config, route in zip(configs, routes)]
         sums[:base] = first.n_partial  # the shared queue takes every partial node
         for k in drawn:
             bits[k].sum(axis=1, out=sums[row[k]])

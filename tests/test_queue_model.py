@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -15,6 +17,7 @@ from nodesync.queue_model import (
     estimate_tail,
     fit_decay_slope,
 )
+import nodesync.seeding as seeding
 from nodesync.seeding import derive_seed, make_rng
 from oracles import poisson_inverse, sample_poisson, step_queue, walk_sups
 
@@ -103,8 +106,8 @@ def test_poisson_counts_matches_scalar_inversion():
 # make_rng(seed).random(2**17)) for seeds 0 to 7 in turn, at rates up to
 # 30.  They were recorded while these tables were still built by the
 # p_{k+1} = p_k * rate/(k+1) recurrence, and the log-space tables draw the
-# same counts.  The rates from 130 up were recorded later; their tables
-# have no head, so every uniform goes to the binary search.
+# same counts.  The rates from 130 up were recorded later, when every
+# uniform of those tables went to a binary search.
 _GOLDEN_DRAWS = {
     1e-9: "2daeb1f36095b44b318410b3f4e8b5d989dcc7bb023d1426c492dab0a3053e74",
     1e-3: "3b3ffb88fa21a69cb9621cb5eecfb14aa04a4e8cb3a415f005c82469b754cb72",
@@ -165,11 +168,65 @@ def test_poisson_inverse_equals_binary_search_oracle(rate):
     assert np.array_equal(qm._poisson_inverse(rate, grid), poisson_inverse(rate, grid))
 
 
-def test_table_head_cutoff():
-    # The exactness rates above cover both sides of the cut-off: 90 is
-    # counted over its whole head, 200 goes to the binary search alone.
-    assert 0 < qm._poisson_table(90.0)[1] <= qm._MAX_HEAD
-    assert qm._poisson_table(200.0)[1] == 0
+# Tables of every kind the guided search serves: Poisson CDFs from the
+# smallest rate to the largest, searched on the left over all but their
+# last entry, and route breaks, searched on the right, from one break to
+# 4,096, two of them on bucket edges and at the highest uniform.
+_GUIDE_RATES = [1e-9, 0.5, 3.0, 6.0, 30.5, 200.0, 3000.0, 50_000.0]
+
+
+def _guided_tables():
+    rng = np.random.default_rng(36)
+    for rate in _GUIDE_RATES:
+        cdf, guide, _ = qm._poisson_table(rate)
+        yield cdf[:-1], "left", guide
+    edges = [np.array([0.5]), np.array([2.0**-14, 0.25, 1.0 - 2.0**-53])]
+    drawn = [np.cumsum(rng.dirichlet(np.ones(n + 1)))[:-1] for n in (1, 2, 3, 64, 4096)]
+    for breaks in edges + drawn:
+        yield breaks, "right", qm._guide(breaks, "right", np.intp)
+
+
+def test_guide_size_rule_and_sentinel_share():
+    sizes = []
+    for table, _, guide in _guided_tables():
+        size = len(guide)
+        assert size & (size - 1) == 0 and size >= max(qm._MIN_GUIDE, 4 * len(table))
+        assert size == qm._MIN_GUIDE or size < 8 * len(table)
+        assert guide[-1] == -1 and np.count_nonzero(guide < 0) < size / 4
+        assert not guide.flags.writeable
+        sizes.append(size)
+    # Every table up to 4,096 entries takes the least guide; rate 50,000's
+    # 52,703 searched entries take 2^18 buckets.
+    assert sizes[_GUIDE_RATES.index(50_000.0)] == 2**18
+    assert set(sizes) == {2**14, 2**18}
+
+
+def test_guided_count_equals_searchsorted_at_every_edge():
+    # Every bucket edge, every table entry, the doubles on both sides of
+    # each, the ends of the uniform range and values at or above 1.0, which
+    # the last bucket takes.
+    for table, side, guide in _guided_tables():
+        edges = np.arange(len(guide) + 1) / len(guide)
+        points = np.concatenate([edges, table, [0.0, 1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52]])
+        u = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 2.0)])
+        counts = qm._guided_count(table, guide, side, u)
+        assert counts.dtype == guide.dtype
+        assert np.array_equal(counts, np.searchsorted(table, u, side=side))
+    # On the Poisson tables the search over all but the last entry is the
+    # clipped search of the whole table.
+    # Rate 30.5's sums rise to 1 + 6.7e-16, above every uniform.
+    assert qm._poisson_table(30.5)[0].max() > 1.0
+    for rate in _GUIDE_RATES:
+        cdf = qm._poisson_table(rate)[0]
+        u = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0), [0.0, 1.0]])
+        clipped = np.minimum(np.searchsorted(cdf, u, side="left"), len(cdf) - 1)
+        assert np.array_equal(qm._poisson_inverse(rate, u), clipped)
+
+
+def test_poisson_guides_are_built_with_their_tables_not_at_import():
+    code = "import nodesync.cli, nodesync.queue_model as qm; print(qm._poisson_table.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    assert out == "0\n"
 
 
 def test_table_count_type_holds_table_range():
@@ -348,7 +405,7 @@ def test_estimate_tail_matches_independent_walks_across_batches(monkeypatch, lam
     params = RateParams(lam=lam, mu=mu)
     runs, horizon, gammas = 53, 80, [0, 2, 5]
     # 6-walk batches: eight full ones, then one of 5.
-    monkeypatch.setattr(qm, "_BLOCK", 6 * horizon + 7)
+    monkeypatch.setattr(qm, "_BLOCK", 12 * horizon + 7)
     estimates = estimate_tail(params, gammas, runs=runs, horizon=horizon, master_seed=master_seed)
     sups = [_walk_sup(params, horizon, make_rng(derive_seed(master_seed, i))) for i in range(runs)]
     assert [est.hits for est in estimates] == [sum(s > g for s in sups) for g in gammas]
@@ -359,7 +416,7 @@ def test_estimate_tail_independent_of_batch_size(monkeypatch):
     params = RateParams(lam=3.0, mu=6.0)
     baseline = estimate_tail(params, [1, 4], runs=300, horizon=100, master_seed=3)
     # 7-walk batches, which do not divide the runs, and the 1-walk floor.
-    for block in (7 * 100, 50):
+    for block in (14 * 100, 50):
         monkeypatch.setattr(qm, "_BLOCK", block)
         rebatched = estimate_tail(params, [1, 4], runs=300, horizon=100, master_seed=3)
         assert baseline == rebatched
@@ -370,9 +427,9 @@ def test_estimate_tail_independent_of_batch_size(monkeypatch):
     "block, horizon, runs",
     [
         (64, 150, 120),  # one-walk batches in chunks of 64, 64 and 22 slots
-        (64, 30, 125),  # 2-walk batches of whole walks, the last of one walk
+        (64, 30, 125),  # one-walk batches of whole walks, each shorter than a chunk
         (64, 64, 100),  # one-walk batches, each walk one full chunk
-        (50, 1, 420),  # 50 one-slot walks a batch, the last of 20
+        (50, 1, 420),  # 25 one-slot walks a batch, the last of 20
     ],
 )
 def test_estimate_tail_in_slot_chunks_matches_oracle_walks(monkeypatch, lam, mu, block, horizon, runs):
@@ -408,6 +465,40 @@ def test_estimate_tail_inverts_at_most_one_block(monkeypatch):
     # A walk longer than a block is drawn in chunks of at most one block.
     estimate_tail(RateParams(lam=3.0, mu=6.0), [2], runs=1, horizon=300_000, master_seed=4)
     assert sizes == [qm._BLOCK] * 4 + [300_000 - 2 * qm._BLOCK] * 2
+
+
+def test_estimate_tail_hashes_each_stream_once(monkeypatch):
+    # Each run's stream state is hashed once per call, in blocks as the
+    # batches take them; a walk of several chunks sets its state again
+    # without hashing it again.
+    hashed, ahead = [], []
+    states, fill = seeding._pcg64_states, qm.fill_streams
+
+    def counted(seeds):
+        hashed.append(len(seeds))
+        return states(seeds)
+
+    def filled(master_seed, first, out, *args):
+        ahead.append(sum(hashed) - first)
+        fill(master_seed, first, out, *args)
+
+    monkeypatch.setattr(seeding, "_pcg64_states", counted)
+    monkeypatch.setattr(qm, "fill_streams", filled)
+    params = RateParams(lam=3.0, mu=6.0)
+    estimate_tail(params, [2], runs=60, horizon=5000, master_seed=4)
+    assert hashed == [60]
+    hashed.clear()
+    ahead.clear()
+    # 10-walk batches: no batch finds a whole block hashed ahead of it.
+    monkeypatch.setattr(qm, "_BLOCK", 200)
+    estimate_tail(params, [2], runs=2500, horizon=10, master_seed=4)
+    assert hashed == [1024, 1024, 452] and len(ahead) == 250
+    assert min(ahead) == 0 and max(ahead) < 1024
+    monkeypatch.undo()
+    hashed.clear()
+    monkeypatch.setattr(seeding, "_pcg64_states", counted)
+    estimate_tail(params, [2], runs=2, horizon=300_000, master_seed=4)
+    assert hashed == [2]
 
 
 def test_estimate_tail_bounds_the_horizon_before_drawing(monkeypatch):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import nodesync.queue_model as qm
-from nodesync.seeding import _pcg64_states, derive_seed, fill_streams, make_rng
+import nodesync.seeding as seeding
+from nodesync.seeding import _pcg64_states, derive_seed, fill_streams, make_rng, stream_states
 
 
 def test_stream_states_match_numpy_seeding():
@@ -102,3 +103,37 @@ def test_fill_streams_continues_each_stream_at_an_offset(master_seed):
         out = np.empty((rows, width))
         fill_streams(master_seed, 9, out, offset)
         assert np.array_equal(out, whole[:, offset : offset + width])
+
+
+def test_stream_states_hash_block_by_block_as_they_are_taken(monkeypatch):
+    hashed = []
+    states = seeding._pcg64_states
+
+    def counted(seeds):
+        hashed.append(len(seeds))
+        return states(seeds)
+
+    monkeypatch.setattr(seeding, "_pcg64_states", counted)
+    stream = stream_states(-5, 1000, 2500)
+    first = [next(stream) for _ in range(3)]
+    assert hashed == [1024]
+    rest = list(stream)
+    assert hashed == [1024, 1024, 452]
+    want = [make_rng(derive_seed(-5, 1000 + j)).bit_generator.state for j in range(2500)]
+    assert first + rest == want
+
+
+def test_fill_streams_takes_hashed_states():
+    # A list of states serves any number of calls, at any offset; an
+    # iterator gives each call as many states as the call has rows.
+    whole = np.empty((5, 300))
+    fill_streams(9, 40, whole)
+    listed = list(stream_states(9, 40, 5))
+    out = np.empty((5, 100))
+    for offset in (0, 100, 200):
+        fill_streams(9, 40, out, offset, listed)
+        assert np.array_equal(out, whole[:, offset : offset + 100])
+    stream = stream_states(9, 40, 5)
+    fill_streams(9, 40, out[:2], 0, stream)
+    fill_streams(9, 42, out[2:], 0, stream)
+    assert np.array_equal(out, whole[:, :100]) and next(stream, None) is None

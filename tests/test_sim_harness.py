@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import nodesync
-from nodesync import cli, sim_harness
+from nodesync import cli, seeding, sim_harness
 from nodesync.queue_model import RateParams, _poisson_inverse
 from nodesync.seeding import fill_streams, make_rng
 from nodesync.sim_harness import (
@@ -300,8 +300,9 @@ def test_route_table_matches_the_full_rule():
             )
             strategies.append(solve_ns(spec).distribution)
         for strategy in strategies:
-            flags, breaks = _route(strategy, m)
+            flags, breaks, guide = _route(strategy, m)
             assert flags.dtype == bool and flags.shape == (len(breaks) + 1, m)
+            assert (guide is None) == (len(breaks) == 0)
             assert np.all(np.diff(breaks) > 0) and np.all((breaks > 0) & (breaks <= top))
             u = np.concatenate([[0.0, top], breaks, np.nextafter(breaks, 0.0), np.nextafter(breaks, 1.0)])
             u = u[u <= top]
@@ -636,6 +637,34 @@ def test_near_point_masses_still_draw(monkeypatch):
                 draws.clear()
                 _assert_report_matches_oracle(_config(m=m, n_partial=n_partial, rounds=200, strategy=strategy))
                 assert len(draws) == 1
+
+
+def test_routing_states_are_hashed_once_per_call(monkeypatch):
+    # A drawn route sets the partial nodes' routing states every chunk but
+    # hashes them once per call; in a one-chunk call each drawn route
+    # hashes its own.
+    hashed = []
+    states = seeding._pcg64_states
+
+    def counted(seeds):
+        hashed.append(len(seeds))
+        return states(seeds)
+
+    monkeypatch.setattr(seeding, "_pcg64_states", counted)
+    monkeypatch.setattr(sim_harness, "_CHUNK", 64)
+    rng = np.random.default_rng(36)
+    mixed, other = (CorrelatedDistribution(m=3, g=rng.dirichlet(np.ones(8))) for _ in range(2))
+    for rounds, strategies, want in (
+        (200, (CautiousAll(), mixed), [5]),
+        (200, (mixed, other), [5]),
+        (60, (mixed,), [5]),
+        (60, (mixed, other), [5, 5]),
+    ):
+        hashed.clear()
+        base = _config(n_partial=5, rounds=rounds)
+        configs = [replace(base, strategy=strategy) for strategy in strategies]
+        assert repr(simulate(configs)) == repr([_oracle_report(c) for c in configs])
+        assert hashed == want
 
 
 def test_memory_is_flat_in_rounds():
